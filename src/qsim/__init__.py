@@ -41,25 +41,18 @@ from .simulator import (
 from .synopsis import (
     DataVector,
     QuantumNormalizer,
-    QuantumSeries,
     Synopsis,
-    UpdateQuantum,
-    normalize_quantum,
     update_quantum,
     update_synopsis,
 )
 from .t2fls import (
     InferenceEngine,
-    IntervalMembership,
     IntervalTerm,
     Rule,
     RuleBase,
     default_engine,
     default_rule_base,
     default_terms,
-    evaluate_pod,
-    fire_rule,
-    fuzzify,
     make_term,
 )
 
@@ -72,18 +65,14 @@ __all__ = [
     "InvariantViolation",
     "DataVector",
     "Synopsis",
-    "UpdateQuantum",
-    "QuantumSeries",
     "QuantumNormalizer",
     "update_synopsis",
     "update_quantum",
-    "normalize_quantum",
     "HoltState",
     "Forecast",
     "holt_init",
     "holt_step",
     "holt_forecast",
-    "IntervalMembership",
     "IntervalTerm",
     "Rule",
     "RuleBase",
@@ -92,9 +81,6 @@ __all__ = [
     "default_terms",
     "default_rule_base",
     "default_engine",
-    "fuzzify",
-    "fire_rule",
-    "evaluate_pod",
     "Decision",
     "EpochState",
     "combine_pods",

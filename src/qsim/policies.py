@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 from .forecasting import HoltState, holt_forecast, holt_init, holt_step
-from .synopsis import QuantumNormalizer, QuantumSeries, Synopsis, UpdateQuantum
+from .synopsis import QuantumNormalizer, Synopsis
 from .t2fls import InferenceEngine, default_engine
 
 __all__ = [
@@ -82,7 +82,7 @@ class EpochState:
     last_sent: Synopsis
     t: int = 1
     deadline: int | None = None
-    quanta: QuantumSeries = field(default_factory=QuantumSeries)
+    quanta: list[float] = field(default_factory=list)
     holt: HoltState | None = None
     normalizer: QuantumNormalizer = field(default_factory=QuantumNormalizer)
 
@@ -113,9 +113,10 @@ class _PolicyBase:
 
     trigger_cause: str = ""
 
-    def step(self, state: EpochState, quantum: UpdateQuantum) -> tuple[EpochState, Decision]:
+    def step(self, state: EpochState, quantum: float) -> Decision:
+        """Admit one raw quantum into the epoch and decide; updates `state` in place."""
         state.quanta.append(quantum)
-        state.normalizer.observe(quantum.value)
+        state.normalizer.observe(quantum)
         self._update_forecaster(state)
         triggered, score = self._trigger(state, quantum)
         if triggered:
@@ -124,14 +125,14 @@ class _PolicyBase:
             decision = Decision(ACTION_DISSEMINATE, CAUSE_DEADLINE, score)
         else:
             state.t += 1
-            return state, Decision(ACTION_HOLD, None, score)
+            return Decision(ACTION_HOLD, None, score)
         state.reset()
-        return state, decision
+        return decision
 
     def _update_forecaster(self, state: EpochState) -> None:
         pass
 
-    def _trigger(self, state: EpochState, quantum: UpdateQuantum) -> tuple[bool, float | None]:
+    def _trigger(self, state: EpochState, quantum: float) -> tuple[bool, float | None]:
         raise NotImplementedError
 
 
@@ -147,12 +148,12 @@ class _ForecastingPolicy(_PolicyBase):
         self.beta = beta
 
     def _update_forecaster(self, state: EpochState) -> None:
-        n = len(state.quanta)
+        quanta = state.quanta
+        n = len(quanta)
         if n == 2:
-            e1, e2 = state.quanta.last_values(2)
-            state.holt = holt_init(e1, e2, self.alpha, self.beta)
+            state.holt = holt_init(quanta[0], quanta[1], self.alpha, self.beta)
         elif n > 2 and state.holt is not None:
-            state.holt = holt_step(state.holt, state.quanta.last_values(1)[0])
+            state.holt = holt_step(state.holt, quanta[-1])
 
     def _normalized_forecast(self, state: EpochState) -> tuple[float, float, float]:
         forecast = holt_forecast(state.holt, 3)
@@ -175,11 +176,11 @@ class UddmPolicy(_ForecastingPolicy):
         super().__init__(alpha, beta)
         self.engine = engine if engine is not None else default_engine()
 
-    def _trigger(self, state: EpochState, quantum: UpdateQuantum) -> tuple[bool, float | None]:
+    def _trigger(self, state: EpochState, quantum: float) -> tuple[bool, float | None]:
         if len(state.quanta) < 3:
             return False, None
         normalize = state.normalizer.normalize
-        e1, e2, e3 = state.quanta.last_values(3)
+        e1, e2, e3 = state.quanta[-3:]
         pod_p = self.engine.evaluate(normalize(e1), normalize(e2), normalize(e3))
         if state.holt is not None and state.holt.observations >= 2:
             pod_f = self.engine.evaluate(*self._normalized_forecast(state))
@@ -195,8 +196,8 @@ class BmPolicy(_PolicyBase):
 
     trigger_cause = CAUSE_ANY_CHANGE
 
-    def _trigger(self, state: EpochState, quantum: UpdateQuantum) -> tuple[bool, float | None]:
-        return quantum.value > 0.0, None
+    def _trigger(self, state: EpochState, quantum: float) -> tuple[bool, float | None]:
+        return quantum > 0.0, None
 
 
 class PmPolicy(_ForecastingPolicy):
@@ -204,7 +205,7 @@ class PmPolicy(_ForecastingPolicy):
 
     trigger_cause = CAUSE_PREDICTION
 
-    def _trigger(self, state: EpochState, quantum: UpdateQuantum) -> tuple[bool, float | None]:
+    def _trigger(self, state: EpochState, quantum: float) -> tuple[bool, float | None]:
         if state.holt is None or state.holt.observations < 2:
             return False, None
         a, b, c = self._normalized_forecast(state)

@@ -34,7 +34,6 @@ __all__ = [
     "SYNTHETIC_SOURCE",
     "STREAM_PROFILES",
     "ExperimentConfig",
-    "NodeState",
     "DisseminationEvent",
     "ExperimentTrace",
     "MetricsReport",
@@ -103,16 +102,6 @@ class ExperimentConfig:
         return self.N * (self.T + _SLACK)
 
 
-@dataclass(slots=True)
-class NodeState:
-    """One node's synopsis and epoch bookkeeping within an experiment."""
-
-    node_id: int
-    synopsis: Synopsis
-    epoch: EpochState
-    phase_offset: int
-
-
 @dataclass(frozen=True, slots=True)
 class DisseminationEvent:
     """One synopsis dissemination: where, when, why, and how big."""
@@ -131,8 +120,6 @@ class ExperimentTrace:
     """Events of one experiment, in step order."""
 
     experiment: int
-    steps: int
-    node_count: int
     events: tuple[DisseminationEvent, ...]
 
 
@@ -196,17 +183,15 @@ def generate_synthetic_stream(
     ]
 
 
-def _make_node(node_id: int, config: ExperimentConfig, bootstrap: DataVector) -> NodeState:
+def _first_epoch(node_id: int, config: ExperimentConfig, synopsis: Synopsis) -> EpochState:
     offset = (node_id - 1) % config.T
-    synopsis = update_synopsis(Synopsis.empty(config.dims), bootstrap)
-    epoch = EpochState(
+    return EpochState(
         T=config.T,
         theta=config.theta,
         last_sent=synopsis,
         deadline=offset if offset > 0 else config.T,
         normalizer=QuantumNormalizer(window=config.window),
     )
-    return NodeState(node_id=node_id, synopsis=synopsis, epoch=epoch, phase_offset=offset)
 
 
 def run_experiment(
@@ -229,33 +214,33 @@ def run_experiment(
         )
     if policy is None:
         policy = build_policy(config.policy, alpha=config.alpha, beta=config.beta)
-    nodes = [_make_node(j, config, stream[j - 1]) for j in range(1, config.N + 1)]
-    events: list[DisseminationEvent] = []
     n = config.N
+    empty = Synopsis.empty(config.dims)
+    synopses = [update_synopsis(empty, stream[j]) for j in range(n)]
+    epochs = [_first_epoch(j + 1, config, synopses[j]) for j in range(n)]
+    events: list[DisseminationEvent] = []
     for s in range(1, config.T + 1):
         base = s * n
-        for idx, node in enumerate(nodes):
-            vector = stream[base + idx]
-            node.synopsis = update_synopsis(node.synopsis, vector)
-            quantum = update_quantum(node.epoch.last_sent, node.synopsis, step=s)
-            t_star = node.epoch.t
-            _, decision = policy.step(node.epoch, quantum)
+        for idx, epoch in enumerate(epochs):
+            synopsis = update_synopsis(synopses[idx], stream[base + idx])
+            synopses[idx] = synopsis
+            quantum = update_quantum(epoch.last_sent, synopsis)
+            t_star = epoch.t
+            decision = policy.step(epoch, quantum)
             if decision.disseminate:
-                node.epoch.last_sent = node.synopsis
+                epoch.last_sent = synopsis
                 events.append(
                     DisseminationEvent(
                         experiment=experiment,
-                        node=node.node_id,
+                        node=idx + 1,
                         step=s,
                         t_star=t_star,
                         cause=decision.cause,
-                        magnitude=quantum.value,
+                        magnitude=quantum,
                         g=decision.g,
                     )
                 )
-    return ExperimentTrace(
-        experiment=experiment, steps=config.T, node_count=config.N, events=tuple(events)
-    )
+    return ExperimentTrace(experiment=experiment, events=tuple(events))
 
 
 def _experiment_stream(

@@ -12,19 +12,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
-from .errors import ConfigurationError, IngestionError, InvariantViolation
+from .errors import ConfigurationError, IngestionError
 
 __all__ = [
     "DataVector",
     "Synopsis",
-    "UpdateQuantum",
-    "QuantumSeries",
     "QuantumNormalizer",
     "update_synopsis",
     "update_quantum",
-    "normalize_quantum",
 ]
 
 
@@ -69,14 +65,6 @@ class Synopsis:
         return len(self.stats)
 
 
-@dataclass(frozen=True, slots=True)
-class UpdateQuantum:
-    """Magnitude of drift between the last-sent and current synopsis at one step."""
-
-    value: float
-    step: int = 0
-
-
 def update_synopsis(s: Synopsis, x: DataVector) -> Synopsis:
     """Absorb one data vector into the running-mean synopsis.
 
@@ -93,7 +81,7 @@ def update_synopsis(s: Synopsis, x: DataVector) -> Synopsis:
     return Synopsis(stats=stats, count=count)
 
 
-def update_quantum(last_sent: Synopsis, current: Synopsis, step: int = 0) -> UpdateQuantum:
+def update_quantum(last_sent: Synopsis, current: Synopsis) -> float:
     """L1 distance between two synopsis vectors: sum of absolute per-dimension differences."""
     if len(last_sent.stats) != len(current.stats):
         raise ConfigurationError(
@@ -102,42 +90,7 @@ def update_quantum(last_sent: Synopsis, current: Synopsis, step: int = 0) -> Upd
     value = 0.0
     for a, b in zip(current.stats, last_sent.stats):
         value += abs(a - b)
-    return UpdateQuantum(value=value, step=step)
-
-
-class QuantumSeries:
-    """Ordered update quanta of the current epoch; cleared when the epoch ends."""
-
-    __slots__ = ("_quanta",)
-
-    def __init__(self) -> None:
-        self._quanta: list[UpdateQuantum] = []
-
-    def append(self, quantum: UpdateQuantum) -> None:
-        if self._quanta and quantum.step <= self._quanta[-1].step:
-            raise InvariantViolation(
-                f"quantum step {quantum.step} does not advance past {self._quanta[-1].step}"
-            )
-        self._quanta.append(quantum)
-
-    def clear(self) -> None:
-        self._quanta.clear()
-
-    def last_values(self, n: int) -> tuple[float, ...]:
-        """Raw magnitudes of the most recent n quanta, oldest first."""
-        return tuple(q.value for q in self._quanta[-n:])
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(q.value for q in self._quanta)
-
-    def __len__(self) -> int:
-        return len(self._quanta)
-
-    def __iter__(self) -> Iterator[UpdateQuantum]:
-        return iter(self._quanta)
-
-    def __getitem__(self, index):
-        return self._quanta[index]
+    return value
 
 
 class QuantumNormalizer:
@@ -194,7 +147,3 @@ class QuantumNormalizer:
             return 0.0
         return 1.0 if ratio > 1.0 else ratio
 
-
-def normalize_quantum(quantum: UpdateQuantum, window: QuantumNormalizer) -> float:
-    """Normalized magnitude of a quantum against the window's running maximum."""
-    return window.normalize(quantum.value)

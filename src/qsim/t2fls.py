@@ -23,7 +23,6 @@ from .errors import ConfigurationError
 
 __all__ = [
     "TERM_LABELS",
-    "IntervalMembership",
     "IntervalTerm",
     "Rule",
     "RuleBase",
@@ -33,9 +32,6 @@ __all__ = [
     "default_terms",
     "default_rule_base",
     "default_engine",
-    "fuzzify",
-    "fire_rule",
-    "evaluate_pod",
     "engine_from_config",
 ]
 
@@ -54,24 +50,6 @@ def trapezoid(x: float, a: float, b: float, c: float, d: float) -> float:
     if x < b:
         return (x - a) / (b - a)
     return (d - x) / (d - c)
-
-
-@dataclass(frozen=True, slots=True)
-class IntervalMembership:
-    """Membership interval [lower, upper] of one input in one term."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lower <= self.upper <= 1.0:
-            raise ConfigurationError(
-                f"membership interval [{self.lower}, {self.upper}] is not ordered within [0, 1]"
-            )
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,40 +322,24 @@ def default_engine() -> InferenceEngine:
     return InferenceEngine()
 
 
-def fuzzify(x: float, term: IntervalTerm) -> IntervalMembership:
-    """Membership interval of x in one term; stray inputs are clamped with a diagnostic."""
-    if x < 0.0 or x > 1.0:
-        log.warning("fuzzifier input %r outside [0, 1]; clamping", x)
-        x = 0.0 if x < 0.0 else 1.0
-    lo, hi = term.membership(x)
-    return IntervalMembership(lower=lo, upper=hi)
+def _spec_number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} must be a number, got {value!r}") from exc
 
 
-def fire_rule(rule: Rule, memberships: Sequence[IntervalMembership]) -> IntervalMembership:
-    """Firing interval of one rule: boundwise minimum of the antecedent memberships."""
-    if len(memberships) != len(rule.antecedents):
-        raise ConfigurationError(
-            f"rule has {len(rule.antecedents)} antecedents but {len(memberships)} memberships given"
-        )
-    return IntervalMembership(
-        lower=min(m.lower for m in memberships),
-        upper=min(m.upper for m in memberships),
-    )
+def _spec_list(value, what: str) -> Sequence:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{what} must be a list, got {value!r}")
+    return value
 
 
-def evaluate_pod(
-    inputs: Sequence[float],
-    terms: Sequence[IntervalTerm] | None = None,
-    rules: RuleBase | None = None,
-) -> float:
-    """One-shot evaluation; prefer holding an InferenceEngine for repeated calls."""
-    if len(inputs) != 3:
-        raise ConfigurationError(f"the inference engine takes exactly 3 inputs, got {len(inputs)}")
-    if terms is None and rules is None:
-        engine = default_engine()
-    else:
-        engine = InferenceEngine(terms=terms, rules=rules)
-    return engine.evaluate(*inputs)
+def _spec_shape(entry: Mapping, key: str, label: str) -> tuple[float, float, float, float]:
+    corners = _spec_list(entry[key], f"term {label!r}: {key} shape")
+    if len(corners) != 4:
+        raise ConfigurationError(f"term {label!r}: {key} shape needs 4 corners, got {corners}")
+    return tuple(_spec_number(v, f"term {label!r}: {key} corner") for v in corners)
 
 
 def engine_from_config(spec: Mapping) -> InferenceEngine:
@@ -386,9 +348,14 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
     Recognized keys: "grid_points"; "terms" mapping label -> {"upper": [a,b,c,d],
     "shrink": f, "height": h} or an explicit {"lower": [a,b,c,d]}; "rules" as a
     list of {"antecedents": [l1, l2, l3], "consequent": label} overrides applied
-    on top of the rank-average base.
+    on top of the rank-average base. A spec of any other shape is a
+    ConfigurationError.
     """
+    if not isinstance(spec, Mapping):
+        raise ConfigurationError(f"engine overrides must be an object, got {type(spec).__name__}")
     term_spec = spec.get("terms", {})
+    if not isinstance(term_spec, Mapping):
+        raise ConfigurationError(f"engine overrides: terms must map labels to shapes, got {term_spec!r}")
     unknown = set(term_spec) - set(TERM_LABELS)
     if unknown:
         raise ConfigurationError(f"unknown term labels in engine overrides: {sorted(unknown)}")
@@ -399,31 +366,28 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
         if entry is None:
             terms.append(defaults[label])
             continue
-        try:
-            upper = tuple(float(v) for v in entry["upper"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"term {label!r}: invalid or missing upper shape") from exc
-        if len(upper) != 4:
-            raise ConfigurationError(f"term {label!r}: upper shape needs 4 corners, got {upper}")
-        height = float(entry.get("height", 0.9))
+        if not isinstance(entry, Mapping) or "upper" not in entry:
+            raise ConfigurationError(f"term {label!r}: invalid or missing upper shape")
+        upper = _spec_shape(entry, "upper", label)
+        height = _spec_number(entry.get("height", 0.9), f"term {label!r}: height")
         if "lower" in entry:
-            lower = tuple(float(v) for v in entry["lower"])
-            if len(lower) != 4:
-                raise ConfigurationError(f"term {label!r}: lower shape needs 4 corners")
+            lower = _spec_shape(entry, "lower", label)
             terms.append(IntervalTerm(label=label, upper=upper, lower=lower, height=height))
         else:
-            shrink = float(entry.get("shrink", 0.0))
+            shrink = _spec_number(entry.get("shrink", 0.0), f"term {label!r}: shrink")
             terms.append(make_term(label, *upper, shrink=shrink, height=height))
     rules = None
     if "rules" in spec:
         table = {r.antecedents: r.consequent for r in default_rule_base().rules}
-        for entry in spec["rules"]:
-            try:
-                antecedents = tuple(str(v) for v in entry["antecedents"])
-                consequent = str(entry["consequent"])
-            except (KeyError, TypeError) as exc:
-                raise ConfigurationError(f"malformed rule override {entry!r}") from exc
-            table[antecedents] = consequent
+        for entry in _spec_list(spec["rules"], "engine overrides: rules"):
+            if not isinstance(entry, Mapping) or "antecedents" not in entry or "consequent" not in entry:
+                raise ConfigurationError(f"malformed rule override {entry!r}")
+            antecedents = _spec_list(entry["antecedents"], f"rule override {entry!r}: antecedents")
+            table[tuple(str(v) for v in antecedents)] = str(entry["consequent"])
         rules = RuleBase(Rule(a, c) for a, c in table.items())
-    grid_points = int(spec.get("grid_points", 101))
+    grid_points = spec.get("grid_points", 101)
+    try:
+        grid_points = int(grid_points)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"grid_points must be an integer, got {grid_points!r}") from exc
     return InferenceEngine(terms=terms, rules=rules, grid_points=grid_points)

@@ -244,6 +244,31 @@ class TestCli:
             "--out-dir", str(tmp_path / "out"),
         ]) == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [{"terms": {}}],
+            {"grid_points": "x"},
+            {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "height": "tall"}}},
+            {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "shrink": "wide"}}},
+            {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "lower": ["a", 0.7, 1.0, 1.0]}}},
+            {"rules": 5},
+            {"terms": ["low"]},
+            {"rules": [{"antecedents": "abc", "consequent": "low"}]},
+        ],
+        ids=[
+            "top-level-list", "grid-points-text", "height-text", "shrink-text",
+            "lower-text", "rules-number", "terms-list", "antecedents-string",
+        ],
+    )
+    def test_malformed_fuzzy_spec_exit_code(self, tmp_path, spec):
+        fuzzy = tmp_path / "fuzzy.json"
+        fuzzy.write_text(json.dumps(spec), encoding="utf-8")
+        assert main([
+            "run", "--fuzzy", str(fuzzy), "--E", "1", "--T", "2",
+            "--out-dir", str(tmp_path / "out"),
+        ]) == 1
+
     def test_env_override_reaches_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QSIM_E", "2")
         monkeypatch.setenv("QSIM_OUT_DIR", str(tmp_path / "envout"))

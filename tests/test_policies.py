@@ -21,7 +21,7 @@ from qsim.policies import (
     build_policy,
     combine_pods,
 )
-from qsim.synopsis import DataVector, Synopsis, UpdateQuantum, update_quantum, update_synopsis
+from qsim.synopsis import DataVector, Synopsis, update_quantum, update_synopsis
 from qsim.t2fls import InferenceEngine, default_engine, make_term
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
@@ -33,13 +33,9 @@ def make_state(T=10, theta=0.6, deadline=None):
     return EpochState(T=T, theta=theta, last_sent=DUMMY, deadline=deadline)
 
 
-def feed(policy, state, values, start_step=1):
+def feed(policy, state, values):
     """Step the policy over raw quantum values; returns the decision list."""
-    decisions = []
-    for offset, value in enumerate(values):
-        _, decision = policy.step(state, UpdateQuantum(float(value), step=start_step + offset))
-        decisions.append(decision)
-    return decisions
+    return [policy.step(state, float(value)) for value in values]
 
 
 class TestCombinePods:
@@ -184,7 +180,7 @@ class TestPm:
         state = make_state(T=10, theta=0.75)
         first_epoch = feed(policy, state, [20.0] + [0.0] * 9)
         assert first_epoch[-1].cause == CAUSE_DEADLINE
-        second = feed(policy, state, [11.0, 12.0, 13.0], start_step=11)
+        second = feed(policy, state, [11.0, 12.0, 13.0])
         assert [d.action for d in second] == [ACTION_HOLD] * 3
         assert second[-1].g == 0.75
 
@@ -203,11 +199,10 @@ class TestEpochLifecycle:
             if step == 1:
                 state = EpochState(T=6, theta=0.6, last_sent=synopsis)
                 continue
-            quantum = update_quantum(state.last_sent, synopsis, step=step)
-            _, decision = policy.step(state, quantum)
+            decision = policy.step(state, update_quantum(state.last_sent, synopsis))
             if decision.disseminate:
                 state.last_sent = synopsis
-                assert update_quantum(state.last_sent, synopsis).value == 0.0
+                assert update_quantum(state.last_sent, synopsis) == 0.0
 
     def test_deadline_liveness_for_every_policy(self):
         rng = random.Random(8)
@@ -216,13 +211,37 @@ class TestEpochLifecycle:
             policy = build_policy(name)
             state = make_state(T=7, theta=0.95)
             gaps = 0
-            for step, value in enumerate(values, start=1):
-                _, decision = policy.step(state, UpdateQuantum(value, step=step))
+            for value in values:
+                decision = policy.step(state, value)
                 gaps += 1
                 if decision.disseminate:
                     assert gaps <= 7
                     gaps = 0
             assert gaps < 7
+
+    def test_quanta_views_and_reset(self):
+        state = make_state(T=10)
+        state.quanta.extend(float(i) for i in range(5))
+        assert state.quanta == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert state.quanta[-3:] == [2.0, 3.0, 4.0]
+        assert len(state.quanta) == 5
+        state.reset()
+        assert len(state.quanta) == 0
+        state.quanta.append(9.0)
+        assert state.quanta == [9.0]
+
+    @pytest.mark.parametrize("policy_cls", [UddmPolicy, PmPolicy])
+    def test_score_exactly_at_theta_holds(self, policy_cls):
+        # Read the first score the fixed stream produces, then rerun with theta
+        # set to exactly that score: the trigger is a strict inequality, so the
+        # round that scores theta, and every round before it, holds.
+        stream = [1.0, 2.0, 4.0, 5.0]
+        probe = feed(policy_cls(), make_state(T=10, theta=0.6), stream)
+        first = next(i for i, d in enumerate(probe) if d.g is not None)
+        theta = probe[first].g
+        decisions = feed(policy_cls(), make_state(T=10, theta=theta), stream)
+        assert decisions[first].g == theta
+        assert [d.action for d in decisions[: first + 1]] == [ACTION_HOLD] * (first + 1)
 
     def test_shortened_first_deadline(self):
         policy = BmPolicy()

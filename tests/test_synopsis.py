@@ -7,14 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.errors import ConfigurationError, IngestionError, InvariantViolation
+from qsim.errors import ConfigurationError, IngestionError
 from qsim.synopsis import (
     DataVector,
     QuantumNormalizer,
-    QuantumSeries,
     Synopsis,
-    UpdateQuantum,
-    normalize_quantum,
     update_quantum,
     update_synopsis,
 )
@@ -83,12 +80,12 @@ class TestUpdateSynopsis:
 class TestUpdateQuantum:
     def test_identical_synopses(self):
         s = Synopsis(stats=(1.0, 2.0), count=3)
-        assert update_quantum(s, s).value == 0.0
+        assert update_quantum(s, s) == 0.0
 
     def test_sum_of_absolute_differences(self):
         a = Synopsis(stats=(1.0, 2.0), count=1)
         b = Synopsis(stats=(2.0, 0.0), count=2)
-        assert update_quantum(a, b).value == 3.0
+        assert update_quantum(a, b) == 3.0
 
     def test_matches_elementwise_recomputation(self):
         rng = random.Random(11)
@@ -96,15 +93,15 @@ class TestUpdateQuantum:
             a = Synopsis(stats=tuple(rng.uniform(-50, 50) for _ in range(5)), count=1)
             b = Synopsis(stats=tuple(rng.uniform(-50, 50) for _ in range(5)), count=2)
             expected = sum(abs(x - y) for x, y in zip(b.stats, a.stats))
-            assert update_quantum(a, b).value == pytest.approx(expected, abs=1e-12)
+            assert update_quantum(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             update_quantum(Synopsis.empty(2), Synopsis.empty(3))
 
-    def test_records_step(self):
-        q = update_quantum(Synopsis.empty(1), Synopsis(stats=(2.0,), count=1), step=9)
-        assert q.step == 9 and q.value == 2.0
+    def test_returns_plain_float(self):
+        q = update_quantum(Synopsis.empty(1), Synopsis(stats=(2.0,), count=1))
+        assert type(q) is float and q == 2.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(finite_floats, min_size=4, max_size=4),
@@ -112,7 +109,7 @@ class TestUpdateQuantum:
     def test_symmetry(self, xs, ys):
         a = Synopsis(stats=tuple(xs), count=1)
         b = Synopsis(stats=tuple(ys), count=1)
-        assert update_quantum(a, b).value == update_quantum(b, a).value
+        assert update_quantum(a, b) == update_quantum(b, a)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(finite_floats, min_size=3, max_size=3),
@@ -122,31 +119,10 @@ class TestUpdateQuantum:
         a = Synopsis(stats=tuple(xs), count=1)
         b = Synopsis(stats=tuple(ys), count=1)
         c = Synopsis(stats=tuple(zs), count=1)
-        ab = update_quantum(a, b).value
-        bc = update_quantum(b, c).value
-        ac = update_quantum(a, c).value
+        ab = update_quantum(a, b)
+        bc = update_quantum(b, c)
+        ac = update_quantum(a, c)
         assert ac <= ab + bc + 1e-9 * (1.0 + ab + bc)
-
-
-class TestQuantumSeries:
-    def test_steps_strictly_increasing(self):
-        series = QuantumSeries()
-        series.append(UpdateQuantum(1.0, step=1))
-        series.append(UpdateQuantum(2.0, step=2))
-        with pytest.raises(InvariantViolation):
-            series.append(UpdateQuantum(3.0, step=2))
-
-    def test_clear_and_views(self):
-        series = QuantumSeries()
-        for i in range(5):
-            series.append(UpdateQuantum(float(i), step=i + 1))
-        assert series.values() == (0.0, 1.0, 2.0, 3.0, 4.0)
-        assert series.last_values(3) == (2.0, 3.0, 4.0)
-        assert len(series) == 5
-        series.clear()
-        assert len(series) == 0
-        series.append(UpdateQuantum(9.0, step=1))
-        assert series.values() == (9.0,)
 
 
 class TestNormalizer:
@@ -188,10 +164,11 @@ class TestNormalizer:
         norm.observe(0.0)
         assert norm.normalize(0.0) == 0.0
 
-    def test_normalize_quantum_helper(self):
+    def test_normalizes_a_computed_quantum(self):
         norm = QuantumNormalizer()
         norm.observe(8.0)
-        assert normalize_quantum(UpdateQuantum(2.0, step=1), norm) == 0.25
+        quantum = update_quantum(Synopsis(stats=(1.0, 1.0), count=1), Synopsis(stats=(2.0, 2.0), count=2))
+        assert norm.normalize(quantum) == 0.25
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):

@@ -11,7 +11,6 @@ from qsim.errors import ConfigurationError
 from qsim.t2fls import (
     TERM_LABELS,
     InferenceEngine,
-    IntervalMembership,
     IntervalTerm,
     Rule,
     RuleBase,
@@ -19,9 +18,6 @@ from qsim.t2fls import (
     default_rule_base,
     default_terms,
     engine_from_config,
-    evaluate_pod,
-    fire_rule,
-    fuzzify,
     make_term,
     trapezoid,
 )
@@ -38,6 +34,42 @@ def grid_centroid(term, points=101):
         num += x * (lo + hi) / 2
         den += (lo + hi) / 2
     return num / den
+
+
+def nie_tan(engine, firing):
+    """Independent output oracle for explicit firing intervals {antecedents: (lo, hi)}:
+    Nie-Tan midpoints weighting the grid centroids of the consequent terms."""
+    terms = {t.label: t for t in engine.terms}
+    num = den = 0.0
+    for combo, (lo, hi) in firing.items():
+        mass = (lo + hi) / 2
+        num += mass * grid_centroid(terms[engine.rules.consequent(combo)])
+        den += mass
+    return 0.0 if den <= 0.0 else num / den
+
+
+def boundwise_min_firing(engine, inputs):
+    """Firing interval of every rule: minimum of the antecedent lower bounds, and of the upper ones."""
+    by_label = [{t.label: t.membership(x) for t in engine.terms} for x in inputs]
+    return {
+        combo: (
+            min(m[label][0] for m, label in zip(by_label, combo)),
+            min(m[label][1] for m, label in zip(by_label, combo)),
+        )
+        for combo in product(TERM_LABELS, repeat=3)
+    }
+
+
+GAPPY_TERMS = (
+    make_term("low", 0.0, 0.0, 0.1, 0.2),
+    make_term("medium", 0.4, 0.45, 0.55, 0.6),
+    make_term("high", 0.8, 0.9, 1.0, 1.0),
+)
+
+# Shrunk lower supports: unlike the default terms, whose lower shapes are the
+# upper ones scaled by 0.9, the lower bound here does not cancel out of the
+# weighted average, so a defuzzifier that ignores it gives a different output.
+SHRUNK = InferenceEngine(terms=tuple(make_term(t.label, *t.upper, shrink=0.3) for t in default_terms()))
 
 
 class TestTrapezoid:
@@ -88,57 +120,78 @@ class TestTerms:
 class TestFuzzify:
     def test_plateau_with_explicit_height(self):
         term = make_term("high", 0.55, 0.8, 1.0, 1.0, height=0.8)
-        m = fuzzify(0.9, term)
-        assert (m.lower, m.upper) == (0.8, 1.0)
+        assert term.membership(0.9) == (0.8, 1.0)
 
     def test_outside_support_is_zero_interval(self):
         low = default_terms()[0]
-        m = fuzzify(0.9, low)
-        assert (m.lower, m.upper) == (0.0, 0.0)
+        assert low.membership(0.9) == (0.0, 0.0)
 
     def test_rising_edge_matches_direct_interpolation(self):
         high = default_terms()[2]
         for x in (0.6, 0.65, 0.7, 0.78):
             g = (x - 0.55) / (0.8 - 0.55)
-            m = fuzzify(x, high)
-            assert m.upper == pytest.approx(g, abs=1e-12)
-            assert m.lower == pytest.approx(0.9 * g, abs=1e-12)
+            lo, hi = high.membership(x)
+            assert hi == pytest.approx(g, abs=1e-12)
+            assert lo == pytest.approx(0.9 * g, abs=1e-12)
 
     def test_out_of_range_input_clamped_with_diagnostic(self, caplog):
-        low = default_terms()[0]
         with caplog.at_level("WARNING"):
-            m = fuzzify(-0.25, low)
-        assert m.upper == 1.0
+            _, highs = default_engine().memberships(-0.25)
+        assert highs[0] == 1.0
         assert any("clamp" in r.message for r in caplog.records)
-
-    def test_interval_membership_validation(self):
-        with pytest.raises(ConfigurationError):
-            IntervalMembership(lower=0.5, upper=0.4)
-        with pytest.raises(ConfigurationError):
-            IntervalMembership(lower=-0.1, upper=0.5)
 
 
 class TestFireRule:
-    RULE = Rule(antecedents=("low", "low", "low"), consequent="low")
+    """Rule firing as evaluate sees it: the boundwise minimum of the antecedent intervals."""
+
+    # Low and medium reach (1, 1) on their plateaus; high tops out at (0.5, 1).
+    TERMS = (
+        make_term("low", 0.0, 0.0, 0.2, 0.45, shrink=0.3, height=1.0),
+        make_term("medium", 0.2, 0.45, 0.55, 0.8, shrink=0.3, height=1.0),
+        make_term("high", 0.55, 0.8, 1.0, 1.0, shrink=0.3, height=0.5),
+    )
 
     def test_identity(self):
-        ones = [IntervalMembership(1.0, 1.0)] * 3
-        fired = fire_rule(self.RULE, ones)
-        assert (fired.lower, fired.upper) == (1.0, 1.0)
+        # x2 = x3 = 0 are (1, 1) in low and (0, 0) elsewhere, so each firing
+        # rule (t, low, low) fires exactly x1's own interval in t.
+        engine = InferenceEngine(terms=self.TERMS)
+        low = self.TERMS[0]
+        assert low.membership(0.0) == (1.0, 1.0)
+        for x in (0.6, 0.7, 0.75):
+            firing = {(t.label, "low", "low"): t.membership(x) for t in self.TERMS}
+            assert engine.evaluate(x, 0.0, 0.0) == pytest.approx(nie_tan(engine, firing), abs=1e-12)
 
     def test_annihilator(self):
-        mems = [IntervalMembership(0.3, 0.6), IntervalMembership(0.0, 0.0), IntervalMembership(0.9, 1.0)]
-        fired = fire_rule(self.RULE, mems)
-        assert (fired.lower, fired.upper) == (0.0, 0.0)
+        # 0.3 lies in a coverage gap: (0, 0) in every term kills every rule,
+        # whatever the other two inputs fire.
+        engine = InferenceEngine(terms=GAPPY_TERMS)
+        for x1, x3 in ((0.0, 1.0), (0.5, 0.5), (1.0, 0.05)):
+            assert engine.evaluate(x1, 0.3, x3) == 0.0
 
     def test_componentwise_minimum(self):
-        mems = [IntervalMembership(0.2, 0.4), IntervalMembership(0.5, 0.9), IntervalMembership(0.3, 0.6)]
-        fired = fire_rule(self.RULE, mems)
-        assert (fired.lower, fired.upper) == (0.2, 0.4)
+        # In rule (low, high, high) the lower bound comes from high's (0.5, 1)
+        # and the upper one from low's interval at 0.25: the firing interval is
+        # neither antecedent's interval.
+        engine = InferenceEngine(terms=self.TERMS)
+        low, medium, high = self.TERMS
+        lo_low, hi_low = low.membership(0.25)
+        lo_high, hi_high = high.membership(1.0)
+        assert lo_high < lo_low and hi_low < hi_high
+        assert medium.membership(0.25)[0] == 0.0
+        firing = {
+            ("low", "high", "high"): (lo_high, hi_low),
+            ("medium", "high", "high"): medium.membership(0.25),
+        }
+        weakest = {**firing, ("low", "high", "high"): (lo_low, hi_low)}
+        out = engine.evaluate(0.25, 1.0, 1.0)
+        assert out == pytest.approx(nie_tan(engine, firing), abs=1e-12)
+        assert abs(out - nie_tan(engine, weakest)) > 1e-3
 
     def test_arity_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            fire_rule(self.RULE, [IntervalMembership(0.1, 0.2)])
+        rules = list(default_rule_base().rules)
+        rules[0] = Rule(("low", "low"), "low")
+        with pytest.raises(ConfigurationError, match="exactly 3 antecedents"):
+            RuleBase(rules)
 
 
 class TestRuleBase:
@@ -202,13 +255,15 @@ class TestEvaluate:
         assert abs(out - 0.5) <= 0.05
 
     def test_zero_firing_mass_yields_zero(self):
-        gappy = (
-            make_term("low", 0.0, 0.0, 0.1, 0.2),
-            make_term("medium", 0.4, 0.45, 0.55, 0.6),
-            make_term("high", 0.8, 0.9, 1.0, 1.0),
-        )
-        engine = InferenceEngine(terms=gappy)
+        engine = InferenceEngine(terms=GAPPY_TERMS)
         assert engine.evaluate(0.3, 0.3, 0.3) == 0.0
+
+    def test_matches_boundwise_minimum_and_nie_tan_reference(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            triple = tuple(rng.random() for _ in range(3))
+            expected = nie_tan(SHRUNK, boundwise_min_firing(SHRUNK, triple))
+            assert SHRUNK.evaluate(*triple) == pytest.approx(expected, abs=1e-12)
 
     def test_permutation_symmetry(self):
         engine = default_engine()
@@ -256,10 +311,9 @@ class TestEvaluate:
             triple = tuple(rng.random() for _ in range(3))
             assert engine.evaluate(*triple) == pytest.approx(type1(*triple), abs=1e-9)
 
-    def test_evaluate_pod_wrapper(self):
-        assert evaluate_pod((0.5, 0.5, 0.5)) == default_engine().evaluate(0.5, 0.5, 0.5)
-        with pytest.raises(ConfigurationError):
-            evaluate_pod((0.5, 0.5))
+    def test_explicit_defaults_match_default_engine(self):
+        engine = InferenceEngine(terms=default_terms(), rules=default_rule_base())
+        assert engine.evaluate(0.5, 0.5, 0.5) == default_engine().evaluate(0.5, 0.5, 0.5)
 
     def test_engine_validates_construction(self):
         with pytest.raises(ConfigurationError):
@@ -289,6 +343,11 @@ class TestEngineFromConfig:
     def test_malformed_term_rejected(self):
         with pytest.raises(ConfigurationError):
             engine_from_config({"terms": {"low": {"upper": [0.1, 0.2]}}})
+
+    def test_string_antecedents_rejected(self):
+        spec = {"rules": [{"antecedents": "abc", "consequent": "low"}]}
+        with pytest.raises(ConfigurationError, match="antecedents must be a list"):
+            engine_from_config(spec)
 
     def test_unknown_term_label_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown term labels"):
