@@ -31,9 +31,6 @@ from .simulator import (
     ExperimentConfig,
     ExperimentTrace,
     MetricsReport,
-    compute_delta,
-    compute_phi,
-    compute_psi,
     generate_synthetic_stream,
     run_cell,
     run_experiment,
@@ -48,7 +45,6 @@ from .synopsis import (
 from .t2fls import (
     InferenceEngine,
     IntervalTerm,
-    Rule,
     RuleBase,
     default_engine,
     default_rule_base,
@@ -74,7 +70,6 @@ __all__ = [
     "holt_step",
     "holt_forecast",
     "IntervalTerm",
-    "Rule",
     "RuleBase",
     "InferenceEngine",
     "make_term",
@@ -95,7 +90,4 @@ __all__ = [
     "generate_synthetic_stream",
     "run_experiment",
     "run_cell",
-    "compute_phi",
-    "compute_delta",
-    "compute_psi",
 ]

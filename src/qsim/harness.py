@@ -40,7 +40,6 @@ from .synopsis import DataVector
 from .t2fls import engine_from_config
 
 __all__ = [
-    "SensorRecord",
     "IngestResult",
     "RunManifest",
     "HarnessConfig",
@@ -61,20 +60,6 @@ DETAIL_COLUMNS = ("experiment", "t_star", "cause", "magnitude", "g_score")
 
 
 @dataclass(frozen=True, slots=True)
-class SensorRecord:
-    """One parsed sensor-log row (whitespace-separated, eight columns)."""
-
-    date: str
-    time: str
-    epoch: int
-    mote_id: int
-    temperature: float
-    humidity: float
-    light: float
-    voltage: float
-
-
-@dataclass(frozen=True, slots=True)
 class IngestResult:
     """Vectors that survived ingestion plus the bookkeeping around the drops."""
 
@@ -87,26 +72,20 @@ class IngestResult:
         return len(self.vectors)
 
 
-def _parse_sensor_row(parts: list[str]) -> SensorRecord | None:
+def _parse_sensor_row(parts: list[str]) -> tuple[int, int, tuple[float, ...]] | None:
+    """Split `date time epoch mote temperature humidity light voltage` into
+    (epoch, mote, the four readings); None for a malformed row."""
     if len(parts) != 8:
         return None
     try:
-        record = SensorRecord(
-            date=parts[0],
-            time=parts[1],
-            epoch=int(parts[2]),
-            mote_id=int(parts[3]),
-            temperature=float(parts[4]),
-            humidity=float(parts[5]),
-            light=float(parts[6]),
-            voltage=float(parts[7]),
-        )
+        epoch = int(parts[2])
+        mote_id = int(parts[3])
+        values = tuple(map(float, parts[4:]))
     except ValueError:
         return None
-    for value in (record.temperature, record.humidity, record.light, record.voltage):
-        if not math.isfinite(value):
-            return None
-    return record
+    if not all(map(math.isfinite, values)):
+        return None
+    return epoch, mote_id, values
 
 
 def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult:
@@ -118,7 +97,7 @@ def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult
     into one stream.
     """
     path = Path(path)
-    records: list[SensorRecord] = []
+    rows: list[tuple[int, int, tuple[float, ...]]] = []
     total = 0
     dropped = 0
     with path.open("r", encoding="utf-8") as handle:
@@ -127,22 +106,17 @@ def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult
             if not parts:
                 continue
             total += 1
-            record = _parse_sensor_row(parts)
-            if record is None:
+            row = _parse_sensor_row(parts)
+            if row is None:
                 dropped += 1
                 log.debug("%s:%d: malformed sensor row skipped", path, lineno)
                 continue
-            if mote is not None and record.mote_id != mote:
+            if mote is not None and row[1] != mote:
                 continue
-            records.append(record)
-    records.sort(key=lambda r: (r.epoch, r.mote_id))
-    vectors = tuple(
-        DataVector(
-            values=(r.temperature, r.humidity, r.light, r.voltage),
-            timestamp=i,
-        )
-        for i, r in enumerate(records)
-    )
+            rows.append(row)
+    # A stable sort on (epoch, mote) alone: rows sharing both keep file order.
+    rows.sort(key=lambda r: (r[0], r[1]))
+    vectors = tuple(DataVector(values=values, timestamp=i) for i, (_, _, values) in enumerate(rows))
     if dropped:
         log.info("%s: dropped %d of %d rows during ingestion", path, dropped, total)
     return IngestResult(vectors=vectors, total_rows=total, dropped=dropped, mote=mote)
@@ -180,21 +154,21 @@ def _canonical_key(raw: str) -> str:
 class HarnessConfig:
     """Typed view of the merged configuration, with grid axes as tuples."""
 
-    policies: tuple[str, ...] = ("UDDM",)
-    Ts: tuple[int, ...] = (10,)
-    thetas: tuple[float, ...] = (0.6,)
-    E: int = 100
-    N: int = 1
-    alpha: float = 0.5
-    beta: float = 0.5
-    window: int = 50
-    seed: int = 42
-    source: str = SYNTHETIC_SOURCE
-    profile: str = "drift"
-    out_dir: str = "out"
-    workers: int = 1
-    mote: int | None = None
-    fuzzy: str | None = None
+    policies: tuple[str, ...]
+    Ts: tuple[int, ...]
+    thetas: tuple[float, ...]
+    E: int
+    N: int
+    alpha: float
+    beta: float
+    window: int
+    seed: int
+    source: str
+    profile: str
+    out_dir: str
+    workers: int
+    mote: int | None
+    fuzzy: str | None
 
     def cells(self) -> tuple[ExperimentConfig, ...]:
         """One validated ExperimentConfig per (policy, T, theta); fails before any work."""
@@ -356,9 +330,11 @@ def _dataset_checksum(config: HarnessConfig) -> str:
     return hashlib.sha256(Path(config.source).read_bytes()).hexdigest()
 
 
-def _run_cell_task(cell: ExperimentConfig, dataset, fuzzy_spec: dict | None) -> MetricsReport:
-    engine = engine_from_config(fuzzy_spec) if fuzzy_spec else None
-    return run_cell(cell, dataset=dataset, engine=engine)
+def _run_cell_task(cell: ExperimentConfig, dataset, engine) -> MetricsReport:
+    # Resolves `run_cell` in the worker, at call time: a pool pickles the
+    # submitted function by name, so a wrapper set on this module's `run_cell`
+    # (a profiling or tracing hook) could not be submitted itself.
+    return run_cell(cell, dataset, engine)
 
 
 def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], RunManifest]:
@@ -377,16 +353,15 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], RunManif
             "mode": "per-mote" if config.mote is not None else "merged",
             "mote": config.mote,
         }
-    fuzzy_spec = None
+    engine = None
     if config.fuzzy:
-        fuzzy_spec = json.loads(Path(config.fuzzy).read_text(encoding="utf-8"))
-        engine_from_config(fuzzy_spec)  # fail fast on malformed overrides
+        engine = engine_from_config(json.loads(Path(config.fuzzy).read_text(encoding="utf-8")))
     if config.workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as executor:
-            futures = [executor.submit(_run_cell_task, cell, dataset, fuzzy_spec) for cell in cells]
+            futures = [executor.submit(_run_cell_task, cell, dataset, engine) for cell in cells]
             reports = tuple(f.result() for f in futures)
     else:
-        reports = tuple(_run_cell_task(cell, dataset, fuzzy_spec) for cell in cells)
+        reports = tuple(run_cell(cell, dataset, engine) for cell in cells)
     manifest = RunManifest(
         tool="qsim",
         version=__version__,

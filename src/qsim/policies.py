@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 from .forecasting import HoltState, holt_forecast, holt_init, holt_step
-from .synopsis import QuantumNormalizer, Synopsis
+from .synopsis import QuantumNormalizer
 from .t2fls import InferenceEngine, default_engine
 
 __all__ = [
-    "ACTION_HOLD",
-    "ACTION_DISSEMINATE",
     "CAUSE_THRESHOLD",
     "CAUSE_DEADLINE",
     "CAUSE_ANY_CHANGE",
@@ -40,9 +38,6 @@ __all__ = [
     "build_policy",
 ]
 
-ACTION_HOLD = "hold"
-ACTION_DISSEMINATE = "disseminate"
-
 CAUSE_THRESHOLD = "threshold"
 CAUSE_DEADLINE = "deadline"
 CAUSE_ANY_CHANGE = "any-change"
@@ -56,15 +51,14 @@ def combine_pods(pod_p: float, pod_f: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class Decision:
-    """Outcome of one policy step."""
+    """Outcome of one policy step: `cause` names why it disseminates, None on a hold."""
 
-    action: str
-    cause: str | None = None
-    g: float | None = None
+    cause: str | None
+    g: float | None
 
     @property
     def disseminate(self) -> bool:
-        return self.action == ACTION_DISSEMINATE
+        return self.cause is not None
 
 
 @dataclass(slots=True)
@@ -79,11 +73,10 @@ class EpochState:
 
     T: int
     theta: float
-    last_sent: Synopsis
     t: int = 1
     deadline: int | None = None
-    quanta: list[float] = field(default_factory=list)
-    holt: HoltState | None = None
+    quanta: list[float] = field(default_factory=list, init=False)
+    holt: HoltState | None = field(default=None, init=False)
     normalizer: QuantumNormalizer = field(default_factory=QuantumNormalizer)
 
     def __post_init__(self) -> None:
@@ -101,7 +94,7 @@ class EpochState:
             raise ConfigurationError(f"round counter t={self.t} must lie in [1, T={self.T}]")
 
     def reset(self) -> None:
-        """Start a fresh epoch after a dissemination; the caller updates last_sent."""
+        """Start a fresh epoch after a dissemination; the caller re-baselines its synopsis."""
         self.quanta.clear()
         self.holt = None
         self.t = 1
@@ -120,12 +113,12 @@ class _PolicyBase:
         self._update_forecaster(state)
         triggered, score = self._trigger(state, quantum)
         if triggered:
-            decision = Decision(ACTION_DISSEMINATE, self.trigger_cause, score)
+            decision = Decision(self.trigger_cause, score)
         elif state.t >= state.deadline:
-            decision = Decision(ACTION_DISSEMINATE, CAUSE_DEADLINE, score)
+            decision = Decision(CAUSE_DEADLINE, score)
         else:
             state.t += 1
-            return Decision(ACTION_HOLD, None, score)
+            return Decision(None, score)
         state.reset()
         return decision
 

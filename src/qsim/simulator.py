@@ -40,9 +40,6 @@ __all__ = [
     "generate_synthetic_stream",
     "run_experiment",
     "run_cell",
-    "compute_phi",
-    "compute_delta",
-    "compute_psi",
 ]
 
 log = logging.getLogger(__name__)
@@ -69,7 +66,6 @@ class ExperimentConfig:
     seed: int = 42
     source: str = SYNTHETIC_SOURCE
     profile: str = "drift"
-    dims: int = 4
 
     def __post_init__(self) -> None:
         if self.policy not in POLICY_NAMES:
@@ -90,8 +86,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"normalization window must be >= 1, got {self.window}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.dims < 1:
-            raise ConfigurationError(f"dims must be >= 1, got {self.dims}")
         if self.source == SYNTHETIC_SOURCE and self.profile not in STREAM_PROFILES:
             raise ConfigurationError(
                 f"unknown stream profile {self.profile!r}; expected one of {STREAM_PROFILES}"
@@ -144,18 +138,14 @@ def generate_synthetic_stream(
     length: int,
     dims: int = 4,
     profile: str = "drift",
-    slope: float = 1.0,
-    noise: float = 0.25,
-    step_scale: float = 1.0,
     jump_prob: float = 0.05,
-    jump_scale: float = 5.0,
 ) -> list[DataVector]:
     """Deterministic synthetic data stream; the seed fully determines the output.
 
-    Profiles: "random-walk" (zero-mean Gaussian increments of step_scale),
-    "drift" (increments of slope plus Gaussian noise, so successive differences
-    average to slope per dimension), and "piecewise-constant" (flat, jumping by
-    a Gaussian of jump_scale with probability jump_prob per step; with no jumps
+    Profiles: "random-walk" (standard Gaussian increments), "drift" (increments
+    of 1 plus Gaussian noise of deviation 0.25, so successive differences
+    average to 1 per dimension), and "piecewise-constant" (flat, jumping by a
+    Gaussian of deviation 5 with probability jump_prob per step; with no jumps
     the stream is identically zero).
     """
     if length < 1:
@@ -164,14 +154,14 @@ def generate_synthetic_stream(
         raise ConfigurationError(f"stream dims must be >= 1, got {dims}")
     rng = np.random.default_rng(seed)
     if profile == "random-walk":
-        increments = rng.normal(0.0, step_scale, size=(length, dims))
+        increments = rng.normal(0.0, 1.0, size=(length, dims))
     elif profile == "drift":
-        increments = slope + rng.normal(0.0, noise, size=(length, dims))
+        increments = 1.0 + rng.normal(0.0, 0.25, size=(length, dims))
     elif profile == "piecewise-constant":
         jumps = rng.random(length) < jump_prob
         increments = np.zeros((length, dims))
         if jumps.any():
-            increments[jumps] = rng.normal(0.0, jump_scale, size=(int(jumps.sum()), dims))
+            increments[jumps] = rng.normal(0.0, 5.0, size=(int(jumps.sum()), dims))
     else:
         raise ConfigurationError(
             f"unknown stream profile {profile!r}; expected one of {STREAM_PROFILES}"
@@ -183,12 +173,11 @@ def generate_synthetic_stream(
     ]
 
 
-def _first_epoch(node_id: int, config: ExperimentConfig, synopsis: Synopsis) -> EpochState:
+def _first_epoch(node_id: int, config: ExperimentConfig) -> EpochState:
     offset = (node_id - 1) % config.T
     return EpochState(
         T=config.T,
         theta=config.theta,
-        last_sent=synopsis,
         deadline=offset if offset > 0 else config.T,
         normalizer=QuantumNormalizer(window=config.window),
     )
@@ -215,20 +204,21 @@ def run_experiment(
     if policy is None:
         policy = build_policy(config.policy, alpha=config.alpha, beta=config.beta)
     n = config.N
-    empty = Synopsis.empty(config.dims)
+    empty = Synopsis.empty(len(stream[0]))
     synopses = [update_synopsis(empty, stream[j]) for j in range(n)]
-    epochs = [_first_epoch(j + 1, config, synopses[j]) for j in range(n)]
+    last_sent = list(synopses)
+    epochs = [_first_epoch(j + 1, config) for j in range(n)]
     events: list[DisseminationEvent] = []
     for s in range(1, config.T + 1):
         base = s * n
         for idx, epoch in enumerate(epochs):
             synopsis = update_synopsis(synopses[idx], stream[base + idx])
             synopses[idx] = synopsis
-            quantum = update_quantum(epoch.last_sent, synopsis)
+            quantum = update_quantum(last_sent[idx], synopsis)
             t_star = epoch.t
             decision = policy.step(epoch, quantum)
             if decision.disseminate:
-                epoch.last_sent = synopsis
+                last_sent[idx] = synopsis
                 events.append(
                     DisseminationEvent(
                         experiment=experiment,
@@ -255,7 +245,6 @@ def _experiment_stream(
         return generate_synthetic_stream(
             [config.seed, config.T, config.N, index],
             length=count,
-            dims=config.dims,
             profile=config.profile,
         )
     if dataset is None:
@@ -311,41 +300,15 @@ def run_cell(config: ExperimentConfig, dataset: Sequence[DataVector] | None = No
             first_stops.append(node_events[0].t_star)
             stop_counts.append(len(node_events))
         events.extend(trace.events)
-    phi = compute_phi(first_stops, config.T, config.E * config.N)
-    delta = compute_delta([e.magnitude for e in events], config.E)
-    psi = statistics.fmean(compute_psi(c, config.T) for c in stop_counts)
     return MetricsReport(
         policy=config.policy,
         T=config.T,
         theta=config.theta,
         E=config.E,
         N=config.N,
-        phi=phi,
-        delta=delta,
-        psi=psi,
+        phi=statistics.fmean(t / config.T for t in first_stops),
+        delta=statistics.fmean(e.magnitude for e in events),
+        psi=statistics.fmean(config.T / c for c in stop_counts),
         message_count=len(events),
         per_experiment=tuple(events),
     )
-
-
-def compute_phi(t_stars: Sequence[int], T: int, E: int) -> float:
-    """Mean fraction of the deadline consumed before the first dissemination."""
-    if len(t_stars) != E or E == 0:
-        raise ValueError(f"expected {E} first-stop records, got {len(t_stars)}")
-    return statistics.fmean(t / T for t in t_stars)
-
-
-def compute_delta(magnitudes: Sequence[float], E: int) -> float:
-    """Mean quantum magnitude at dissemination time, over all events."""
-    if not magnitudes:
-        raise ValueError("no dissemination magnitudes to average")
-    if E < 1:
-        raise ValueError(f"experiment count must be positive, got {E}")
-    return statistics.fmean(magnitudes)
-
-
-def compute_psi(stop_count: int, T: int) -> float:
-    """Rounds per dissemination within one T-round window."""
-    if stop_count < 1:
-        raise InvariantViolation("a window with zero stops is impossible under the deadline rule")
-    return T / stop_count

@@ -93,23 +93,24 @@ def update_quantum(last_sent: Synopsis, current: Synopsis) -> float:
     return value
 
 
+# Smallest scale the normalizer divides by, so the division is defined before
+# anything nonzero has been observed.
+_SCALE_FLOOR = 1e-9
+
+
 class QuantumNormalizer:
     """Maps raw quanta into [0, 1] via a sliding-window running maximum.
 
     The window spans epochs, so the scale adapts to the stream without global
-    knowledge and survives epoch resets. A small floor keeps the division
-    defined before anything has been observed.
+    knowledge and survives epoch resets.
     """
 
-    __slots__ = ("_window", "_floor", "_values", "_max")
+    __slots__ = ("_window", "_values", "_max")
 
-    def __init__(self, window: int = 50, floor: float = 1e-9) -> None:
+    def __init__(self, window: int = 50) -> None:
         if window < 1:
             raise ConfigurationError(f"normalization window must be >= 1, got {window}")
-        if floor <= 0.0:
-            raise ConfigurationError(f"normalization floor must be positive, got {floor}")
         self._window = window
-        self._floor = floor
         self._values: deque[float] = deque(maxlen=window)
         self._max = 0.0
 
@@ -141,7 +142,7 @@ class QuantumNormalizer:
                 self._max = value
 
     def normalize(self, value: float) -> float:
-        scale = self._max if self._max > self._floor else self._floor
+        scale = self._max if self._max > _SCALE_FLOOR else _SCALE_FLOOR
         ratio = value / scale
         if ratio <= 0.0:
             return 0.0

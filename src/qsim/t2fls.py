@@ -17,14 +17,14 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import ConfigurationError
 
 __all__ = [
     "TERM_LABELS",
     "IntervalTerm",
-    "Rule",
     "RuleBase",
     "InferenceEngine",
     "trapezoid",
@@ -124,36 +124,29 @@ def default_terms() -> tuple[IntervalTerm, IntervalTerm, IntervalTerm]:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
-    """IF the three inputs are (a1, a2, a3) THEN the potential is `consequent`."""
-
-    antecedents: tuple[str, str, str]
-    consequent: str
-
-
 class RuleBase:
     """Complete 27-rule grid with a monotone consequent mapping.
 
-    Every combination of the three term labels appears exactly once, and
-    raising any antecedent label never lowers the consequent label.
+    `table` maps each (a1, a2, a3) antecedent triple to its consequent label:
+    IF the three inputs are (a1, a2, a3) THEN the potential is the consequent.
+    Every combination of the three term labels must appear, and raising any
+    antecedent label may never lower the consequent label.
     """
 
-    def __init__(self, rules: Iterable[Rule], labels: Sequence[str] = TERM_LABELS) -> None:
+    def __init__(self, table: Mapping[tuple[str, str, str], str],
+                 labels: Sequence[str] = TERM_LABELS) -> None:
         labels = tuple(labels)
         if len(labels) != 3 or len(set(labels)) != 3:
             raise ConfigurationError(f"rule base needs three distinct term labels, got {labels}")
         rank = {label: i for i, label in enumerate(labels)}
-        table: dict[tuple[str, str, str], str] = {}
-        for rule in rules:
-            if len(rule.antecedents) != 3:
+        table = dict(table)
+        for antecedents, consequent in table.items():
+            rule = f"{antecedents!r} -> {consequent!r}"
+            if len(antecedents) != 3:
                 raise ConfigurationError(f"rule {rule} must have exactly 3 antecedents")
-            for label in (*rule.antecedents, rule.consequent):
+            for label in (*antecedents, consequent):
                 if label not in rank:
                     raise ConfigurationError(f"unknown term label {label!r} in rule {rule}")
-            if rule.antecedents in table:
-                raise ConfigurationError(f"duplicate rule for antecedents {rule.antecedents}")
-            table[rule.antecedents] = rule.consequent
         missing = [c for c in product(labels, repeat=3) if c not in table]
         if missing:
             raise ConfigurationError(f"rule base incomplete: {len(missing)} combinations missing")
@@ -176,11 +169,8 @@ class RuleBase:
         return self._labels
 
     @property
-    def rules(self) -> tuple[Rule, ...]:
-        return tuple(
-            Rule(antecedents=combo, consequent=self._table[combo])
-            for combo in product(self._labels, repeat=3)
-        )
+    def table(self) -> Mapping[tuple[str, str, str], str]:
+        return MappingProxyType(self._table)
 
     def consequent(self, antecedents: Sequence[str]) -> str:
         return self._table[tuple(antecedents)]
@@ -196,12 +186,12 @@ def default_rule_base(labels: Sequence[str] = TERM_LABELS) -> RuleBase:
     high for 5-6; this is monotone by construction.
     """
     labels = tuple(labels)
-    rules = []
-    for combo in product(range(3), repeat=3):
-        s = sum(combo)
-        consequent = labels[(2 * s + 3) // 6]  # floor(s/3 + 1/2) in integer arithmetic
-        rules.append(Rule(tuple(labels[i] for i in combo), consequent))
-    return RuleBase(rules, labels)
+    table = {
+        # floor(s/3 + 1/2) in integer arithmetic, s the rank sum
+        tuple(labels[i] for i in combo): labels[(2 * sum(combo) + 3) // 6]
+        for combo in product(range(3), repeat=3)
+    }
+    return RuleBase(table, labels)
 
 
 class InferenceEngine:
@@ -335,6 +325,12 @@ def _spec_list(value, what: str) -> Sequence:
     return value
 
 
+def _spec_keys(entry: Mapping, allowed: tuple[str, ...], what: str) -> None:
+    unknown = set(entry) - set(allowed)
+    if unknown:
+        raise ConfigurationError(f"unknown keys in {what}: {sorted(unknown, key=str)}")
+
+
 def _spec_shape(entry: Mapping, key: str, label: str) -> tuple[float, float, float, float]:
     corners = _spec_list(entry[key], f"term {label!r}: {key} shape")
     if len(corners) != 4:
@@ -348,11 +344,12 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
     Recognized keys: "grid_points"; "terms" mapping label -> {"upper": [a,b,c,d],
     "shrink": f, "height": h} or an explicit {"lower": [a,b,c,d]}; "rules" as a
     list of {"antecedents": [l1, l2, l3], "consequent": label} overrides applied
-    on top of the rank-average base. A spec of any other shape is a
-    ConfigurationError.
+    on top of the rank-average base. A spec of any other shape, or with any
+    other key, is a ConfigurationError.
     """
     if not isinstance(spec, Mapping):
         raise ConfigurationError(f"engine overrides must be an object, got {type(spec).__name__}")
+    _spec_keys(spec, ("grid_points", "terms", "rules"), "engine overrides")
     term_spec = spec.get("terms", {})
     if not isinstance(term_spec, Mapping):
         raise ConfigurationError(f"engine overrides: terms must map labels to shapes, got {term_spec!r}")
@@ -368,6 +365,7 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
             continue
         if not isinstance(entry, Mapping) or "upper" not in entry:
             raise ConfigurationError(f"term {label!r}: invalid or missing upper shape")
+        _spec_keys(entry, ("upper", "lower", "shrink", "height"), f"term {label!r}")
         upper = _spec_shape(entry, "upper", label)
         height = _spec_number(entry.get("height", 0.9), f"term {label!r}: height")
         if "lower" in entry:
@@ -378,14 +376,17 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
             terms.append(make_term(label, *upper, shrink=shrink, height=height))
     rules = None
     if "rules" in spec:
-        table = {r.antecedents: r.consequent for r in default_rule_base().rules}
+        table = dict(default_rule_base().table)
         for entry in _spec_list(spec["rules"], "engine overrides: rules"):
             if not isinstance(entry, Mapping) or "antecedents" not in entry or "consequent" not in entry:
                 raise ConfigurationError(f"malformed rule override {entry!r}")
+            _spec_keys(entry, ("antecedents", "consequent"), f"rule override {entry!r}")
             antecedents = _spec_list(entry["antecedents"], f"rule override {entry!r}: antecedents")
             table[tuple(str(v) for v in antecedents)] = str(entry["consequent"])
-        rules = RuleBase(Rule(a, c) for a, c in table.items())
+        rules = RuleBase(table)
     grid_points = spec.get("grid_points", 101)
+    if isinstance(grid_points, float) and not grid_points.is_integer():
+        raise ConfigurationError(f"grid_points must be an integer, got {grid_points!r}")
     try:
         grid_points = int(grid_points)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -108,10 +108,11 @@ class TestIngestion:
             "2004-02-28 01:00:00 7 2 1.0 1.0 1.0 1.0\n",
             "2004-02-28 01:00:00 2 9 2.0 2.0 2.0 2.0\n",
             "2004-02-28 01:00:00 2 1 3.0 3.0 3.0 3.0\n",
+            "2004-02-28 01:00:00 2 1 0.5 0.5 0.5 0.5\n",  # same (epoch, mote): file order
         ]
         result = ingest_sensor_log(write_log(tmp_path / "log.txt", rows))
-        assert [v.values[0] for v in result.vectors] == [3.0, 2.0, 1.0]
-        assert [v.timestamp for v in result.vectors] == [0, 1, 2]
+        assert [v.values[0] for v in result.vectors] == [3.0, 0.5, 2.0, 1.0]
+        assert [v.timestamp for v in result.vectors] == [0, 1, 2, 3]
 
     def test_per_mote_mode(self, tmp_path):
         rows = [
@@ -255,10 +256,17 @@ class TestCli:
             {"rules": 5},
             {"terms": ["low"]},
             {"rules": [{"antecedents": "abc", "consequent": "low"}]},
+            {"grid_point": 5},
+            {"grid_points": 50.9},
+            {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "hieght": 0.9}}},
+            {"rules": [{"antecedents": ["medium", "low", "low"], "consequent": "medium",
+                        "weight": 2}]},
         ],
         ids=[
             "top-level-list", "grid-points-text", "height-text", "shrink-text",
             "lower-text", "rules-number", "terms-list", "antecedents-string",
+            "unknown-top-level-key", "grid-points-fraction", "unknown-term-key",
+            "unknown-rule-key",
         ],
     )
     def test_malformed_fuzzy_spec_exit_code(self, tmp_path, spec):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from qsim.errors import ConfigurationError
 from qsim.policies import (
-    ACTION_DISSEMINATE,
-    ACTION_HOLD,
     CAUSE_ANY_CHANGE,
     CAUSE_DEADLINE,
     CAUSE_PREDICTION,
@@ -26,11 +24,9 @@ from qsim.t2fls import InferenceEngine, default_engine, make_term
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 
-DUMMY = Synopsis(stats=(0.0,), count=0)
-
 
 def make_state(T=10, theta=0.6, deadline=None):
-    return EpochState(T=T, theta=theta, last_sent=DUMMY, deadline=deadline)
+    return EpochState(T=T, theta=theta, deadline=deadline)
 
 
 def feed(policy, state, values):
@@ -65,7 +61,7 @@ class TestUddm:
         policy = UddmPolicy()
         state = make_state(T=10)
         decisions = feed(policy, state, [5.0, 5.0])
-        assert [d.action for d in decisions] == [ACTION_HOLD, ACTION_HOLD]
+        assert [d.cause for d in decisions] == [None, None]
         assert all(d.g is None for d in decisions)
 
     def test_saturated_quanta_trigger_by_threshold(self):
@@ -76,7 +72,7 @@ class TestUddm:
         state = make_state(T=10, theta=0.6)
         decisions = feed(policy, state, [5.0, 5.0, 5.0])
         last = decisions[-1]
-        assert last.action == ACTION_DISSEMINATE
+        assert last.disseminate
         assert last.cause == CAUSE_THRESHOLD
         c_high = default_engine().centroid("high")
         assert last.g == pytest.approx(c_high, abs=1e-12)
@@ -86,8 +82,8 @@ class TestUddm:
         policy = UddmPolicy()
         state = make_state(T=5, theta=0.99)
         decisions = feed(policy, state, [5.0] * 5)
-        assert [d.action for d in decisions[:4]] == [ACTION_HOLD] * 4
-        assert decisions[-1].action == ACTION_DISSEMINATE
+        assert [d.cause for d in decisions[:4]] == [None] * 4
+        assert decisions[-1].disseminate
         assert decisions[-1].cause == CAUSE_DEADLINE
         assert decisions[-1].g is not None and decisions[-1].g <= 0.99
 
@@ -113,7 +109,7 @@ class TestUddm:
         policy = UddmPolicy(engine=InferenceEngine(terms=gappy))
         state = make_state(T=50, theta=0.01)
         decisions = feed(policy, state, [10.0] + [3.0] * 20)
-        assert all(d.action == ACTION_HOLD for d in decisions)
+        assert all(d.cause is None for d in decisions)
         assert any(d.g == 0.0 for d in decisions)
 
     def test_threshold_monotonicity_on_fixed_stream(self):
@@ -132,13 +128,13 @@ class TestBm:
     def test_zero_change_holds(self):
         policy = BmPolicy()
         state = make_state(T=10)
-        assert feed(policy, state, [0.0])[0].action == ACTION_HOLD
+        assert feed(policy, state, [0.0])[0].cause is None
 
     def test_any_change_triggers(self):
         policy = BmPolicy()
         state = make_state(T=10)
         decision = feed(policy, state, [0.001])[0]
-        assert decision.action == ACTION_DISSEMINATE
+        assert decision.disseminate
         assert decision.cause == CAUSE_ANY_CHANGE
         assert decision.g is None
 
@@ -146,7 +142,7 @@ class TestBm:
         policy = BmPolicy()
         state = make_state(T=4)
         decisions = feed(policy, state, [0.0, 0.0, 0.0, 0.0])
-        assert [d.action for d in decisions] == [ACTION_HOLD] * 3 + [ACTION_DISSEMINATE]
+        assert [d.disseminate for d in decisions] == [False] * 3 + [True]
         assert decisions[-1].cause == CAUSE_DEADLINE
 
 
@@ -157,7 +153,7 @@ class TestPm:
         policy = PmPolicy()
         state = make_state(T=5, theta=0.05)
         decisions = feed(policy, state, [20.0] + [0.0] * 4)
-        assert [d.action for d in decisions[:4]] == [ACTION_HOLD] * 4
+        assert [d.cause for d in decisions[:4]] == [None] * 4
         assert all(d.g == 0.0 for d in decisions[1:4])
         assert decisions[-1].cause == CAUSE_DEADLINE
 
@@ -165,8 +161,8 @@ class TestPm:
         policy = PmPolicy()
         state = make_state(T=10, theta=0.75)
         decisions = feed(policy, state, [5.0, 5.0])
-        assert decisions[0].action == ACTION_HOLD  # forecaster not seeded yet
-        assert decisions[-1].action == ACTION_DISSEMINATE
+        assert decisions[0].cause is None  # forecaster not seeded yet
+        assert decisions[-1].disseminate
         assert decisions[-1].cause == CAUSE_PREDICTION
         assert decisions[-1].g == pytest.approx(1.0, abs=1e-12)
 
@@ -181,7 +177,7 @@ class TestPm:
         first_epoch = feed(policy, state, [20.0] + [0.0] * 9)
         assert first_epoch[-1].cause == CAUSE_DEADLINE
         second = feed(policy, state, [11.0, 12.0, 13.0])
-        assert [d.action for d in second] == [ACTION_HOLD] * 3
+        assert [d.cause for d in second] == [None] * 3
         assert second[-1].g == 0.75
 
 
@@ -192,17 +188,18 @@ class TestEpochLifecycle:
         rng = random.Random(4)
         policy = BmPolicy()
         synopsis = Synopsis.empty(2)
+        state = EpochState(T=6, theta=0.6)
         for step in range(1, 30):
             synopsis = update_synopsis(
                 synopsis, DataVector((rng.uniform(0, 5), rng.uniform(0, 5)), timestamp=step)
             )
             if step == 1:
-                state = EpochState(T=6, theta=0.6, last_sent=synopsis)
+                last_sent = synopsis
                 continue
-            decision = policy.step(state, update_quantum(state.last_sent, synopsis))
+            decision = policy.step(state, update_quantum(last_sent, synopsis))
             if decision.disseminate:
-                state.last_sent = synopsis
-                assert update_quantum(state.last_sent, synopsis) == 0.0
+                last_sent = synopsis
+                assert update_quantum(last_sent, synopsis) == 0.0
 
     def test_deadline_liveness_for_every_policy(self):
         rng = random.Random(8)
@@ -241,7 +238,7 @@ class TestEpochLifecycle:
         theta = probe[first].g
         decisions = feed(policy_cls(), make_state(T=10, theta=theta), stream)
         assert decisions[first].g == theta
-        assert [d.action for d in decisions[: first + 1]] == [ACTION_HOLD] * (first + 1)
+        assert [d.cause for d in decisions[: first + 1]] == [None] * (first + 1)
 
     def test_shortened_first_deadline(self):
         policy = BmPolicy()
@@ -252,13 +249,13 @@ class TestEpochLifecycle:
 
     def test_state_validation(self):
         with pytest.raises(ConfigurationError):
-            EpochState(T=0, theta=0.5, last_sent=DUMMY)
+            EpochState(T=0, theta=0.5)
         with pytest.raises(ConfigurationError):
-            EpochState(T=5, theta=0.0, last_sent=DUMMY)
+            EpochState(T=5, theta=0.0)
         with pytest.raises(ConfigurationError):
-            EpochState(T=5, theta=0.5, last_sent=DUMMY, deadline=6)
+            EpochState(T=5, theta=0.5, deadline=6)
         with pytest.raises(ConfigurationError):
-            EpochState(T=5, theta=0.5, last_sent=DUMMY, t=6)
+            EpochState(T=5, theta=0.5, t=6)
 
     def test_build_policy(self):
         assert isinstance(build_policy("UDDM"), UddmPolicy)

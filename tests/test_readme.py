@@ -1,0 +1,37 @@
+"""The README's examples run against the package as it is."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from qsim.t2fls import engine_from_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+FENCE = re.compile(r"^```(\w*)\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def fenced_blocks(language):
+    text = README.read_text(encoding="utf-8")
+    return [body for lang, body in FENCE.findall(text) if lang == language]
+
+
+PYTHON_BLOCKS = fenced_blocks("python")
+
+
+def test_readme_has_python_examples():
+    assert len(PYTHON_BLOCKS) >= 1
+
+
+@pytest.mark.parametrize(
+    "source", PYTHON_BLOCKS, ids=[f"python-{i}" for i in range(len(PYTHON_BLOCKS))]
+)
+def test_python_example_runs(source):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def test_fuzzy_json_example_builds_an_engine():
+    (spec,) = fenced_blocks("json")
+    engine = engine_from_config(json.loads(spec))
+    assert 0.0 <= engine.evaluate(0.5, 0.1, 0.1) <= 1.0

@@ -4,45 +4,67 @@ import statistics
 
 import pytest
 
-from qsim.errors import ConfigurationError, InvariantViolation, StreamTruncationError
+from qsim.errors import ConfigurationError, StreamTruncationError
 from qsim.simulator import (
+    STREAM_PROFILES,
     ExperimentConfig,
-    compute_delta,
-    compute_phi,
-    compute_psi,
     generate_synthetic_stream,
     run_cell,
     run_experiment,
 )
+from qsim.synopsis import DataVector
 
 from reference_sim import reference_trace
 
 
+def replay_cell(experiments, T):
+    """BM over hand-built 1-D experiments, each the bootstrap value then one value per round.
+
+    BM sends exactly when the running mean moves, so a value equal to the
+    current mean holds and any other value sends.
+    """
+    dataset = []
+    for values in experiments:
+        assert len(values) == T + 1
+        dataset.extend(DataVector((float(v),)) for v in values + [0.0, 0.0])  # 2 unread slack
+    config = ExperimentConfig(policy="BM", T=T, theta=0.6, E=len(experiments), source="replay")
+    return run_cell(config, dataset=dataset)
+
+
+# Means 0, 1, 2, 3, 4 reached at rounds 2, 5, 7 and 9: x = m + (m' - m) * count.
+FOUR_SENDS = [0, 0, 3, 1, 1, 7, 2, 10, 3, 13, 4]
+
+
 class TestMetrics:
     def test_phi_all_deadline(self):
-        assert compute_phi([10, 10, 10], T=10, E=3) == 1.0
+        report = replay_cell([[0] * 11] * 3, T=10)
+        assert [e.t_star for e in report.per_experiment] == [10, 10, 10]
+        assert report.phi == 1.0
 
     def test_phi_direct_formula(self):
-        assert compute_phi([5, 10], T=10, E=2) == 0.75
-
-    def test_phi_requires_one_record_per_experiment(self):
-        with pytest.raises(ValueError):
-            compute_phi([5, 10], T=10, E=3)
-        with pytest.raises(ValueError):
-            compute_phi([], T=10, E=0)
+        # First sends at t* = 5 (the mean moves 0 -> 1) and at the deadline.
+        report = replay_cell([[0, 0, 0, 0, 0, 6, 1, 1, 1, 1, 1], [0] * 11], T=10)
+        assert [e.t_star for e in report.per_experiment] == [5, 10]
+        assert report.phi == 0.75
+        assert report.delta == 0.5
+        assert report.psi == 10.0
 
     def test_delta_trivials(self):
-        assert compute_delta([0.0, 0.0], E=2) == 0.0
-        assert compute_delta([10.0, 20.0], E=2) == 15.0
-        with pytest.raises(ValueError):
-            compute_delta([], E=1)
+        assert replay_cell([[0, 0, 0], [0, 0, 0]], T=2).delta == 0.0
+        # The mean moves 0 -> 10 -> 30: magnitudes 10 and 20.
+        report = replay_cell([[0, 20, 70]], T=2)
+        assert [e.magnitude for e in report.per_experiment] == [10.0, 20.0]
+        assert report.delta == 15.0
 
     def test_psi_formula(self):
-        assert compute_psi(10, T=10) == 1.0
-        assert compute_psi(4, T=10) == 2.5
-        assert compute_psi(1, T=10) == 10.0
-        with pytest.raises(InvariantViolation):
-            compute_psi(0, T=10)
+        every_round = replay_cell([list(range(11))], T=10)
+        assert every_round.message_count == 10 and every_round.psi == 1.0
+        four = replay_cell([FOUR_SENDS], T=10)
+        assert [e.step for e in four.per_experiment] == [2, 5, 7, 9]
+        assert four.psi == 2.5
+        assert replay_cell([[0] * 11], T=10).psi == 10.0
+        # psi averages T / sends over the experiments
+        assert replay_cell([list(range(11)), FOUR_SENDS, [0] * 11], T=10).psi == 4.5
 
 
 class TestSyntheticStreams:
@@ -57,13 +79,13 @@ class TestSyntheticStreams:
         assert a != b
 
     def test_drift_mean_increment_matches_slope(self):
-        stream = generate_synthetic_stream(1, 10001, dims=2, profile="drift", slope=1.5)
+        stream = generate_synthetic_stream(1, 10001, dims=2, profile="drift")
         for dim in range(2):
             diffs = [
                 stream[i + 1].values[dim] - stream[i].values[dim]
                 for i in range(len(stream) - 1)
             ]
-            assert statistics.fmean(diffs) == pytest.approx(1.5, rel=0.05)
+            assert statistics.fmean(diffs) == pytest.approx(1.0, rel=0.05)
 
     def test_piecewise_constant_without_jumps_is_identically_zero(self):
         stream = generate_synthetic_stream(3, 200, dims=2, profile="piecewise-constant", jump_prob=0.0)
@@ -210,3 +232,30 @@ class TestBruteForceOracle:
         assert [(e.node, e.step, e.t_star, e.cause) for e in trace.events] == [
             (w["node"], w["step"], w["t_star"], w["cause"]) for w in expected
         ]
+
+
+class TestMetamorphic:
+    """Rescaling or offsetting the stream changes no decision.
+
+    An offset leaves every synopsis difference, so every quantum, as it was;
+    a scale multiplies every quantum, the window maximum and the linear Holt
+    forecasts alike, so the normalised inputs to each trigger do not move.
+    """
+
+    @pytest.mark.parametrize("transform", ["scale-7", "offset-1e3"])
+    @pytest.mark.parametrize("T,theta", [(10, 0.6), (100, 0.75)])
+    @pytest.mark.parametrize("profile", STREAM_PROFILES)
+    @pytest.mark.parametrize("policy", ["UDDM", "BM", "PM"])
+    def test_scale_and_offset_leave_decisions_unchanged(self, policy, profile, T, theta, transform):
+        config = ExperimentConfig(policy=policy, T=T, theta=theta, E=10, N=2, source="replay")
+        stream = generate_synthetic_stream(0, config.E * config.vectors_per_experiment, profile=profile)
+        if transform == "scale-7":
+            moved = [DataVector(tuple(7.0 * v for v in x.values)) for x in stream]
+        else:
+            moved = [DataVector(tuple(v + 1e3 for v in x.values)) for x in stream]
+
+        def decisions(dataset):
+            report = run_cell(config, dataset=dataset)
+            return [(e.experiment, e.node, e.step, e.cause) for e in report.per_experiment]
+
+        assert decisions(moved) == decisions(stream)

@@ -173,5 +173,3 @@ class TestNormalizer:
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             QuantumNormalizer(window=0)
-        with pytest.raises(ConfigurationError):
-            QuantumNormalizer(floor=0.0)

@@ -12,7 +12,6 @@ from qsim.t2fls import (
     TERM_LABELS,
     InferenceEngine,
     IntervalTerm,
-    Rule,
     RuleBase,
     default_engine,
     default_rule_base,
@@ -188,18 +187,18 @@ class TestFireRule:
         assert abs(out - nie_tan(engine, weakest)) > 1e-3
 
     def test_arity_mismatch(self):
-        rules = list(default_rule_base().rules)
-        rules[0] = Rule(("low", "low"), "low")
+        table = dict(default_rule_base().table)
+        del table[("low", "low", "low")]
+        table[("low", "low")] = "low"
         with pytest.raises(ConfigurationError, match="exactly 3 antecedents"):
-            RuleBase(rules)
+            RuleBase(table)
 
 
 class TestRuleBase:
     def test_default_is_complete_and_monotone(self):
         base = default_rule_base()
         assert len(base) == 27
-        combos = {r.antecedents for r in base.rules}
-        assert len(combos) == 27
+        assert set(base.table) == set(product(TERM_LABELS, repeat=3))
 
     def test_rank_average_spot_values(self):
         base = default_rule_base()
@@ -211,27 +210,22 @@ class TestRuleBase:
         assert base.consequent(("high", "high", "high")) == "high"
 
     def test_incomplete_base_rejected(self):
-        rules = list(default_rule_base().rules)[:-1]
+        table = dict(default_rule_base().table)
+        del table[("high", "high", "high")]
         with pytest.raises(ConfigurationError, match="incomplete"):
-            RuleBase(rules)
-
-    def test_duplicate_rejected(self):
-        rules = list(default_rule_base().rules)
-        rules.append(rules[0])
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            RuleBase(rules)
+            RuleBase(table)
 
     def test_non_monotone_base_rejected(self):
-        table = {r.antecedents: r.consequent for r in default_rule_base().rules}
+        table = dict(default_rule_base().table)
         table[("high", "high", "high")] = "low"
         with pytest.raises(ConfigurationError, match="monotone"):
-            RuleBase(Rule(a, c) for a, c in table.items())
+            RuleBase(table)
 
     def test_unknown_label_rejected(self):
-        rules = list(default_rule_base().rules)
-        rules[0] = Rule(("low", "low", "low"), "enormous")
+        table = dict(default_rule_base().table)
+        table[("low", "low", "low")] = "enormous"
         with pytest.raises(ConfigurationError, match="unknown term label"):
-            RuleBase(rules)
+            RuleBase(table)
 
 
 class TestEvaluate:
@@ -348,6 +342,15 @@ class TestEngineFromConfig:
         spec = {"rules": [{"antecedents": "abc", "consequent": "low"}]}
         with pytest.raises(ConfigurationError, match="antecedents must be a list"):
             engine_from_config(spec)
+
+    def test_unknown_keys_and_fractional_grid_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"unknown keys in engine overrides: \['grid_point'\]"):
+            engine_from_config({"grid_point": 5})
+        with pytest.raises(ConfigurationError, match="unknown keys in term 'high'"):
+            engine_from_config({"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "hieght": 0.9}}})
+        with pytest.raises(ConfigurationError, match="grid_points must be an integer, got 50.9"):
+            engine_from_config({"grid_points": 50.9})
+        assert engine_from_config({"grid_points": 51.0}).grid_points == 51
 
     def test_unknown_term_label_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown term labels"):
