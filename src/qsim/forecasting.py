@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, IngestionError
+from .errors import ConfigurationError, IngestionError, InvariantViolation
 
 __all__ = ["HoltState", "Forecast", "holt_init", "holt_step", "holt_forecast"]
 
@@ -81,7 +81,7 @@ def holt_init(e1: float, e2: float, alpha: float = 0.5, beta: float = 0.5) -> Ho
 def holt_step(state: HoltState, e: float) -> HoltState:
     """Advance an initialized forecaster with one more quantum."""
     if state.observations < 2:
-        raise ValueError("forecaster not initialized: the first two quanta are required")
+        raise InvariantViolation("forecaster not initialized: the first two quanta are required")
     if not math.isfinite(e):
         raise IngestionError(f"non-finite quantum {e!r} fed to forecaster")
     return _advance(state, e)
@@ -90,8 +90,8 @@ def holt_step(state: HoltState, e: float) -> HoltState:
 def holt_forecast(state: HoltState, k: int) -> Forecast:
     """Project the next k quanta as level + i * trend, floored at zero."""
     if state.observations < 2:
-        raise ValueError("forecaster not initialized: the first two quanta are required")
+        raise InvariantViolation("forecaster not initialized: the first two quanta are required")
     if k < 1:
-        raise ValueError(f"forecast horizon must be a positive integer, got {k}")
+        raise ConfigurationError(f"forecast horizon must be a positive integer, got {k}")
     values = tuple(max(0.0, state.level + (i + 1) * state.trend) for i in range(k))
     return Forecast(horizon=k, values=values)

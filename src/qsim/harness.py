@@ -27,6 +27,8 @@ from itertools import product
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigurationError, IngestionError, InvariantViolation
 from .simulator import (
@@ -345,7 +347,9 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], RunManif
     ingest_info = None
     if config.source != SYNTHETIC_SOURCE:
         result = ingest_sensor_log(config.source, mote=config.mote)
-        dataset = result.vectors
+        # One (rows, 4) array, pickled into each pool task far more cheaply
+        # than the DataVectors.
+        dataset = np.array([v.values for v in result.vectors], dtype=float).reshape(-1, 4)
         ingest_info = {
             "rows": result.total_rows,
             "kept": len(result.vectors),

@@ -11,6 +11,11 @@ counter back to 1). They differ in the trigger:
 * BM triggers on any nonzero quantum.
 * PM triggers when the mean of the three normalized forecast quanta strictly
   exceeds the threshold.
+
+`step` advances one node's `EpochState` by one round. `step_lanes` advances
+many independent nodes at once, one array lane each, held in an `EpochLanes`;
+it performs the same floating-point operations per lane, so both give equal
+decisions, scores and quanta.
 """
 
 from __future__ import annotations
@@ -18,9 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .forecasting import HoltState, holt_forecast, holt_init, holt_step
-from .synopsis import QuantumNormalizer
+from .synopsis import _SCALE_FLOOR, QuantumNormalizer
 from .t2fls import InferenceEngine, default_engine
 
 __all__ = [
@@ -30,6 +37,7 @@ __all__ = [
     "CAUSE_PREDICTION",
     "Decision",
     "EpochState",
+    "EpochLanes",
     "combine_pods",
     "UddmPolicy",
     "BmPolicy",
@@ -42,6 +50,9 @@ CAUSE_THRESHOLD = "threshold"
 CAUSE_DEADLINE = "deadline"
 CAUSE_ANY_CHANGE = "any-change"
 CAUSE_PREDICTION = "prediction"
+
+# Steps ahead of the three forecasts, as a column over the lane axis.
+_HORIZON = np.array([[1.0], [2.0], [3.0]])
 
 
 def combine_pods(pod_p: float, pod_f: float) -> float:
@@ -101,6 +112,41 @@ class EpochState:
         self.deadline = self.T
 
 
+class EpochLanes:
+    """`EpochState` of many independent nodes, one array lane each.
+
+    Per lane: the round counter `t`, the `deadline`, the epoch's last three
+    quanta (oldest first; `t` of them belong to the current epoch), the Holt
+    level and trend (meaningful once `t` >= 2) and the normaliser window.
+    Every lane observes one quantum per round, so the window's write position
+    is shared. The window starts filled with zeros: quanta are >= 0, so the
+    zeros never raise its maximum, which is `QuantumNormalizer`'s running max.
+    """
+
+    def __init__(self, T: int, theta: float, deadline: np.ndarray, window: int) -> None:
+        lanes = len(deadline)
+        self.T = T
+        self.theta = theta
+        self.t = np.ones(lanes, dtype=np.int64)
+        self.deadline = np.asarray(deadline, dtype=np.int64)
+        zeros = np.zeros(lanes)
+        self.quanta = (zeros, zeros, zeros)
+        self.level = zeros
+        self.trend = zeros
+        self._window = np.zeros((window, lanes))
+        self._observed = 0
+
+    def observe(self, quantum: np.ndarray) -> None:
+        self.quanta = (self.quanta[1], self.quanta[2], quantum)
+        self._window[self._observed % len(self._window)] = quantum
+        self._observed += 1
+
+    def normalize(self, values: np.ndarray) -> np.ndarray:
+        """`QuantumNormalizer.normalize` of values >= 0, lane by lane (last axis)."""
+        peak = self._window[: self._observed].max(axis=0)
+        return np.minimum(values / np.maximum(peak, _SCALE_FLOOR), 1.0)
+
+
 class _PolicyBase:
     """Shared step skeleton: observe the quantum, test the trigger, apply the deadline."""
 
@@ -122,10 +168,34 @@ class _PolicyBase:
         state.reset()
         return decision
 
+    def step_lanes(
+        self, lanes: EpochLanes, quantum: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """`step` for every lane at once; updates `lanes` in place.
+
+        Returns the lanes' round counters before the step (t*), the mask of
+        lanes that disseminate, the mask of those whose trigger fired (the rest
+        of them hit the deadline) and the score, NaN where `step` gives None.
+        """
+        lanes.observe(quantum)
+        self._update_forecaster_lanes(lanes)
+        triggered, score = self._trigger_lanes(lanes, quantum)
+        t_star = lanes.t
+        sends = triggered | (t_star >= lanes.deadline)
+        lanes.t = np.where(sends, 1, t_star + 1)
+        lanes.deadline = np.where(sends, lanes.T, lanes.deadline)
+        return t_star, sends, triggered, score
+
     def _update_forecaster(self, state: EpochState) -> None:
         pass
 
+    def _update_forecaster_lanes(self, lanes: EpochLanes) -> None:
+        pass
+
     def _trigger(self, state: EpochState, quantum: float) -> tuple[bool, float | None]:
+        raise NotImplementedError
+
+    def _trigger_lanes(self, lanes: EpochLanes, quantum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
 
@@ -153,6 +223,22 @@ class _ForecastingPolicy(_PolicyBase):
         normalize = state.normalizer.normalize
         a, b, c = forecast.values
         return normalize(a), normalize(b), normalize(c)
+
+    def _update_forecaster_lanes(self, lanes: EpochLanes) -> None:
+        # Every lane advances; a lane in its second round is seeded first, as
+        # holt_init does, and the values of a lane in its first round are
+        # never read (it is seeded again before it has a forecast).
+        previous, quantum = lanes.quanta[1], lanes.quanta[2]
+        seed = lanes.t == 2
+        level = np.where(seed, previous, lanes.level)
+        trend = np.where(seed, quantum - previous, lanes.trend)
+        lanes.level = self.alpha * quantum + (1.0 - self.alpha) * (level + trend)
+        lanes.trend = self.beta * (lanes.level - level) + (1.0 - self.beta) * trend
+
+    def _forecast_lanes(self, lanes: EpochLanes) -> np.ndarray:
+        """holt_forecast(·, 3) of every lane, shape (3, lanes), not yet normalized."""
+        forecast = lanes.level + _HORIZON * lanes.trend
+        return np.where(forecast > 0.0, forecast, 0.0)
 
 
 class UddmPolicy(_ForecastingPolicy):
@@ -183,6 +269,14 @@ class UddmPolicy(_ForecastingPolicy):
         g = combine_pods(pod_p, pod_f)
         return g > state.theta, g
 
+    def _trigger_lanes(self, lanes: EpochLanes, quantum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Rows: the three past quanta, then the three forecasts. From t = 3 on
+        # a lane always has a forecaster, so `_trigger`'s cold start never applies.
+        views = lanes.normalize(np.vstack((*lanes.quanta, self._forecast_lanes(lanes))))
+        pod_p, pod_f = self.engine.evaluate_many(*views.reshape(2, 3, -1).transpose(1, 0, 2))
+        g = np.where(lanes.t >= 3, np.sqrt(pod_p * pod_f), np.nan)
+        return g > lanes.theta, g
+
 
 class BmPolicy(_PolicyBase):
     """Baseline: disseminate whenever any change at all is observed."""
@@ -191,6 +285,9 @@ class BmPolicy(_PolicyBase):
 
     def _trigger(self, state: EpochState, quantum: float) -> tuple[bool, float | None]:
         return quantum > 0.0, None
+
+    def _trigger_lanes(self, lanes: EpochLanes, quantum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return quantum > 0.0, np.full(quantum.shape, np.nan)
 
 
 class PmPolicy(_ForecastingPolicy):
@@ -204,6 +301,11 @@ class PmPolicy(_ForecastingPolicy):
         a, b, c = self._normalized_forecast(state)
         score = (a + b + c) / 3.0
         return score > state.theta, score
+
+    def _trigger_lanes(self, lanes: EpochLanes, quantum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a, b, c = lanes.normalize(self._forecast_lanes(lanes))
+        score = np.where(lanes.t >= 2, (a + b + c) / 3.0, np.nan)
+        return score > lanes.theta, score
 
 
 POLICY_NAMES = ("UDDM", "BM", "PM")

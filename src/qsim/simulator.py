@@ -9,6 +9,13 @@ staggered across nodes: node i's first epoch ends at round (i - 1) mod T (a
 full epoch when the offset is zero), so deadline-driven sends of distinct
 nodes land on distinct rounds.
 
+The experiments of a cell, and the nodes of an experiment, never interact, so
+the driver steps all of them together: each (experiment, node) pair is one
+lane of numpy arrays, and one loop runs the T rounds (`step_lanes` in
+policies.py holds the per-lane epoch logic). It performs each node's
+floating-point operations in the scalar API's order, so its events equal,
+bit for bit, those of stepping `policy.step` node by node.
+
 Per (policy, T, theta) cell the report aggregates over E experiments:
 
 * phi: mean over experiments of first-dissemination round / T
@@ -20,14 +27,16 @@ from __future__ import annotations
 
 import logging
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantViolation, StreamTruncationError
-from .policies import POLICY_NAMES, EpochState, build_policy
-from .synopsis import DataVector, QuantumNormalizer, Synopsis, update_quantum, update_synopsis
+from .errors import ConfigurationError, IngestionError, InvariantViolation, StreamTruncationError
+from .policies import CAUSE_DEADLINE, POLICY_NAMES, EpochLanes, build_policy
+from .synopsis import DataVector
 from .t2fls import InferenceEngine
 
 __all__ = [
@@ -96,8 +105,7 @@ class ExperimentConfig:
         return self.N * (self.T + _SLACK)
 
 
-@dataclass(frozen=True, slots=True)
-class DisseminationEvent:
+class DisseminationEvent(NamedTuple):
     """One synopsis dissemination: where, when, why, and how big."""
 
     experiment: int
@@ -133,6 +141,31 @@ class MetricsReport:
     per_experiment: tuple[DisseminationEvent, ...] = field(repr=False)
 
 
+def _synthetic_block(seeds, length: int, dims: int = 4, profile: str = "drift",
+                     jump_prob: float = 0.05) -> np.ndarray:
+    """The synthetic stream of each seed, as one (len(seeds), length, dims) array."""
+    if length < 1:
+        raise ConfigurationError(f"stream length must be >= 1, got {length}")
+    if dims < 1:
+        raise ConfigurationError(f"stream dims must be >= 1, got {dims}")
+    if profile not in STREAM_PROFILES:
+        raise ConfigurationError(
+            f"unknown stream profile {profile!r}; expected one of {STREAM_PROFILES}"
+        )
+    increments = np.zeros((len(seeds), length, dims))
+    for stream, seed in zip(increments, seeds):
+        rng = np.random.default_rng(seed)
+        if profile == "random-walk":
+            stream[:] = rng.normal(0.0, 1.0, size=(length, dims))
+        elif profile == "drift":
+            stream[:] = 1.0 + rng.normal(0.0, 0.25, size=(length, dims))
+        else:
+            jumps = rng.random(length) < jump_prob
+            if jumps.any():
+                stream[jumps] = rng.normal(0.0, 5.0, size=(int(jumps.sum()), dims))
+    return np.cumsum(increments, axis=1, out=increments)
+
+
 def generate_synthetic_stream(
     seed,
     length: int,
@@ -148,46 +181,80 @@ def generate_synthetic_stream(
     Gaussian of deviation 5 with probability jump_prob per step; with no jumps
     the stream is identically zero).
     """
-    if length < 1:
-        raise ConfigurationError(f"stream length must be >= 1, got {length}")
-    if dims < 1:
-        raise ConfigurationError(f"stream dims must be >= 1, got {dims}")
-    rng = np.random.default_rng(seed)
-    if profile == "random-walk":
-        increments = rng.normal(0.0, 1.0, size=(length, dims))
-    elif profile == "drift":
-        increments = 1.0 + rng.normal(0.0, 0.25, size=(length, dims))
-    elif profile == "piecewise-constant":
-        jumps = rng.random(length) < jump_prob
-        increments = np.zeros((length, dims))
-        if jumps.any():
-            increments[jumps] = rng.normal(0.0, 5.0, size=(int(jumps.sum()), dims))
+    levels = _synthetic_block([seed], length, dims, profile, jump_prob)[0]
+    return [DataVector(values=tuple(row), timestamp=t) for t, row in enumerate(levels.tolist())]
+
+
+def _vector_rows(vectors) -> np.ndarray:
+    """A stream or replay dataset, given as DataVectors or as a (rows, dims)
+    float array, as that array."""
+    if isinstance(vectors, np.ndarray):
+        rows = vectors.astype(float, copy=False)
     else:
-        raise ConfigurationError(
-            f"unknown stream profile {profile!r}; expected one of {STREAM_PROFILES}"
-        )
-    levels = np.cumsum(increments, axis=0)
-    return [
-        DataVector(values=tuple(map(float, row)), timestamp=t)
-        for t, row in enumerate(levels)
-    ]
+        try:
+            rows = np.array([v.values for v in vectors], dtype=float)
+        except ValueError as exc:
+            raise ConfigurationError(f"data vectors differ in dimension: {exc}") from exc
+    if rows.ndim != 2 or rows.shape[1] < 1:
+        raise ConfigurationError(f"data vectors must form a (rows, dims) array, got shape {rows.shape}")
+    return rows
 
 
-def _first_epoch(node_id: int, config: ExperimentConfig) -> EpochState:
-    offset = (node_id - 1) % config.T
-    return EpochState(
-        T=config.T,
-        theta=config.theta,
-        deadline=offset if offset > 0 else config.T,
-        normalizer=QuantumNormalizer(window=config.window),
-    )
+def _simulate(config: ExperimentConfig, block: np.ndarray, engine: InferenceEngine | None = None,
+              first_experiment: int = 0) -> list[list[DisseminationEvent]]:
+    """Run the experiments of `block`, one stream slice per row, as array lanes.
+
+    Each (experiment, node) pair is a lane; all lanes go through the T rounds
+    together. Node j reads position s * N + j - 1 of its experiment's slice at
+    round s, after one bootstrap vector apiece at round 0, so the lanes share
+    the synopsis count. Returns each experiment's events in (step, node) order.
+    """
+    if not np.isfinite(block).all():
+        raise IngestionError("non-finite entry in the experiment streams")
+    E, n, T = len(block), config.N, config.T
+    dims = block.shape[2]
+    lanes = E * n
+    # (round, dim, lane), lane = experiment * N + node - 1: lanes innermost.
+    rounds = np.ascontiguousarray(
+        block[:, : n * (T + 1)].reshape(E, T + 1, n, dims).transpose(1, 3, 0, 2)
+    ).reshape(T + 1, dims, lanes)
+    policy = build_policy(config.policy, engine=engine, alpha=config.alpha, beta=config.beta)
+    # Staggered first deadlines: node i's first epoch ends at round (i - 1) mod T.
+    offsets = np.arange(n) % T
+    epochs = EpochLanes(T, config.theta, np.tile(np.where(offsets > 0, offsets, T), E),
+                        config.window)
+    # update_synopsis of the empty synopsis with the bootstrap vector, taken as sent.
+    empty = np.zeros((dims, lanes))
+    last_sent = mean = empty + (rounds[0] - empty) / 1
+    events: list[list[DisseminationEvent]] = [[] for _ in range(E)]
+    new_event = tuple.__new__
+    for s in range(1, T + 1):
+        mean = mean + (rounds[s] - mean) / (s + 1)
+        # update_quantum's L1 sum, dimension after dimension.
+        quantum = np.add.accumulate(np.abs(mean - last_sent), axis=0)[-1]
+        t_star, sends, triggered, score = policy.step_lanes(epochs, quantum)
+        hit = np.flatnonzero(sends)
+        if not hit.size:
+            continue
+        last_sent = np.where(sends, mean, last_sent)
+        for lane, t, fired, magnitude, g in zip(
+            hit.tolist(), t_star[hit].tolist(), triggered[hit].tolist(),
+            quantum[hit].tolist(), score[hit].tolist(),
+        ):
+            experiment, node = divmod(lane, n)
+            # The NamedTuple's own __new__ without its argument handling.
+            events[experiment].append(new_event(DisseminationEvent, (
+                first_experiment + experiment, node + 1, s, t,
+                policy.trigger_cause if fired else CAUSE_DEADLINE, magnitude,
+                None if g != g else g,  # NaN: the policy gives no score
+            )))
+    return events
 
 
 def run_experiment(
     config: ExperimentConfig,
     stream: Sequence[DataVector],
     experiment: int = 0,
-    policy=None,
 ) -> ExperimentTrace:
     """Drive one experiment window over an explicit stream slice.
 
@@ -201,105 +268,62 @@ def run_experiment(
             f"stream supplies {len(stream)} vectors but experiment {experiment} needs {need} "
             f"(shortfall {need - len(stream)}): {config.N} node(s) x (T={config.T} + {_SLACK})"
         )
-    if policy is None:
-        policy = build_policy(config.policy, alpha=config.alpha, beta=config.beta)
-    n = config.N
-    empty = Synopsis.empty(len(stream[0]))
-    synopses = [update_synopsis(empty, stream[j]) for j in range(n)]
-    last_sent = list(synopses)
-    epochs = [_first_epoch(j + 1, config) for j in range(n)]
-    events: list[DisseminationEvent] = []
-    for s in range(1, config.T + 1):
-        base = s * n
-        for idx, epoch in enumerate(epochs):
-            synopsis = update_synopsis(synopses[idx], stream[base + idx])
-            synopses[idx] = synopsis
-            quantum = update_quantum(last_sent[idx], synopsis)
-            t_star = epoch.t
-            decision = policy.step(epoch, quantum)
-            if decision.disseminate:
-                last_sent[idx] = synopsis
-                events.append(
-                    DisseminationEvent(
-                        experiment=experiment,
-                        node=idx + 1,
-                        step=s,
-                        t_star=t_star,
-                        cause=decision.cause,
-                        magnitude=quantum,
-                        g=decision.g,
-                    )
-                )
+    (events,) = _simulate(config, _vector_rows(stream[:need])[None], first_experiment=experiment)
     return ExperimentTrace(experiment=experiment, events=tuple(events))
 
 
-def _experiment_stream(
-    config: ExperimentConfig,
-    index: int,
-    dataset: Sequence[DataVector] | None,
-) -> Sequence[DataVector]:
+def _cell_streams(config: ExperimentConfig, dataset) -> np.ndarray:
+    """(E, vectors_per_experiment, dims) array: experiment i's stream slice in row i."""
     count = config.vectors_per_experiment
     if config.source == SYNTHETIC_SOURCE:
         # Streams depend on (seed, T, N, experiment) only, never on policy or
         # theta, so grid cells compare policies on identical data.
-        return generate_synthetic_stream(
-            [config.seed, config.T, config.N, index],
-            length=count,
-            profile=config.profile,
-        )
+        seeds = [[config.seed, config.T, config.N, i] for i in range(config.E)]
+        return _synthetic_block(seeds, count, profile=config.profile)
     if dataset is None:
         raise ConfigurationError(
             f"source {config.source!r} requires a replay dataset; none was supplied"
         )
     total = len(dataset)
+    if config.E * count > total:
+        log.warning(
+            "replay dataset (%d vectors) is shorter than the grid demands (%d); wrapping around",
+            total,
+            config.E * count,
+        )
     if total < count:
         raise StreamTruncationError(
             f"replay dataset holds {total} vectors but each experiment needs {count}"
         )
-    start = index * count
-    if start + count <= total:
-        return dataset[start : start + count]
-    return [dataset[(start + k) % total] for k in range(count)]
+    # Experiments take disjoint contiguous slices, wrapping past the end.
+    positions = np.arange(config.E * count).reshape(config.E, count) % total
+    return _vector_rows(dataset)[positions]
 
 
-def run_cell(config: ExperimentConfig, dataset: Sequence[DataVector] | None = None,
+def run_cell(config: ExperimentConfig, dataset=None,
              engine: InferenceEngine | None = None) -> MetricsReport:
     """Run E experiments for one grid cell and aggregate the metrics.
 
+    A replay `dataset` is a sequence of DataVectors or a (rows, dims) array.
     Experiments consume disjoint contiguous dataset slices (wrapping with a
     warning once the replay data is exhausted); aggregation is ordered by
     experiment index, so results never depend on execution interleaving.
     """
-    policy = build_policy(config.policy, engine=engine, alpha=config.alpha, beta=config.beta)
-    if (
-        dataset is not None
-        and config.source != SYNTHETIC_SOURCE
-        and config.E * config.vectors_per_experiment > len(dataset)
-    ):
-        log.warning(
-            "replay dataset (%d vectors) is shorter than the grid demands (%d); wrapping around",
-            len(dataset),
-            config.E * config.vectors_per_experiment,
-        )
-    events: list[DisseminationEvent] = []
+    per_experiment = _simulate(config, _cell_streams(config, dataset), engine)
     first_stops: list[int] = []
     stop_counts: list[int] = []
-    for i in range(config.E):
-        stream = _experiment_stream(config, i, dataset)
-        trace = run_experiment(config, stream, experiment=i, policy=policy)
-        per_node: dict[int, list[DisseminationEvent]] = {}
-        for event in trace.events:
-            per_node.setdefault(event.node, []).append(event)
-        if len(per_node) != config.N:
+    for i, events in enumerate(per_experiment):
+        firsts = {e.node: e.t_star for e in reversed(events)}
+        if len(firsts) != config.N:
             raise InvariantViolation(
-                f"experiment {i}: {len(per_node)} of {config.N} nodes disseminated; "
+                f"experiment {i}: {len(firsts)} of {config.N} nodes disseminated; "
                 "the deadline rule guarantees at least one stop per node per window"
             )
-        for node_id in sorted(per_node):
-            node_events = per_node[node_id]
-            first_stops.append(node_events[0].t_star)
-            stop_counts.append(len(node_events))
-        events.extend(trace.events)
+        counts = Counter(e.node for e in events)
+        for node_id in sorted(firsts):
+            first_stops.append(firsts[node_id])
+            stop_counts.append(counts[node_id])
+    events = tuple(chain.from_iterable(per_experiment))
     return MetricsReport(
         policy=config.policy,
         T=config.T,
@@ -310,5 +334,5 @@ def run_cell(config: ExperimentConfig, dataset: Sequence[DataVector] | None = No
         delta=statistics.fmean(e.magnitude for e in events),
         psi=statistics.fmean(config.T / c for c in stop_counts),
         message_count=len(events),
-        per_experiment=tuple(events),
+        per_experiment=events,
     )

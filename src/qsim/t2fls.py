@@ -20,6 +20,8 @@ from itertools import product
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 __all__ = [
@@ -228,6 +230,15 @@ class InferenceEngine:
         self._lower_params = tuple(t.lower for t in terms)
         self._upper_params = tuple(t.upper for t in terms)
         self._heights = tuple(t.height for t in terms)
+        # evaluate_many's view of the same shapes: one row per lower shape, then
+        # one per upper shape, as columns broadcasting over (input, triple).
+        corners = np.array(self._lower_params + self._upper_params).T.reshape(4, 6, 1, 1)
+        self._corners = tuple(corners)
+        self._rise = corners[1] - corners[0]
+        self._fall = corners[3] - corners[2]
+        self._scales = np.array(self._heights + (1.0, 1.0, 1.0)).reshape(6, 1, 1)
+        # Rows weighting each rule's firing mass: into the numerator, then the denominator.
+        self._rule_weights = np.array([self._rule_centroids, (1.0,) * 27]).reshape(2, 27, 1)
 
     def _term_centroid(self, term: IntervalTerm) -> float:
         num = 0.0
@@ -306,6 +317,37 @@ class InferenceEngine:
             return 0.0
         return 1.0 if pod > 1.0 else pod
 
+    def evaluate_many(self, x1, x2, x3) -> np.ndarray:
+        """`evaluate` over arrays of input triples, equal to it bit for bit.
+
+        The three arguments share one shape, which the result takes. The
+        floating-point operations are `evaluate`'s, in its order: a rule it
+        skips adds +0.0, and the 27 rules are summed one after another.
+        """
+        x = np.array((x1, x2, x3), dtype=float)
+        shape = x.shape[1:]
+        x = x.reshape(3, -1)
+        if x.size and (x.min() < 0.0 or x.max() > 1.0):
+            log.warning("%d fuzzifier inputs outside [0, 1]; clamping",
+                        np.count_nonzero((x < 0.0) | (x > 1.0)))
+            x = np.clip(x, 0.0, 1.0)
+        # Each edge's ratio is at least 1 across the plateau, so the smaller
+        # one, cut to [0, 1], is `trapezoid`. A flat edge divides by zero:
+        # +-inf away from its corner, NaN on it, which fmin passes over.
+        a, b, c, d = self._corners
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            grade = np.fmin((x - a) / self._rise, (d - x) / self._fall)
+        grade = np.fmax(np.fmin(grade, 1.0), 0.0)
+        grade *= self._scales
+        # (bound, term, input, triple) -> per rule, the minimum over the inputs.
+        g = grade.reshape(2, 3, 3, -1)
+        lo, hi = np.minimum(
+            np.minimum(g[:, :, 0, None, None], g[:, None, :, 1, None]), g[:, None, None, :, 2]
+        ).reshape(2, 27, -1)
+        mass = np.where(hi > 0.0, lo + hi, 0.0)
+        num, den = np.add.accumulate(mass * self._rule_weights, axis=1)[:, -1]
+        return np.minimum(num / np.where(den > 0.0, den, 1.0), 1.0).reshape(shape)
+
 
 @lru_cache(maxsize=1)
 def default_engine() -> InferenceEngine:
@@ -342,9 +384,9 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
     """Build an engine from a parsed configuration mapping.
 
     Recognized keys: "grid_points"; "terms" mapping label -> {"upper": [a,b,c,d],
-    "shrink": f, "height": h} or an explicit {"lower": [a,b,c,d]}; "rules" as a
-    list of {"antecedents": [l1, l2, l3], "consequent": label} overrides applied
-    on top of the rank-average base. A spec of any other shape, or with any
+    "shrink": f, "height": h}, or with an explicit "lower": [a,b,c,d] in place
+    of "shrink"; "rules" as a list of {"antecedents": [l1, l2, l3],
+    "consequent": label} overrides applied on top of the rank-average base. A spec of any other shape, or with any
     other key, is a ConfigurationError.
     """
     if not isinstance(spec, Mapping):
@@ -369,6 +411,10 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
         upper = _spec_shape(entry, "upper", label)
         height = _spec_number(entry.get("height", 0.9), f"term {label!r}: height")
         if "lower" in entry:
+            if "shrink" in entry:
+                raise ConfigurationError(
+                    f"term {label!r}: give either lower or shrink, not both (shrink derives lower)"
+                )
             lower = _spec_shape(entry, "lower", label)
             terms.append(IntervalTerm(label=label, upper=upper, lower=lower, height=height))
         else:

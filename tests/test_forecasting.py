@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qsim.errors import ConfigurationError, IngestionError
+from qsim.errors import ConfigurationError, IngestionError, InvariantViolation
 from qsim.forecasting import Forecast, HoltState, holt_forecast, holt_init, holt_step
 
 
@@ -85,7 +85,7 @@ class TestStep:
 
     def test_requires_initialized_state(self):
         bare = HoltState(level=1.0, trend=0.0, alpha=0.5, beta=0.5, observations=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolation):
             holt_step(bare, 2.0)
 
     def test_non_finite_quantum(self):
@@ -111,7 +111,7 @@ class TestForecast:
 
     def test_horizon_must_be_positive(self):
         state = holt_init(1.0, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             holt_forecast(state, 0)
 
     def test_forecast_length_invariant(self):

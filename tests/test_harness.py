@@ -261,12 +261,14 @@ class TestCli:
             {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "hieght": 0.9}}},
             {"rules": [{"antecedents": ["medium", "low", "low"], "consequent": "medium",
                         "weight": 2}]},
+            {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "lower": [0.6, 0.7, 1.0, 1.0],
+                                "shrink": 0.9}}},
         ],
         ids=[
             "top-level-list", "grid-points-text", "height-text", "shrink-text",
             "lower-text", "rules-number", "terms-list", "antecedents-string",
             "unknown-top-level-key", "grid-points-fraction", "unknown-term-key",
-            "unknown-rule-key",
+            "unknown-rule-key", "lower-and-shrink",
         ],
     )
     def test_malformed_fuzzy_spec_exit_code(self, tmp_path, spec):

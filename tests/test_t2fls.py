@@ -1,8 +1,10 @@
 """Fuzzy engine: term geometry, rule base, firing, reduction, and its properties."""
 
+import logging
 import random
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -316,6 +318,53 @@ class TestEvaluate:
             InferenceEngine(grid_points=1)
 
 
+def corner_triples(engine, count, seed):
+    """Seeded input triples, about a third of the inputs on 0, 1 or a trapezoid corner."""
+    corners = sorted({0.0, 1.0} | {v for t in engine.terms for v in (*t.upper, *t.lower)})
+    rng = random.Random(seed)
+    return [
+        tuple(rng.choice(corners) if rng.random() < 0.35 else rng.random() for _ in range(3))
+        for _ in range(count)
+    ]
+
+
+class TestEvaluateMany:
+    @pytest.mark.parametrize("engine", [default_engine(), SHRUNK, InferenceEngine(terms=GAPPY_TERMS)],
+                             ids=["default", "shrunk", "gappy"])
+    def test_bit_identical_to_evaluate(self, engine):
+        triples = corner_triples(engine, 3000, seed=5)
+        want = [engine.evaluate(*triple) for triple in triples]
+        assert engine.evaluate_many(*np.array(triples).T).tolist() == want
+        # One triple per call, where numpy would sum a lone row pairwise.
+        assert [float(engine.evaluate_many(*triple)) for triple in triples[:300]] == want[:300]
+
+    def test_shape_follows_the_inputs(self):
+        engine = default_engine()
+        triples = corner_triples(engine, 12, seed=6)
+        batch = np.array(triples).T.reshape(3, 3, 4)
+        got = engine.evaluate_many(*batch)
+        assert got.shape == (3, 4)
+        assert got.reshape(-1).tolist() == [engine.evaluate(*t) for t in triples]
+        assert engine.evaluate_many(0.5, 0.1, 0.1).shape == ()
+        assert float(engine.evaluate_many(0.5, 0.1, 0.1)) == engine.evaluate(0.5, 0.1, 0.1)
+
+    def test_degenerate_point_term(self):
+        # A term whose four corners coincide: both edge ratios are 0/0 on the point.
+        terms = (make_term("low", 0.0, 0.0, 0.3, 0.5), make_term("medium", 0.5, 0.5, 0.5, 0.5),
+                 make_term("high", 0.5, 0.8, 1.0, 1.0))
+        engine = InferenceEngine(terms=terms)
+        triples = corner_triples(engine, 500, seed=7) + [(0.5, 0.5, 0.5), (-0.0, 0.5, 1.0)]
+        got = engine.evaluate_many(*np.array(triples).T)
+        assert got.tolist() == [engine.evaluate(*triple) for triple in triples]
+
+    def test_out_of_range_inputs_clamped_with_diagnostic(self, caplog):
+        engine = default_engine()
+        with caplog.at_level(logging.WARNING, logger="qsim.t2fls"):
+            got = engine.evaluate_many(np.array([-0.25, 0.5]), np.array([0.1, 1.5]), np.array([0.1, 0.2]))
+        assert "2 fuzzifier inputs outside [0, 1]" in caplog.text
+        assert got.tolist() == [engine.evaluate(0.0, 0.1, 0.1), engine.evaluate(0.5, 1.0, 0.2)]
+
+
 class TestEngineFromConfig:
     def test_term_and_rule_overrides(self):
         spec = {
@@ -351,6 +400,12 @@ class TestEngineFromConfig:
         with pytest.raises(ConfigurationError, match="grid_points must be an integer, got 50.9"):
             engine_from_config({"grid_points": 50.9})
         assert engine_from_config({"grid_points": 51.0}).grid_points == 51
+
+    def test_lower_and_shrink_rejected(self):
+        spec = {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "lower": [0.6, 0.7, 1.0, 1.0],
+                                   "shrink": 0.9}}}
+        with pytest.raises(ConfigurationError, match="either lower or shrink, not both"):
+            engine_from_config(spec)
 
     def test_unknown_term_label_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown term labels"):
