@@ -37,7 +37,6 @@ from .simulator import (
 )
 from .synopsis import (
     DataVector,
-    QuantumNormalizer,
     Synopsis,
     update_quantum,
     update_synopsis,
@@ -61,7 +60,6 @@ __all__ = [
     "InvariantViolation",
     "DataVector",
     "Synopsis",
-    "QuantumNormalizer",
     "update_synopsis",
     "update_quantum",
     "HoltState",

@@ -47,10 +47,15 @@ class Forecast:
             )
 
 
-def _advance(state: HoltState, e: float) -> HoltState:
+def _holt_update(level, trend, e, alpha, beta):
+    """One step of the level/trend recurrence, on floats or elementwise on arrays."""
     # Level first, then trend from the fresh level.
-    level = state.alpha * e + (1.0 - state.alpha) * (state.level + state.trend)
-    trend = state.beta * (level - state.level) + (1.0 - state.beta) * state.trend
+    fresh = alpha * e + (1.0 - alpha) * (level + trend)
+    return fresh, beta * (fresh - level) + (1.0 - beta) * trend
+
+
+def _advance(state: HoltState, e: float) -> HoltState:
+    level, trend = _holt_update(state.level, state.trend, e, state.alpha, state.beta)
     return HoltState(
         level=level,
         trend=trend,

@@ -12,9 +12,9 @@ nodes land on distinct rounds.
 The experiments of a cell, and the nodes of an experiment, never interact, so
 the driver steps all of them together: each (experiment, node) pair is one
 lane of numpy arrays, and one loop runs the T rounds (`step_lanes` in
-policies.py holds the per-lane epoch logic). It performs each node's
-floating-point operations in the scalar API's order, so its events equal,
-bit for bit, those of stepping `policy.step` node by node.
+policies.py holds the per-lane epoch logic). Since lanes never interact, its
+events equal, bit for bit, those of driving each node alone through
+`update_synopsis`, `update_quantum` and `policy.step` (`step_lanes` on one lane).
 
 Per (policy, T, theta) cell the report aggregates over E experiments:
 
@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError, InvariantViolation, StreamTruncationError
-from .policies import CAUSE_DEADLINE, POLICY_NAMES, EpochLanes, build_policy
+from .policies import CAUSE_DEADLINE, POLICY_NAMES, EpochState, build_policy
 from .synopsis import DataVector
 from .t2fls import InferenceEngine
 
@@ -81,7 +81,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown policy {self.policy!r}; expected one of {POLICY_NAMES}")
         if self.T < 1:
             raise ConfigurationError(f"T must be >= 1, got {self.T}")
-        if self.theta <= 0.0:
+        if not self.theta > 0.0:
             raise ConfigurationError(f"theta must be positive, got {self.theta}")
         if self.E < 1:
             raise ConfigurationError(f"E must be >= 1, got {self.E}")
@@ -221,7 +221,7 @@ def _simulate(config: ExperimentConfig, block: np.ndarray, engine: InferenceEngi
     policy = build_policy(config.policy, engine=engine, alpha=config.alpha, beta=config.beta)
     # Staggered first deadlines: node i's first epoch ends at round (i - 1) mod T.
     offsets = np.arange(n) % T
-    epochs = EpochLanes(T, config.theta, np.tile(np.where(offsets > 0, offsets, T), E),
+    epochs = EpochState(T, config.theta, np.tile(np.where(offsets > 0, offsets, T), E),
                         config.window)
     # update_synopsis of the empty synopsis with the bootstrap vector, taken as sent.
     empty = np.zeros((dims, lanes))

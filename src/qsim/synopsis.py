@@ -3,14 +3,13 @@
 A node summarizes its incoming data vectors with a per-dimension running mean
 and measures, at every step, how far that summary has drifted from the synopsis
 it last shared: the L1 distance between the two vectors is the update quantum.
-Quanta are normalized into [0, 1] against a sliding-window running maximum
-before they reach the fuzzy decision layer.
+The decision layer (`policies.EpochState`) normalizes quanta into [0, 1]
+against a sliding-window running maximum before they reach the fuzzy layer.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, IngestionError
@@ -18,7 +17,6 @@ from .errors import ConfigurationError, IngestionError
 __all__ = [
     "DataVector",
     "Synopsis",
-    "QuantumNormalizer",
     "update_synopsis",
     "update_quantum",
 ]
@@ -91,60 +89,3 @@ def update_quantum(last_sent: Synopsis, current: Synopsis) -> float:
     for a, b in zip(current.stats, last_sent.stats):
         value += abs(a - b)
     return value
-
-
-# Smallest scale the normalizer divides by, so the division is defined before
-# anything nonzero has been observed.
-_SCALE_FLOOR = 1e-9
-
-
-class QuantumNormalizer:
-    """Maps raw quanta into [0, 1] via a sliding-window running maximum.
-
-    The window spans epochs, so the scale adapts to the stream without global
-    knowledge and survives epoch resets.
-    """
-
-    __slots__ = ("_window", "_values", "_max")
-
-    def __init__(self, window: int = 50) -> None:
-        if window < 1:
-            raise ConfigurationError(f"normalization window must be >= 1, got {window}")
-        self._window = window
-        self._values: deque[float] = deque(maxlen=window)
-        self._max = 0.0
-
-    @property
-    def window(self) -> int:
-        return self._window
-
-    @property
-    def current_max(self) -> float:
-        return self._max
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def observe(self, value: float) -> None:
-        """Admit one raw quantum magnitude into the window."""
-        values = self._values
-        if len(values) == self._window:
-            evicted = values[0]
-            values.append(value)
-            if value >= self._max:
-                self._max = value
-            elif evicted >= self._max:
-                # The running max just left the window; rescan the survivors.
-                self._max = max(values)
-        else:
-            values.append(value)
-            if value > self._max:
-                self._max = value
-
-    def normalize(self, value: float) -> float:
-        scale = self._max if self._max > _SCALE_FLOOR else _SCALE_FLOOR
-        ratio = value / scale
-        if ratio <= 0.0:
-            return 0.0
-        return 1.0 if ratio > 1.0 else ratio
-

@@ -111,9 +111,9 @@ def make_term(
 def default_terms() -> tuple[IntervalTerm, IntervalTerm, IntervalTerm]:
     """Three interval terms uniformly covering [0, 1].
 
-    The upper shapes form a complementary partition (adjacent memberships sum
-    to one across each overlap) and every lower shape is the upper one scaled
-    to height 0.9. Both choices are load-bearing for monotonicity of the
+    The upper shapes form a complementary partition (adjacent grades sum to
+    one across each overlap) and every lower shape is the upper one scaled to
+    height 0.9. Both choices are load-bearing for monotonicity of the
     inference output: complementary overlaps make opposing mass shifts cancel
     under the minimum t-norm, and a scaled (rather than shrunk) lower shape
     preserves that cancellation boundwise. Asymmetric overlaps or shrunk lower
@@ -223,22 +223,18 @@ class InferenceEngine:
         self.grid_points = grid_points
         self._centroids = tuple(self._term_centroid(t) for t in terms)
         index = {label: i for i, label in enumerate(labels)}
-        self._rule_centroids = tuple(
-            self._centroids[index[rules.consequent(combo)]]
-            for combo in product(labels, repeat=3)
-        )
-        self._lower_params = tuple(t.lower for t in terms)
-        self._upper_params = tuple(t.upper for t in terms)
-        self._heights = tuple(t.height for t in terms)
-        # evaluate_many's view of the same shapes: one row per lower shape, then
-        # one per upper shape, as columns broadcasting over (input, triple).
-        corners = np.array(self._lower_params + self._upper_params).T.reshape(4, 6, 1, 1)
+        rule_centroids = [
+            self._centroids[index[rules.consequent(combo)]] for combo in product(labels, repeat=3)
+        ]
+        # One row per lower shape, then one per upper shape, as columns
+        # broadcasting over (input, triple).
+        corners = np.array([t.lower for t in terms] + [t.upper for t in terms]).T.reshape(4, 6, 1, 1)
         self._corners = tuple(corners)
         self._rise = corners[1] - corners[0]
         self._fall = corners[3] - corners[2]
-        self._scales = np.array(self._heights + (1.0, 1.0, 1.0)).reshape(6, 1, 1)
+        self._scales = np.array([t.height for t in terms] + [1.0] * 3).reshape(6, 1, 1)
         # Rows weighting each rule's firing mass: into the numerator, then the denominator.
-        self._rule_weights = np.array([self._rule_centroids, (1.0,) * 27]).reshape(2, 27, 1)
+        self._rule_weights = np.array([rule_centroids, [1.0] * 27]).reshape(2, 27, 1)
 
     def _term_centroid(self, term: IntervalTerm) -> float:
         num = 0.0
@@ -260,74 +256,26 @@ class InferenceEngine:
                 return value
         raise ConfigurationError(f"unknown term label {label!r}")
 
-    def memberships(self, x: float) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-        """Lower and upper membership of x in each term, clamping stray inputs."""
-        if x < 0.0 or x > 1.0:
-            log.warning("fuzzifier input %r outside [0, 1]; clamping", x)
-            x = 0.0 if x < 0.0 else 1.0
-        lows = []
-        highs = []
-        for t in range(3):
-            a, b, c, d = self._lower_params[t]
-            lows.append(self._heights[t] * trapezoid(x, a, b, c, d))
-            a, b, c, d = self._upper_params[t]
-            highs.append(trapezoid(x, a, b, c, d))
-        return (lows[0], lows[1], lows[2]), (highs[0], highs[1], highs[2])
-
     def evaluate(self, x1: float, x2: float, x3: float) -> float:
         """Potential of dissemination for one normalized input triple."""
-        l1, u1 = self.memberships(x1)
-        l2, u2 = self.memberships(x2)
-        l3, u3 = self.memberships(x3)
-        centroids = self._rule_centroids
-        num = 0.0
-        den = 0.0
-        for i in range(3):
-            a_lo = l1[i]
-            a_hi = u1[i]
-            if a_hi <= 0.0:
-                continue
-            base_i = 9 * i
-            for j in range(3):
-                b_hi = u2[j]
-                if b_hi > a_hi:
-                    b_hi = a_hi
-                if b_hi <= 0.0:
-                    continue
-                b_lo = l2[j]
-                if b_lo > a_lo:
-                    b_lo = a_lo
-                base_j = base_i + 3 * j
-                for k in range(3):
-                    hi = u3[k]
-                    if hi > b_hi:
-                        hi = b_hi
-                    if hi <= 0.0:
-                        continue
-                    lo = l3[k]
-                    if lo > b_lo:
-                        lo = b_lo
-                    mass = lo + hi  # 2x the Nie-Tan midpoint; the factor cancels
-                    num += mass * centroids[base_j + k]
-                    den += mass
-        if den <= 0.0:
-            return 0.0
-        pod = num / den
-        if pod < 0.0:
-            return 0.0
-        return 1.0 if pod > 1.0 else pod
+        return float(self.evaluate_many(x1, x2, x3))
 
     def evaluate_many(self, x1, x2, x3) -> np.ndarray:
-        """`evaluate` over arrays of input triples, equal to it bit for bit.
+        """Potential of dissemination for arrays of normalized input triples.
 
-        The three arguments share one shape, which the result takes. The
-        floating-point operations are `evaluate`'s, in its order: a rule it
-        skips adds +0.0, and the 27 rules are summed one after another.
+        The three arguments share one shape, which the result takes. Inputs
+        outside [0, 1] are clamped with a warning; a NaN input is a
+        ConfigurationError. Each rule's firing mass is the sum of its lower
+        and upper firing (twice the Nie-Tan midpoint; the factor cancels), or
+        +0.0 where the upper firing is 0, and the 27 rules are summed one
+        after another, so a triple's result does not depend on the batch.
         """
         x = np.array((x1, x2, x3), dtype=float)
         shape = x.shape[1:]
         x = x.reshape(3, -1)
-        if x.size and (x.min() < 0.0 or x.max() > 1.0):
+        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+            if np.isnan(x).any():
+                raise ConfigurationError(f"{np.isnan(x).sum()} fuzzifier inputs are NaN")
             log.warning("%d fuzzifier inputs outside [0, 1]; clamping",
                         np.count_nonzero((x < 0.0) | (x > 1.0)))
             x = np.clip(x, 0.0, 1.0)

@@ -238,6 +238,14 @@ class TestCli:
     def test_configuration_error_exit_code(self):
         assert main(["run", "--policy", "NOPE"]) == 1
 
+    def test_nan_theta_exit_code(self, tmp_path, caplog):
+        code = main(["run", "--theta", "nan", "--E", "2", "--T", "3",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert "theta must be positive, got nan" in error and "\n" not in error
+        assert not (tmp_path / "out").exists()
+
     def test_io_error_exit_code(self, tmp_path):
         assert main(["validate", "--source", str(tmp_path / "absent.txt")]) == 2
         assert main([

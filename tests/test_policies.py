@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,12 +92,12 @@ class TestUddm:
         policy = UddmPolicy()
         state = make_state(T=10, theta=0.6)
         feed(policy, state, [5.0, 5.0, 5.0])
-        assert state.t == 1
-        assert len(state.quanta) == 0
-        assert state.holt is None
-        assert state.deadline == state.T
+        assert state.t.tolist() == [1]
+        assert state.deadline.tolist() == [state.T]
         # the normalizer's scale memory survives the reset
-        assert state.normalizer.current_max == 5.0
+        assert state.normalize([5.0, 2.5]).tolist() == [1.0, 0.5]
+        # a fresh epoch: no past triple and no forecaster for its first two rounds
+        assert [(d.cause, d.g) for d in feed(policy, state, [5.0, 5.0])] == [(None, None)] * 2
 
     def test_zero_potential_never_triggers_by_threshold(self):
         # Terms with a coverage gap: inputs in the gap fire no rule at all, so
@@ -217,15 +218,16 @@ class TestEpochLifecycle:
             assert gaps < 7
 
     def test_quanta_views_and_reset(self):
+        # The state keeps the last three quanta, oldest first; after a send
+        # only the newest belongs to the fresh epoch (t = 1).
         state = make_state(T=10)
-        state.quanta.extend(float(i) for i in range(5))
-        assert state.quanta == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert state.quanta[-3:] == [2.0, 3.0, 4.0]
-        assert len(state.quanta) == 5
-        state.reset()
-        assert len(state.quanta) == 0
-        state.quanta.append(9.0)
-        assert state.quanta == [9.0]
+        for i in range(5):
+            state.observe(np.array([float(i)]))
+        assert [q.tolist() for q in state.quanta] == [[2.0], [3.0], [4.0]]
+        assert state.t.tolist() == [1]
+        assert BmPolicy().step(state, 9.0).cause == CAUSE_ANY_CHANGE
+        assert [q.tolist() for q in state.quanta] == [[3.0], [4.0], [9.0]]
+        assert state.t.tolist() == [1]
 
     @pytest.mark.parametrize("policy_cls", [UddmPolicy, PmPolicy])
     def test_score_exactly_at_theta_holds(self, policy_cls):
@@ -253,9 +255,30 @@ class TestEpochLifecycle:
         with pytest.raises(ConfigurationError):
             EpochState(T=5, theta=0.0)
         with pytest.raises(ConfigurationError):
+            EpochState(T=5, theta=float("nan"))
+        with pytest.raises(ConfigurationError):
             EpochState(T=5, theta=0.5, deadline=6)
         with pytest.raises(ConfigurationError):
-            EpochState(T=5, theta=0.5, t=6)
+            EpochState(T=5, theta=0.5, deadline=np.array([1, 5, 6]))
+        with pytest.raises(ConfigurationError):
+            EpochState(T=5, theta=0.5, window=0)
+
+    def test_one_lane_or_many(self):
+        assert EpochState(T=5, theta=0.5).deadline.tolist() == [5]
+        assert EpochState(T=5, theta=0.5, deadline=3).deadline.tolist() == [3]
+        state = EpochState(T=5, theta=0.5, deadline=np.array([5, 1, 2]))
+        assert state.t.tolist() == [1, 1, 1]
+        with pytest.raises(ConfigurationError, match="one lane"):
+            BmPolicy().step(state, 1.0)
+
+    @pytest.mark.parametrize("quantum", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("policy_cls", [UddmPolicy, BmPolicy, PmPolicy])
+    def test_step_rejects_a_quantum_that_is_no_distance(self, policy_cls, quantum):
+        with pytest.raises(ConfigurationError, match="finite quantum"):
+            policy_cls().step(make_state(), quantum)
+
+    def test_fresh_state_normalizes_by_the_floor(self):
+        assert make_state().normalize([0.0, 5e-10, 1.0]).tolist() == [0.0, pytest.approx(0.5), 1.0]
 
     def test_build_policy(self):
         assert isinstance(build_policy("UDDM"), UddmPolicy)

@@ -1,5 +1,7 @@
 """Experiment driver: determinism, metrics, staggering, and the brute-force oracle."""
 
+import hashlib
+import json
 import statistics
 from itertools import zip_longest
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsim.errors import ConfigurationError, IngestionError, StreamTruncationError
+from qsim.harness import load_config, run_grid, write_reports
 from qsim.policies import EpochState, build_policy
 from qsim.simulator import (
     STREAM_PROFILES,
@@ -18,7 +21,7 @@ from qsim.simulator import (
     run_cell,
     run_experiment,
 )
-from qsim.synopsis import DataVector, QuantumNormalizer, Synopsis, update_quantum, update_synopsis
+from qsim.synopsis import DataVector, Synopsis, update_quantum, update_synopsis
 from qsim.t2fls import engine_from_config
 
 from reference_sim import reference_trace
@@ -213,7 +216,7 @@ def scalar_experiment(config, stream, experiment, policy):
     last_sent = list(synopses)
     epochs = [
         EpochState(T=config.T, theta=config.theta, deadline=(j % config.T) or config.T,
-                   normalizer=QuantumNormalizer(window=config.window))
+                   window=config.window)
         for j in range(n)
     ]
     events = []
@@ -221,7 +224,7 @@ def scalar_experiment(config, stream, experiment, policy):
         for j, epoch in enumerate(epochs):
             synopses[j] = update_synopsis(synopses[j], stream[s * n + j])
             quantum = update_quantum(last_sent[j], synopses[j])
-            t_star = epoch.t
+            t_star = int(epoch.t[0])
             decision = policy.step(epoch, quantum)
             if decision.disseminate:
                 last_sent[j] = synopses[j]
@@ -300,6 +303,44 @@ class TestKernelMatchesScalarPath:
         rows[1, 2] = np.inf
         with pytest.raises(IngestionError, match="non-finite"):
             run_cell(config, dataset=rows)
+
+
+class TestReportDigests:
+    """Report bytes pinned by sha256, so a 1-ulp regrouping of any float
+    operation fails here. Recorded while the scalar per-node decision path
+    still existed beside the lane kernel and matched it exactly."""
+
+    DIGESTS = {
+        ("random-walk", 1, False): "3def44d0ee6fca10b1e039e79fa998cb4811658d939437ba30d72b4c2ca3c05d",
+        ("random-walk", 3, False): "7f70d1870941f2c7661a11c3c744a1f221ad0bccc62dde5f1e73507aa564651b",
+        ("drift", 1, False): "25de7cdca3cd94b6b3891d02b692193b0e1a5da31367889675c2b4251faf89e8",
+        ("drift", 3, False): "7e7950552899b82ab38aaa832798c10c64908b8efa2e59cce84bd331cd23b377",
+        ("piecewise-constant", 1, False): "2d6e99944b847ef8106e861d818370c64cda2fcb2c42e2ade0a6d6f5a4eecf0b",
+        ("piecewise-constant", 3, False): "3f684f6d623f4ed86d88973a7467f93e5a09305f5bb81985f943aa53ea5c688e",
+        ("random-walk", 1, True): "7af26cc1e8addcb3d568493a0fa761ba8d2d010b7434df667baa1054c3052b46",
+        ("random-walk", 3, True): "a374d0a017e0c4a35fcfa0eca409c6c064b3ce8118b13949be3fcde921e4b460",
+        ("drift", 1, True): "499f6b78f3df10edd8716338d243ada939a46d640f38e4bf2fa249d9c7973c3a",
+        ("drift", 3, True): "8dc730681bd23ac3ce7e8ec5863f57ed0b64cb90616b8b56acd960b2eede0f43",
+        ("piecewise-constant", 1, True): "d97948ae610144c4c718978df9e59493c249b5df22e6dd8a2c2d0aa7eccebaee",
+        ("piecewise-constant", 3, True): "e5d551e3e8b6f1cbc2d822fed109ee375b64adbc1685d24e7318d1dd5aee341a",
+    }
+
+    @pytest.mark.parametrize("fuzzy", [False, True], ids=["default-engine", "fuzzy-spec"])
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("profile", STREAM_PROFILES)
+    def test_summary_and_detail_digests(self, tmp_path, profile, N, fuzzy):
+        overrides = {"policy": "UDDM,BM,PM", "T": "1,5,10", "theta": "0.3,0.6,1.01", "E": "3",
+                     "N": str(N), "seed": "17", "profile": profile, "out-dir": str(tmp_path / "out")}
+        if fuzzy:
+            spec = tmp_path / "fuzzy.json"
+            spec.write_text(json.dumps(FUZZY_SPEC), encoding="utf-8")
+            overrides["fuzzy"] = str(spec)
+        config = load_config(cli_overrides=overrides, environ={})
+        out = write_reports(*run_grid(config), config.out_dir)
+        digest = hashlib.sha256()
+        for path in [out / "summary.csv", *sorted(out.glob("detail_*.csv"))]:
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == self.DIGESTS[profile, N, fuzzy]
 
 
 TOL = 1e-9  # criterion 8

@@ -3,14 +3,15 @@
 import random
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsim.errors import ConfigurationError, IngestionError
+from qsim.policies import EpochState
 from qsim.synopsis import (
     DataVector,
-    QuantumNormalizer,
     Synopsis,
     update_quantum,
     update_synopsis,
@@ -126,50 +127,52 @@ class TestUpdateQuantum:
 
 
 class TestNormalizer:
+    """The normaliser of a one-lane `EpochState`: window maximum, ratio, cut at 1."""
+
+    @staticmethod
+    def lane(window=50, values=()):
+        state = EpochState(T=1, theta=0.5, window=window)
+        for v in values:
+            state.observe(np.array([v]))
+        return state
+
+    @staticmethod
+    def normalize(state, value):
+        (out,) = state.normalize(np.array([value])).tolist()
+        return out
+
     def test_zero_maps_to_zero(self):
-        norm = QuantumNormalizer()
-        norm.observe(12.0)
-        assert norm.normalize(0.0) == 0.0
+        assert self.normalize(self.lane(values=[12.0]), 0.0) == 0.0
 
     def test_window_maximum_maps_to_one(self):
-        norm = QuantumNormalizer()
-        for v in (3.0, 12.0, 7.0):
-            norm.observe(v)
-        assert norm.normalize(12.0) == 1.0
+        assert self.normalize(self.lane(values=[3.0, 12.0, 7.0]), 12.0) == 1.0
 
     def test_direct_ratio(self):
-        norm = QuantumNormalizer()
-        for v in (3.0, 12.0, 7.0):
-            norm.observe(v)
-        assert norm.normalize(3.0) == 0.25
+        assert self.normalize(self.lane(values=[3.0, 12.0, 7.0]), 3.0) == 0.25
 
     def test_eviction_of_old_maximum(self):
-        norm = QuantumNormalizer(window=3)
-        for v in (100.0, 1.0, 2.0):
-            norm.observe(v)
-        assert norm.current_max == 100.0
-        norm.observe(4.0)  # evicts the 100
-        assert norm.current_max == 4.0
-        assert norm.normalize(2.0) == 0.5
+        norm = self.lane(window=3, values=[100.0, 1.0, 2.0])
+        assert self.normalize(norm, 50.0) == 0.5
+        norm.observe(np.array([4.0]))  # evicts the 100
+        assert self.normalize(norm, 4.0) == 1.0
+        assert self.normalize(norm, 2.0) == 0.5
 
     def test_output_always_in_unit_interval_and_zero_iff_zero(self):
         rng = random.Random(5)
-        norm = QuantumNormalizer(window=10)
+        norm = self.lane(window=10)
         for _ in range(500):
             v = rng.uniform(0, 100)
-            norm.observe(v)
-            out = norm.normalize(v)
+            norm.observe(np.array([v]))
+            out = self.normalize(norm, v)
             assert 0.0 <= out <= 1.0
             assert (out == 0.0) == (v == 0.0)
-        norm.observe(0.0)
-        assert norm.normalize(0.0) == 0.0
+        norm.observe(np.array([0.0]))
+        assert self.normalize(norm, 0.0) == 0.0
 
     def test_normalizes_a_computed_quantum(self):
-        norm = QuantumNormalizer()
-        norm.observe(8.0)
         quantum = update_quantum(Synopsis(stats=(1.0, 1.0), count=1), Synopsis(stats=(2.0, 2.0), count=2))
-        assert norm.normalize(quantum) == 0.25
+        assert self.normalize(self.lane(values=[8.0]), quantum) == 0.25
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            QuantumNormalizer(window=0)
+            EpochState(T=1, theta=0.5, window=0)

@@ -73,6 +73,49 @@ GAPPY_TERMS = (
 SHRUNK = InferenceEngine(terms=tuple(make_term(t.label, *t.upper, shrink=0.3) for t in default_terms()))
 
 
+def scalar_memberships(engine, x):
+    """Lower and upper grade of x in each of the engine's terms, clamping stray inputs."""
+    x = min(max(x, 0.0), 1.0)
+    lows = tuple(t.height * trapezoid(x, *t.lower) for t in engine.terms)
+    highs = tuple(trapezoid(x, *t.upper) for t in engine.terms)
+    return lows, highs
+
+
+def scalar_evaluate(engine, x1, x2, x3):
+    """Bit-exact scalar reference for `evaluate_many`, one triple at a time.
+
+    The 27 rules in rule order; a rule whose upper firing is 0 is skipped, and
+    each other adds its lower plus upper firing (2x the Nie-Tan midpoint).
+    """
+    l1, u1 = scalar_memberships(engine, x1)
+    l2, u2 = scalar_memberships(engine, x2)
+    l3, u3 = scalar_memberships(engine, x3)
+    labels = [t.label for t in engine.terms]
+    centroids = [engine.centroid(engine.rules.consequent(c)) for c in product(labels, repeat=3)]
+    num = 0.0
+    den = 0.0
+    for i in range(3):
+        a_lo = l1[i]
+        a_hi = u1[i]
+        if a_hi <= 0.0:
+            continue
+        for j in range(3):
+            b_hi = min(u2[j], a_hi)
+            if b_hi <= 0.0:
+                continue
+            b_lo = min(l2[j], a_lo)
+            for k in range(3):
+                hi = min(u3[k], b_hi)
+                if hi <= 0.0:
+                    continue
+                mass = min(l3[k], b_lo) + hi
+                num += mass * centroids[9 * i + 3 * j + k]
+                den += mass
+    if den <= 0.0:
+        return 0.0
+    return min(num / den, 1.0)
+
+
 class TestTrapezoid:
     def test_plateau_and_outside(self):
         assert trapezoid(0.5, 0.2, 0.4, 0.6, 0.8) == 1.0
@@ -136,10 +179,15 @@ class TestFuzzify:
             assert lo == pytest.approx(0.9 * g, abs=1e-12)
 
     def test_out_of_range_input_clamped_with_diagnostic(self, caplog):
+        engine = default_engine()
         with caplog.at_level("WARNING"):
-            _, highs = default_engine().memberships(-0.25)
-        assert highs[0] == 1.0
+            got = engine.evaluate(-0.25, 0.5, 0.5)
+        assert got == engine.evaluate(0.0, 0.5, 0.5)
         assert any("clamp" in r.message for r in caplog.records)
+
+    def test_nan_input_rejected(self):
+        with pytest.raises(ConfigurationError, match="NaN"):
+            default_engine().evaluate(float("nan"), 0.5, 0.5)
 
 
 class TestFireRule:
@@ -331,12 +379,12 @@ def corner_triples(engine, count, seed):
 class TestEvaluateMany:
     @pytest.mark.parametrize("engine", [default_engine(), SHRUNK, InferenceEngine(terms=GAPPY_TERMS)],
                              ids=["default", "shrunk", "gappy"])
-    def test_bit_identical_to_evaluate(self, engine):
+    def test_bit_identical_to_scalar_loop(self, engine):
         triples = corner_triples(engine, 3000, seed=5)
-        want = [engine.evaluate(*triple) for triple in triples]
+        want = [scalar_evaluate(engine, *triple) for triple in triples]
         assert engine.evaluate_many(*np.array(triples).T).tolist() == want
         # One triple per call, where numpy would sum a lone row pairwise.
-        assert [float(engine.evaluate_many(*triple)) for triple in triples[:300]] == want[:300]
+        assert [engine.evaluate(*triple) for triple in triples[:300]] == want[:300]
 
     def test_shape_follows_the_inputs(self):
         engine = default_engine()
@@ -344,9 +392,9 @@ class TestEvaluateMany:
         batch = np.array(triples).T.reshape(3, 3, 4)
         got = engine.evaluate_many(*batch)
         assert got.shape == (3, 4)
-        assert got.reshape(-1).tolist() == [engine.evaluate(*t) for t in triples]
+        assert got.reshape(-1).tolist() == [scalar_evaluate(engine, *t) for t in triples]
         assert engine.evaluate_many(0.5, 0.1, 0.1).shape == ()
-        assert float(engine.evaluate_many(0.5, 0.1, 0.1)) == engine.evaluate(0.5, 0.1, 0.1)
+        assert float(engine.evaluate_many(0.5, 0.1, 0.1)) == scalar_evaluate(engine, 0.5, 0.1, 0.1)
 
     def test_degenerate_point_term(self):
         # A term whose four corners coincide: both edge ratios are 0/0 on the point.
@@ -355,14 +403,20 @@ class TestEvaluateMany:
         engine = InferenceEngine(terms=terms)
         triples = corner_triples(engine, 500, seed=7) + [(0.5, 0.5, 0.5), (-0.0, 0.5, 1.0)]
         got = engine.evaluate_many(*np.array(triples).T)
-        assert got.tolist() == [engine.evaluate(*triple) for triple in triples]
+        assert got.tolist() == [scalar_evaluate(engine, *triple) for triple in triples]
 
     def test_out_of_range_inputs_clamped_with_diagnostic(self, caplog):
         engine = default_engine()
         with caplog.at_level(logging.WARNING, logger="qsim.t2fls"):
             got = engine.evaluate_many(np.array([-0.25, 0.5]), np.array([0.1, 1.5]), np.array([0.1, 0.2]))
         assert "2 fuzzifier inputs outside [0, 1]" in caplog.text
-        assert got.tolist() == [engine.evaluate(0.0, 0.1, 0.1), engine.evaluate(0.5, 1.0, 0.2)]
+        assert got.tolist() == [scalar_evaluate(engine, 0.0, 0.1, 0.1),
+                                scalar_evaluate(engine, 0.5, 1.0, 0.2)]
+
+    def test_nan_input_rejected(self):
+        with pytest.raises(ConfigurationError, match="1 fuzzifier inputs are NaN"):
+            default_engine().evaluate_many(np.array([0.2, 0.5]), np.array([0.1, np.nan]),
+                                           np.array([0.1, 0.2]))
 
 
 class TestEngineFromConfig:
