@@ -35,12 +35,7 @@ from .simulator import (
     run_cell,
     run_experiment,
 )
-from .synopsis import (
-    DataVector,
-    Synopsis,
-    update_quantum,
-    update_synopsis,
-)
+from .synopsis import DataVector
 from .t2fls import (
     InferenceEngine,
     IntervalTerm,
@@ -59,9 +54,6 @@ __all__ = [
     "StreamTruncationError",
     "InvariantViolation",
     "DataVector",
-    "Synopsis",
-    "update_synopsis",
-    "update_quantum",
     "HoltState",
     "Forecast",
     "holt_init",

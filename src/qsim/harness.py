@@ -31,19 +31,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, IngestionError, InvariantViolation
-from .simulator import (
-    SYNTHETIC_SOURCE,
-    ExperimentConfig,
-    MetricsReport,
-    generate_synthetic_stream,
-    run_cell,
-)
-from .synopsis import DataVector
+from .simulator import SYNTHETIC_SOURCE, ExperimentConfig, MetricsReport, _synthetic_block, run_cell
 from .t2fls import engine_from_config
 
 __all__ = [
     "IngestResult",
-    "RunManifest",
     "HarnessConfig",
     "ingest_sensor_log",
     "load_config",
@@ -63,15 +55,16 @@ DETAIL_COLUMNS = ("experiment", "t_star", "cause", "magnitude", "g_score")
 
 @dataclass(frozen=True, slots=True)
 class IngestResult:
-    """Vectors that survived ingestion plus the bookkeeping around the drops."""
+    """Readings that survived ingestion, one (rows, 4) float array, plus the
+    bookkeeping around the drops."""
 
-    vectors: tuple[DataVector, ...]
+    rows: np.ndarray
     total_rows: int
     dropped: int
     mote: int | None = None
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
 
 def _parse_sensor_row(parts: list[str]) -> tuple[int, int, tuple[float, ...]] | None:
@@ -91,7 +84,7 @@ def _parse_sensor_row(parts: list[str]) -> tuple[int, int, tuple[float, ...]] | 
 
 
 def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult:
-    """Parse a sensor log into 4-dimensional data vectors.
+    """Parse a sensor log into a (rows, 4) array of readings.
 
     Rows with missing, extra, unparsable, or non-finite fields are dropped and
     counted; surviving records are sorted by (epoch, mote_id). With `mote` set,
@@ -118,10 +111,10 @@ def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult
             rows.append(row)
     # A stable sort on (epoch, mote) alone: rows sharing both keep file order.
     rows.sort(key=lambda r: (r[0], r[1]))
-    vectors = tuple(DataVector(values=values, timestamp=i) for i, (_, _, values) in enumerate(rows))
+    readings = np.array([values for _, _, values in rows], dtype=float).reshape(-1, 4)
     if dropped:
         log.info("%s: dropped %d of %d rows during ingestion", path, dropped, total)
-    return IngestResult(vectors=vectors, total_rows=total, dropped=dropped, mote=mote)
+    return IngestResult(rows=readings, total_rows=total, dropped=dropped, mote=mote)
 
 
 # --------------------------------------------------------------------------- #
@@ -269,6 +262,10 @@ def load_config(
     thetas = tuple(_parse_float(t.strip(), "theta") for t in merged["theta"].split(",") if t.strip())
     if not policies or not Ts or not thetas:
         raise ConfigurationError("grid axes policy / T / theta must each have at least one value")
+    for name, axis in (("policy", policies), ("T", Ts), ("theta", thetas)):
+        repeated = [value for i, value in enumerate(axis) if value in axis[:i]]
+        if repeated:
+            raise ConfigurationError(f"grid axis {name} repeats the value {repeated[0]!r}")
     mote_raw = merged["mote"].strip()
     fuzzy_raw = merged["fuzzy"].strip()
     config = HarnessConfig(
@@ -297,34 +294,6 @@ def load_config(
 # --------------------------------------------------------------------------- #
 # grid execution and reports
 
-@dataclass(frozen=True, slots=True)
-class RunManifest:
-    """Reproducibility record emitted alongside every report."""
-
-    tool: str
-    version: str
-    config: dict
-    seed: int
-    dataset_checksum: str
-    ingest: dict | None
-    runtime_seconds: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tool": self.tool,
-                "version": self.version,
-                "config": self.config,
-                "seed": self.seed,
-                "dataset_checksum": self.dataset_checksum,
-                "ingest": self.ingest,
-                "runtime_seconds": self.runtime_seconds,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-
 def _dataset_checksum(config: HarnessConfig) -> str:
     if config.source == SYNTHETIC_SOURCE:
         descriptor = f"{SYNTHETIC_SOURCE}:{config.profile}:dims=4:seed={config.seed}"
@@ -339,20 +308,22 @@ def _run_cell_task(cell: ExperimentConfig, dataset, engine) -> MetricsReport:
     return run_cell(cell, dataset, engine)
 
 
-def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], RunManifest]:
-    """Execute every grid cell; report content is independent of worker count."""
+def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
+    """Execute every grid cell; report content is independent of worker count.
+
+    Returns the reports and the manifest, the reproducibility record that
+    `write_reports` writes beside them as manifest.json.
+    """
     started = time.perf_counter()
     cells = config.cells()
     dataset = None
     ingest_info = None
     if config.source != SYNTHETIC_SOURCE:
         result = ingest_sensor_log(config.source, mote=config.mote)
-        # One (rows, 4) array, pickled into each pool task far more cheaply
-        # than the DataVectors.
-        dataset = np.array([v.values for v in result.vectors], dtype=float).reshape(-1, 4)
+        dataset = result.rows
         ingest_info = {
             "rows": result.total_rows,
-            "kept": len(result.vectors),
+            "kept": len(result),
             "dropped": result.dropped,
             "mode": "per-mote" if config.mote is not None else "merged",
             "mote": config.mote,
@@ -366,15 +337,15 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], RunManif
             reports = tuple(f.result() for f in futures)
     else:
         reports = tuple(run_cell(cell, dataset, engine) for cell in cells)
-    manifest = RunManifest(
-        tool="qsim",
-        version=__version__,
-        config=config.snapshot(),
-        seed=config.seed,
-        dataset_checksum=_dataset_checksum(config),
-        ingest=ingest_info,
-        runtime_seconds=time.perf_counter() - started,
-    )
+    manifest = {
+        "tool": "qsim",
+        "version": __version__,
+        "config": config.snapshot(),
+        "seed": config.seed,
+        "dataset_checksum": _dataset_checksum(config),
+        "ingest": ingest_info,
+        "runtime_seconds": time.perf_counter() - started,
+    }
     return reports, manifest
 
 
@@ -382,7 +353,7 @@ def _detail_filename(report: MetricsReport) -> str:
     return f"detail_{report.policy}_{report.T}_{report.theta}.csv"
 
 
-def write_reports(reports: Sequence[MetricsReport], manifest: RunManifest, out_dir: str | Path) -> Path:
+def write_reports(reports: Sequence[MetricsReport], manifest: dict, out_dir: str | Path) -> Path:
     """Emit summary.csv, per-cell detail files, and manifest.json under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -415,7 +386,9 @@ def write_reports(reports: Sequence[MetricsReport], manifest: RunManifest, out_d
                         "" if event.g is None else repr(event.g),
                     ]
                 )
-    (out / "manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     return out
 
 
@@ -470,12 +443,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    stream = generate_synthetic_stream(args.seed, args.length, dims=4, profile=args.profile)
+    stream = _synthetic_block([args.seed], args.length, profile=args.profile)[0].tolist()
     with Path(args.out).open("w", encoding="utf-8") as handle:
-        for i, vector in enumerate(stream):
+        for i, (t, h, l, v) in enumerate(stream):
             seconds = i % 86400
             stamp = f"{seconds // 3600:02d}:{(seconds // 60) % 60:02d}:{seconds % 60:02d}"
-            t, h, l, v = vector.values
             handle.write(f"2004-02-28 {stamp} {i + 1} 1 {t!r} {h!r} {l!r} {v!r}\n")
     print(f"wrote {len(stream)} rows to {args.out}")
     return 0

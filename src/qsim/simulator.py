@@ -13,8 +13,9 @@ The experiments of a cell, and the nodes of an experiment, never interact, so
 the driver steps all of them together: each (experiment, node) pair is one
 lane of numpy arrays, and one loop runs the T rounds (`step_lanes` in
 policies.py holds the per-lane epoch logic). Since lanes never interact, its
-events equal, bit for bit, those of driving each node alone through
-`update_synopsis`, `update_quantum` and `policy.step` (`step_lanes` on one lane).
+events equal, bit for bit, those of driving each node alone, one round at a
+time, through a running mean, an L1 quantum and `policy.step` (`step_lanes` on
+one lane); the test suite keeps that scalar driver as the reference.
 
 Per (policy, T, theta) cell the report aggregates over E experiments:
 
@@ -223,14 +224,14 @@ def _simulate(config: ExperimentConfig, block: np.ndarray, engine: InferenceEngi
     offsets = np.arange(n) % T
     epochs = EpochState(T, config.theta, np.tile(np.where(offsets > 0, offsets, T), E),
                         config.window)
-    # update_synopsis of the empty synopsis with the bootstrap vector, taken as sent.
+    # The running mean of the bootstrap vector alone, taken as sent.
     empty = np.zeros((dims, lanes))
     last_sent = mean = empty + (rounds[0] - empty) / 1
     events: list[list[DisseminationEvent]] = [[] for _ in range(E)]
     new_event = tuple.__new__
     for s in range(1, T + 1):
         mean = mean + (rounds[s] - mean) / (s + 1)
-        # update_quantum's L1 sum, dimension after dimension.
+        # The L1 sum, dimension after dimension.
         quantum = np.add.accumulate(np.abs(mean - last_sent), axis=0)[-1]
         t_star, sends, triggered, score = policy.step_lanes(epochs, quantum)
         hit = np.flatnonzero(sends)
@@ -285,15 +286,15 @@ def _cell_streams(config: ExperimentConfig, dataset) -> np.ndarray:
             f"source {config.source!r} requires a replay dataset; none was supplied"
         )
     total = len(dataset)
+    if total < count:
+        raise StreamTruncationError(
+            f"replay dataset holds {total} vectors but each experiment needs {count}"
+        )
     if config.E * count > total:
         log.warning(
             "replay dataset (%d vectors) is shorter than the grid demands (%d); wrapping around",
             total,
             config.E * count,
-        )
-    if total < count:
-        raise StreamTruncationError(
-            f"replay dataset holds {total} vectors but each experiment needs {count}"
         )
     # Experiments take disjoint contiguous slices, wrapping past the end.
     positions = np.arange(config.E * count).reshape(config.E, count) % total

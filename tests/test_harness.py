@@ -4,6 +4,7 @@ import csv
 import json
 import statistics
 
+import numpy as np
 import pytest
 
 from qsim.errors import ConfigurationError
@@ -84,10 +85,14 @@ class TestIngestion:
         result = ingest_sensor_log(write_log(tmp_path / "log.txt", []))
         assert len(result) == 0 and result.dropped == 0 and result.total_rows == 0
 
+    def test_empty_file_gives_an_empty_array(self, tmp_path):
+        result = ingest_sensor_log(write_log(tmp_path / "log.txt", []))
+        assert result.rows.shape == (0, 4) and result.rows.dtype == np.float64
+
     def test_single_valid_row(self, tmp_path):
         result = ingest_sensor_log(write_log(tmp_path / "log.txt", [VALID_ROW]))
         assert len(result) == 1
-        assert result.vectors[0].values == (19.3, 38.4, 45.08, 2.68742)
+        assert result.rows[0].tolist() == [19.3, 38.4, 45.08, 2.68742]
 
     def test_malformed_rows_dropped_and_counted(self, tmp_path):
         rows = [
@@ -111,8 +116,7 @@ class TestIngestion:
             "2004-02-28 01:00:00 2 1 0.5 0.5 0.5 0.5\n",  # same (epoch, mote): file order
         ]
         result = ingest_sensor_log(write_log(tmp_path / "log.txt", rows))
-        assert [v.values[0] for v in result.vectors] == [3.0, 0.5, 2.0, 1.0]
-        assert [v.timestamp for v in result.vectors] == [0, 1, 2, 3]
+        assert result.rows[:, 0].tolist() == [3.0, 0.5, 2.0, 1.0]
 
     def test_per_mote_mode(self, tmp_path):
         rows = [
@@ -121,7 +125,7 @@ class TestIngestion:
             "2004-02-28 01:00:02 3 1 3.0 3.0 3.0 3.0\n",
         ]
         result = ingest_sensor_log(write_log(tmp_path / "log.txt", rows), mote=1)
-        assert [v.values[0] for v in result.vectors] == [1.0, 3.0]
+        assert result.rows[:, 0].tolist() == [1.0, 3.0]
         assert result.mote == 1
 
     def test_unreadable_file(self, tmp_path):
@@ -231,9 +235,9 @@ class TestCli:
 
         log = tmp_path / "stream.txt"
         main(["gen", "--out", str(log), "--length", "32", "--seed", "8"])
-        replayed = ingest_sensor_log(log).vectors
+        replayed = ingest_sensor_log(log).rows
         direct = generate_synthetic_stream(8, 32, dims=4, profile="drift")
-        assert [v.values for v in replayed] == [v.values for v in direct]
+        assert replayed.tolist() == [list(v.values) for v in direct]
 
     def test_configuration_error_exit_code(self):
         assert main(["run", "--policy", "NOPE"]) == 1
@@ -245,6 +249,34 @@ class TestCli:
         (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert "theta must be positive, got nan" in error and "\n" not in error
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            ["--policy", "BM,BM", "--T", "5", "--theta", "0.6"],
+            ["--policy", "BM", "--T", "5,5", "--theta", "0.6"],
+            ["--policy", "BM", "--T", "5", "--theta", "0.6,0.60"],
+            ["--policy", "BM", "--T", "5,5", "--theta", "0.6,0.60"],
+        ],
+        ids=["policy", "T", "theta", "T-and-theta"],
+    )
+    def test_repeated_grid_axis_value_exit_code(self, tmp_path, caplog, axes):
+        code = main(["run", *axes, "--E", "2", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert "repeats" in error and "\n" not in error
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines", [[], ["2004-02-28 00:58:46 3 1 19.3 38.4\n"] * 3],
+                             ids=["empty", "all-malformed"])
+    def test_log_without_readings_exit_code(self, tmp_path, caplog, lines):
+        log = write_log(tmp_path / "log.txt", lines)
+        code = main(["run", "--source", str(log), "--E", "2", "--T", "3",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        messages = [r.getMessage() for r in caplog.records]
+        assert any("holds 0 vectors" in m for m in messages)
+        assert not any("wrapping around" in m for m in messages)
 
     def test_io_error_exit_code(self, tmp_path):
         assert main(["validate", "--source", str(tmp_path / "absent.txt")]) == 2

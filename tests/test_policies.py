@@ -20,8 +20,10 @@ from qsim.policies import (
     build_policy,
     combine_pods,
 )
-from qsim.synopsis import DataVector, Synopsis, update_quantum, update_synopsis
+from qsim.synopsis import DataVector
 from qsim.t2fls import InferenceEngine, default_engine, make_term
+
+from scalar_synopsis import Synopsis, update_quantum, update_synopsis
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 

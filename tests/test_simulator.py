@@ -21,10 +21,11 @@ from qsim.simulator import (
     run_cell,
     run_experiment,
 )
-from qsim.synopsis import DataVector, Synopsis, update_quantum, update_synopsis
+from qsim.synopsis import DataVector
 from qsim.t2fls import engine_from_config
 
 from reference_sim import reference_trace
+from scalar_synopsis import Synopsis, update_quantum, update_synopsis
 
 
 def replay_cell(experiments, T):

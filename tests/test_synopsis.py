@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 
 from qsim.errors import ConfigurationError, IngestionError
 from qsim.policies import EpochState
-from qsim.synopsis import (
-    DataVector,
-    Synopsis,
-    update_quantum,
-    update_synopsis,
-)
+from qsim.synopsis import DataVector
+
+from scalar_synopsis import Synopsis, update_quantum, update_synopsis
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
