@@ -1,13 +1,13 @@
 """CLI entry point: configuration, sensor-log ingestion, grid execution, reports.
 
 Configuration is a flat key = value text file; every key can be overridden by
-a QSIM_<KEY> environment variable and then by a command-line flag (precedence:
-CLI > environment > file > defaults). A run emits one summary.csv across the
+a QSIM_<KEY> environment variable and then by the command-line flag of the same
+name (precedence: CLI > environment > file > defaults). A run emits one summary.csv across the
 grid, one detail_<policy>_<T>_<theta>.csv per cell, and a manifest.json that
 pins the configuration, dataset checksum, seed, and tool version.
 
-Exit codes: 0 success, 1 configuration error, 2 I/O or data error, 3 internal
-invariant violation.
+Exit codes: 0 success, 1 configuration or command-line usage error, 2 I/O or
+data error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -120,27 +120,22 @@ def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult
 # --------------------------------------------------------------------------- #
 # configuration
 
-_DEFAULTS: dict[str, str] = {
-    "policy": "UDDM",
-    "t": "10",
-    "theta": "0.6",
-    "e": "100",
-    "n": "1",
-    "alpha": "0.5",
-    "beta": "0.5",
-    "window": "50",
-    "seed": "42",
-    "source": SYNTHETIC_SOURCE,
-    "profile": "drift",
-    "out-dir": "out",
-    "workers": "1",
-    "mote": "",
-    "fuzzy": "",
+# Each configuration key by its one name: the HarnessConfig field, the manifest
+# key and the CLI flag (`out_dir` as `--out-dir`). The value is (default as
+# text, type); the grid-cell keys take both from ExperimentConfig's defaults.
+_KEYS: dict[str, tuple[str, type]] = {
+    **{f.name: (str(f.default), type(f.default)) for f in fields(ExperimentConfig)},
+    "out_dir": ("out", str),
+    "workers": ("1", int),
+    "mote": ("", int),
+    "fuzzy": ("", str),
 }
+_AXES = ("policy", "T", "theta")
+
 
 def _canonical_key(raw: str) -> str:
-    key = raw.strip().lower().replace("_", "-")
-    if key not in _DEFAULTS:
+    key = raw.strip().lower().replace("-", "_")
+    if key not in map(str.lower, _KEYS):
         raise ConfigurationError(f"unknown configuration key {raw!r}")
     return key
 
@@ -149,9 +144,9 @@ def _canonical_key(raw: str) -> str:
 class HarnessConfig:
     """Typed view of the merged configuration, with grid axes as tuples."""
 
-    policies: tuple[str, ...]
-    Ts: tuple[int, ...]
-    thetas: tuple[float, ...]
+    policy: tuple[str, ...]
+    T: tuple[int, ...]
+    theta: tuple[float, ...]
     E: int
     N: int
     alpha: float
@@ -167,40 +162,17 @@ class HarnessConfig:
 
     def cells(self) -> tuple[ExperimentConfig, ...]:
         """One validated ExperimentConfig per (policy, T, theta); fails before any work."""
+        shared = {f.name: getattr(self, f.name) for f in fields(ExperimentConfig) if f.name not in _AXES}
         return tuple(
-            ExperimentConfig(
-                policy=policy,
-                T=T,
-                theta=theta,
-                E=self.E,
-                N=self.N,
-                alpha=self.alpha,
-                beta=self.beta,
-                window=self.window,
-                seed=self.seed,
-                source=self.source,
-                profile=self.profile,
-            )
-            for policy, T, theta in product(self.policies, self.Ts, self.thetas)
+            ExperimentConfig(policy=policy, T=T, theta=theta, **shared)
+            for policy, T, theta in product(self.policy, self.T, self.theta)
         )
 
     def snapshot(self) -> dict:
+        """The configuration as manifest.json records it, each grid axis comma-joined."""
         return {
-            "policy": ",".join(self.policies),
-            "T": ",".join(str(t) for t in self.Ts),
-            "theta": ",".join(repr(t) for t in self.thetas),
-            "E": self.E,
-            "N": self.N,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "window": self.window,
-            "seed": self.seed,
-            "source": self.source,
-            "profile": self.profile,
-            "out_dir": self.out_dir,
-            "workers": self.workers,
-            "mote": self.mote,
-            "fuzzy": self.fuzzy,
+            key: ",".join(map(str, getattr(self, key))) if key in _AXES else getattr(self, key)
+            for key in _KEYS
         }
 
 
@@ -220,27 +192,26 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _env_overrides(environ: Mapping[str, str]) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for key in _DEFAULTS:
-        env_key = ENV_PREFIX + key.upper().replace("-", "_")
-        if env_key in environ:
-            values[key] = environ[env_key]
-    return values
-
-
-def _parse_int(raw: str, key: str) -> int:
+def _convert(key: str, kind: type, raw: str):
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigurationError(f"configuration key {key!r} expects an integer, got {raw!r}") from exc
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"configuration key {key!r} expects {expected}, got {raw!r}") from exc
 
 
-def _parse_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"configuration key {key!r} expects a number, got {raw!r}") from exc
+def _parse_value(key: str, raw: str):
+    default, kind = _KEYS[key]
+    if key not in _AXES:
+        raw = raw.strip()
+        return _convert(key, kind, raw) if raw or default else None  # an empty mote or fuzzy is unset
+    axis = tuple(_convert(key, kind, item.strip()) for item in raw.split(",") if item.strip())
+    if not axis:
+        raise ConfigurationError("grid axes policy / T / theta must each have at least one value")
+    repeated = [value for i, value in enumerate(axis) if value in axis[:i]]
+    if repeated:
+        raise ConfigurationError(f"grid axis {key} repeats the value {repeated[0]!r}")
+    return axis
 
 
 def load_config(
@@ -248,43 +219,22 @@ def load_config(
     cli_overrides: Mapping[str, str] | None = None,
     environ: Mapping[str, str] | None = None,
 ) -> HarnessConfig:
-    """Merge defaults, config file, environment, and CLI flags, then type-check."""
-    merged = dict(_DEFAULTS)
+    """Merge defaults, config file, environment, and CLI flags, then type-check.
+
+    Keys are matched in any case, with `-` or `_`; the environment variable of
+    a key is QSIM_ and its name in upper case (QSIM_OUT_DIR).
+    """
+    environ = os.environ if environ is None else environ
+    merged = {key.lower(): default for key, (default, _) in _KEYS.items()}
     if config_path is not None:
         merged.update(parse_config_file(config_path))
-    merged.update(_env_overrides(environ if environ is not None else os.environ))
+    for key in merged:
+        if ENV_PREFIX + key.upper() in environ:
+            merged[key] = environ[ENV_PREFIX + key.upper()]
     for raw_key, value in (cli_overrides or {}).items():
-        if value is None:
-            continue
-        merged[_canonical_key(raw_key)] = str(value)
-    policies = tuple(p.strip() for p in merged["policy"].split(",") if p.strip())
-    Ts = tuple(_parse_int(t.strip(), "T") for t in merged["t"].split(",") if t.strip())
-    thetas = tuple(_parse_float(t.strip(), "theta") for t in merged["theta"].split(",") if t.strip())
-    if not policies or not Ts or not thetas:
-        raise ConfigurationError("grid axes policy / T / theta must each have at least one value")
-    for name, axis in (("policy", policies), ("T", Ts), ("theta", thetas)):
-        repeated = [value for i, value in enumerate(axis) if value in axis[:i]]
-        if repeated:
-            raise ConfigurationError(f"grid axis {name} repeats the value {repeated[0]!r}")
-    mote_raw = merged["mote"].strip()
-    fuzzy_raw = merged["fuzzy"].strip()
-    config = HarnessConfig(
-        policies=policies,
-        Ts=Ts,
-        thetas=thetas,
-        E=_parse_int(merged["e"], "E"),
-        N=_parse_int(merged["n"], "N"),
-        alpha=_parse_float(merged["alpha"], "alpha"),
-        beta=_parse_float(merged["beta"], "beta"),
-        window=_parse_int(merged["window"], "window"),
-        seed=_parse_int(merged["seed"], "seed"),
-        source=merged["source"].strip(),
-        profile=merged["profile"].strip(),
-        out_dir=merged["out-dir"].strip(),
-        workers=_parse_int(merged["workers"], "workers"),
-        mote=_parse_int(mote_raw, "mote") if mote_raw else None,
-        fuzzy=fuzzy_raw or None,
-    )
+        if value is not None:
+            merged[_canonical_key(raw_key)] = str(value)
+    config = HarnessConfig(**{key: _parse_value(key, merged[key.lower()]) for key in _KEYS})
     if config.workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {config.workers}")
     config.cells()  # validate the whole grid before any work starts
@@ -332,7 +282,7 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
     if config.fuzzy:
         engine = engine_from_config(json.loads(Path(config.fuzzy).read_text(encoding="utf-8")))
     if config.workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as executor:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(cells))) as executor:
             futures = [executor.submit(_run_cell_task, cell, dataset, engine) for cell in cells]
             reports = tuple(f.result() for f in futures)
     else:
@@ -395,40 +345,41 @@ def write_reports(reports: Sequence[MetricsReport], manifest: dict, out_dir: str
 # --------------------------------------------------------------------------- #
 # CLI
 
-_FLAG_KEYS = tuple(_DEFAULTS)
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigurationError, so it ends in one line and exit 1."""
+
+    def error(self, message: str):
+        raise ConfigurationError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # allow_abbrev=False: a flag is spelt out, so `--t` cannot pass for `--theta`.
+    parser = _ArgumentParser(
         prog="qsim",
         description="Uncertainty-driven synopsis dissemination simulator",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute the configured experiment grid")
+    run_p = sub.add_parser("run", help="execute the configured experiment grid", allow_abbrev=False)
     run_p.add_argument("--config", type=Path, default=None, help="flat key = value config file")
-    for key in _FLAG_KEYS:
-        flag = "--T" if key == "t" else ("--E" if key == "e" else ("--N" if key == "n" else f"--{key}"))
-        run_p.add_argument(flag, dest=f"opt_{key.replace('-', '_')}", default=None, metavar="VALUE")
+    for key in _KEYS:
+        run_p.add_argument(f"--{key.replace('_', '-')}", metavar="VALUE")
 
-    gen_p = sub.add_parser("gen", help="emit a synthetic stream as a sensor log")
+    gen_p = sub.add_parser("gen", help="emit a synthetic stream as a sensor log", allow_abbrev=False)
     gen_p.add_argument("--out", required=True, type=Path)
     gen_p.add_argument("--profile", default="drift")
     gen_p.add_argument("--length", type=int, default=10000)
     gen_p.add_argument("--seed", type=int, default=42)
 
-    val_p = sub.add_parser("validate", help="schema-check a sensor log")
+    val_p = sub.add_parser("validate", help="schema-check a sensor log", allow_abbrev=False)
     val_p.add_argument("--source", required=True, type=Path)
     val_p.add_argument("--mote", type=int, default=None)
     return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    overrides = {
-        key: getattr(args, f"opt_{key.replace('-', '_')}")
-        for key in _FLAG_KEYS
-        if getattr(args, f"opt_{key.replace('-', '_')}") is not None
-    }
+    overrides = {key: getattr(args, key) for key in _KEYS}
     config = load_config(config_path=args.config, cli_overrides=overrides)
     reports, manifest = run_grid(config)
     out = write_reports(reports, manifest, config.out_dir)
@@ -464,8 +415,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "gen":

@@ -3,10 +3,12 @@
 import csv
 import json
 import statistics
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from qsim import harness
 from qsim.errors import ConfigurationError
 from qsim.harness import (
     DETAIL_COLUMNS,
@@ -20,6 +22,25 @@ from qsim.harness import (
 )
 
 VALID_ROW = "2004-02-28 00:58:15 2 1 19.3 38.4 45.08 2.68742\n"
+
+# Each configuration key: a non-default value and the field value it gives.
+KEY_VALUES = {
+    "policy": ("BM", ("BM",)),
+    "T": ("7", (7,)),
+    "theta": ("0.8", (0.8,)),
+    "E": ("3", 3),
+    "N": ("2", 2),
+    "alpha": ("0.3", 0.3),
+    "beta": ("0.4", 0.4),
+    "window": ("20", 20),
+    "seed": ("5", 5),
+    "source": ("log.txt", "log.txt"),
+    "profile": ("random-walk", "random-walk"),
+    "out_dir": ("elsewhere", "elsewhere"),
+    "workers": ("2", 2),
+    "mote": ("4", 4),
+    "fuzzy": ("spec.json", "spec.json"),
+}
 
 
 def write_log(path, lines):
@@ -56,9 +77,23 @@ class TestConfigParsing:
             cli_overrides={"theta": "0.8"},
             environ={"QSIM_THETA": "0.7", "QSIM_SEED": "2"},
         )
-        assert merged.thetas == (0.8,)   # CLI beats env
+        assert merged.theta == (0.8,)    # CLI beats env
         assert merged.seed == 2          # env beats file
         assert merged.E == 7             # file beats defaults
+
+    @pytest.mark.parametrize("key", KEY_VALUES)
+    def test_every_key_spelling_reaches_its_field(self, tmp_path, monkeypatch, key):
+        raw, expected = KEY_VALUES[key]
+        for spelling in {key.upper(), key.lower(), key.replace("_", "-")}:
+            cfg = write_log(tmp_path / "run.cfg", [f"{spelling} = {raw}\n"])
+            assert getattr(load_config(config_path=cfg, environ={}), key) == expected
+        env_config = load_config(environ={f"QSIM_{key.upper()}": raw})
+        assert getattr(env_config, key) == expected
+        seen = []
+        monkeypatch.setattr(harness, "run_grid", lambda config: (seen.append(config), ((), {}))[1])
+        monkeypatch.setattr(harness, "write_reports", lambda reports, manifest, out_dir: tmp_path)
+        assert main(["run", f"--{key.replace('_', '-')}", raw]) == 0
+        assert getattr(seen[0], key) == expected
 
     def test_grid_axes_expand(self):
         config = load_config(cli_overrides={"policy": "UDDM,BM,PM", "t": "10,100,1000",
@@ -201,8 +236,36 @@ class TestGridAndReports:
         assert payload["tool"] == "qsim"
         assert payload["seed"] == 3
         assert payload["config"]["policy"] == "UDDM,BM"
+        assert payload["config"] == {
+            "policy": "UDDM,BM", "T": "5", "theta": "0.6,0.75", "E": 6, "N": 1,
+            "alpha": 0.5, "beta": 0.5, "window": 50, "seed": 3, "source": "synthetic",
+            "profile": "drift", "out_dir": "out", "workers": 1, "mote": None, "fuzzy": None,
+        }
         assert len(payload["dataset_checksum"]) == 64
         assert payload["runtime_seconds"] >= 0.0
+
+    def test_pool_is_sized_to_the_grid(self, monkeypatch):
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+        reports, _ = run_grid(small_config(policy="UDDM", workers="4"))
+        assert len(reports) == 2
+        assert sizes == [2]
 
     def test_fuzzy_override_file(self, tmp_path):
         spec = {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0]}}}
@@ -241,6 +304,31 @@ class TestCli:
 
     def test_configuration_error_exit_code(self):
         assert main(["run", "--policy", "NOPE"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--t", "5", "--E", "2"],
+            ["run", "--velocity", "9"],
+            ["run", "--E"],
+            ["gen", "--out", "stream.txt", "--length", "abc"],
+            [],
+        ],
+        ids=["abbreviated-flag", "unknown-flag", "flag-without-value", "non-integer-length",
+             "missing-subcommand"],
+    )
+    def test_usage_error_exit_code(self, tmp_path, monkeypatch, caplog, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error.startswith("configuration error: ") and "\n" not in error
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--help"])
+        assert exit_info.value.code == 0
+        assert "--out-dir" in capsys.readouterr().out
 
     def test_nan_theta_exit_code(self, tmp_path, caplog):
         code = main(["run", "--theta", "nan", "--E", "2", "--T", "3",
