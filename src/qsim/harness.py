@@ -13,7 +13,6 @@ data error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -31,7 +30,14 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, IngestionError, InvariantViolation
-from .simulator import SYNTHETIC_SOURCE, ExperimentConfig, MetricsReport, _synthetic_block, run_cell
+from .simulator import (
+    SYNTHETIC_SOURCE,
+    EventColumns,
+    ExperimentConfig,
+    MetricsReport,
+    _synthetic_block,
+    run_cell,
+)
 from .t2fls import engine_from_config
 
 __all__ = [
@@ -303,39 +309,41 @@ def _detail_filename(report: MetricsReport) -> str:
     return f"detail_{report.policy}_{report.T}_{report.theta}.csv"
 
 
+# Events converted from the columns to Python values this many at a time, so a
+# large cell's rows never exist as Python objects all at once.
+_DETAIL_BLOCK = 1 << 16
+
+
+def _detail_lines(events: EventColumns):
+    """The detail rows of a cell, one CSV line at a time."""
+    causes = events.causes
+    columns = (events.experiment, events.t_star, events.triggered, events.magnitude, events.g)
+    for start in range(0, len(events), _DETAIL_BLOCK):
+        block = slice(start, start + _DETAIL_BLOCK)
+        for experiment, t_star, fired, magnitude, g in zip(*(c[block].tolist() for c in columns)):
+            # NaN g: the policy gives no score, written as an empty field.
+            yield (f"{experiment},{t_star},{causes[fired]},{magnitude!r},"
+                   f"{'' if g != g else repr(g)}\n")
+
+
 def write_reports(reports: Sequence[MetricsReport], manifest: dict, out_dir: str | Path) -> Path:
-    """Emit summary.csv, per-cell detail files, and manifest.json under out_dir."""
+    """Emit summary.csv, per-cell detail files, and manifest.json under out_dir.
+
+    No field can hold a comma, quote or line break (policy names, causes,
+    numbers), so the rows are plain comma-joined CSV lines.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "summary.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for report in reports:
-            writer.writerow(
-                [
-                    report.policy,
-                    report.T,
-                    repr(report.theta),
-                    repr(report.phi),
-                    repr(report.delta),
-                    repr(report.psi),
-                    report.message_count,
-                ]
-            )
+        handle.write(",".join(SUMMARY_COLUMNS) + "\n")
+        handle.writelines(
+            f"{r.policy},{r.T},{r.theta!r},{r.phi!r},{r.delta!r},{r.psi!r},{r.message_count}\n"
+            for r in reports
+        )
     for report in reports:
         with (out / _detail_filename(report)).open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(DETAIL_COLUMNS)
-            for event in report.per_experiment:
-                writer.writerow(
-                    [
-                        event.experiment,
-                        event.t_star,
-                        event.cause,
-                        repr(event.magnitude),
-                        "" if event.g is None else repr(event.g),
-                    ]
-                )
+            handle.write(",".join(DETAIL_COLUMNS) + "\n")
+            handle.writelines(_detail_lines(report.per_experiment))
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -394,6 +402,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {args.seed}")
     stream = _synthetic_block([args.seed], args.length, profile=args.profile)[0].tolist()
     with Path(args.out).open("w", encoding="utf-8") as handle:
         for i, (t, h, l, v) in enumerate(stream):

@@ -27,11 +27,11 @@ Per (policy, T, theta) cell the report aggregates over E experiments:
 from __future__ import annotations
 
 import logging
-import statistics
-from collections import Counter
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "STREAM_PROFILES",
     "ExperimentConfig",
     "DisseminationEvent",
+    "EventColumns",
     "ExperimentTrace",
     "MetricsReport",
     "generate_synthetic_stream",
@@ -118,12 +119,76 @@ class DisseminationEvent(NamedTuple):
     g: float | None
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class EventColumns(Sequence):
+    """Read-only sequence of dissemination events, held as one numpy array per field.
+
+    The integer fields are int64 columns, `magnitude` and `g` float64 ones (g
+    NaN where the policy gives no score). The cause is the bool `triggered`
+    column: a triggered send has the policy's `trigger_cause`, any other one
+    hit the deadline. Indexing and iteration build DisseminationEvents on
+    demand; equality compares the columns, and pickling ships them as arrays.
+    """
+
+    experiment: np.ndarray
+    node: np.ndarray
+    step: np.ndarray
+    t_star: np.ndarray
+    triggered: np.ndarray
+    magnitude: np.ndarray
+    g: np.ndarray
+    trigger_cause: str
+
+    def _columns(self) -> tuple:
+        return (self.experiment, self.node, self.step, self.t_star, self.triggered,
+                self.magnitude, self.g)
+
+    @property
+    def causes(self) -> tuple[str, str]:
+        """The cause of a send, indexed by its `triggered` flag."""
+        return (CAUSE_DEADLINE, self.trigger_cause)
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+    def __getitem__(self, index) -> DisseminationEvent:
+        index = operator.index(index)
+        if not -len(self) <= index < len(self):
+            raise IndexError(f"event index {index} out of range for {len(self)} events")
+        experiment, node, step, t_star, fired, magnitude, g = (
+            column[index].item() for column in self._columns())
+        return DisseminationEvent(experiment, node, step, t_star, self.causes[fired], magnitude,
+                                  None if g != g else g)  # NaN: the policy gives no score
+
+    def __iter__(self):
+        causes = self.causes
+        new_event = tuple.__new__  # the NamedTuple's own __new__ without its argument handling
+        for experiment, node, step, t_star, fired, magnitude, g in zip(
+                *(c.tolist() for c in self._columns())):
+            yield new_event(DisseminationEvent, (
+                experiment, node, step, t_star, causes[fired], magnitude, None if g != g else g,
+            ))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventColumns):
+            return NotImplemented
+        return self.trigger_cause == other.trigger_cause and all(
+            np.array_equal(a, b, equal_nan=True) for a, b in zip(self._columns(), other._columns())
+        )
+
+    def __hash__(self) -> int:
+        return hash((len(self), self.trigger_cause))
+
+    def __repr__(self) -> str:
+        return f"EventColumns({len(self)} events)"
+
+
 @dataclass(frozen=True, slots=True)
 class ExperimentTrace:
     """Events of one experiment, in step order."""
 
     experiment: int
-    events: tuple[DisseminationEvent, ...]
+    events: EventColumns
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +204,7 @@ class MetricsReport:
     delta: float
     psi: float
     message_count: int
-    per_experiment: tuple[DisseminationEvent, ...] = field(repr=False)
+    per_experiment: EventColumns = field(repr=False)
 
 
 def _synthetic_block(seeds, length: int, dims: int = 4, profile: str = "drift",
@@ -202,13 +267,14 @@ def _vector_rows(vectors) -> np.ndarray:
 
 
 def _simulate(config: ExperimentConfig, block: np.ndarray, engine: InferenceEngine | None = None,
-              first_experiment: int = 0) -> list[list[DisseminationEvent]]:
+              first_experiment: int = 0) -> EventColumns:
     """Run the experiments of `block`, one stream slice per row, as array lanes.
 
     Each (experiment, node) pair is a lane; all lanes go through the T rounds
     together. Node j reads position s * N + j - 1 of its experiment's slice at
     round s, after one bootstrap vector apiece at round 0, so the lanes share
-    the synopsis count. Returns each experiment's events in (step, node) order.
+    the synopsis count. Returns the events in (experiment, step, node) order,
+    experiments numbered from `first_experiment`.
     """
     if not np.isfinite(block).all():
         raise IngestionError("non-finite entry in the experiment streams")
@@ -227,29 +293,30 @@ def _simulate(config: ExperimentConfig, block: np.ndarray, engine: InferenceEngi
     # The running mean of the bootstrap vector alone, taken as sent.
     empty = np.zeros((dims, lanes))
     last_sent = mean = empty + (rounds[0] - empty) / 1
-    events: list[list[DisseminationEvent]] = [[] for _ in range(E)]
-    new_event = tuple.__new__
+    # Per round with a send: the sending lanes, the step, and their t*,
+    # trigger flag, quantum and score.
+    chunks: list[tuple[np.ndarray, ...]] = []
     for s in range(1, T + 1):
         mean = mean + (rounds[s] - mean) / (s + 1)
         # The L1 sum, dimension after dimension.
         quantum = np.add.accumulate(np.abs(mean - last_sent), axis=0)[-1]
         t_star, sends, triggered, score = policy.step_lanes(epochs, quantum)
         hit = np.flatnonzero(sends)
-        if not hit.size:
-            continue
-        last_sent = np.where(sends, mean, last_sent)
-        for lane, t, fired, magnitude, g in zip(
-            hit.tolist(), t_star[hit].tolist(), triggered[hit].tolist(),
-            quantum[hit].tolist(), score[hit].tolist(),
-        ):
-            experiment, node = divmod(lane, n)
-            # The NamedTuple's own __new__ without its argument handling.
-            events[experiment].append(new_event(DisseminationEvent, (
-                first_experiment + experiment, node + 1, s, t,
-                policy.trigger_cause if fired else CAUSE_DEADLINE, magnitude,
-                None if g != g else g,  # NaN: the policy gives no score
-            )))
-    return events
+        if hit.size:
+            last_sent = np.where(sends, mean, last_sent)
+            chunks.append((hit, np.full(hit.size, s), t_star[hit], triggered[hit], quantum[hit],
+                           score[hit]))
+    if not chunks:  # no lane sent at all; run_cell reports the broken invariant
+        chunks.append((np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.int64),
+                       np.empty(0, bool), np.empty(0), np.empty(0)))
+    lane, step, t_star, triggered, magnitude, score = (
+        np.concatenate(column) for column in zip(*chunks))
+    # Rounds come out in (step, lane) order; a stable sort on the experiment
+    # makes it (experiment, step, node).
+    order = np.argsort(lane // n, kind="stable")
+    experiment, node = np.divmod(lane[order], n)
+    return EventColumns(experiment + first_experiment, node + 1, step[order], t_star[order],
+                        triggered[order], magnitude[order], score[order], policy.trigger_cause)
 
 
 def run_experiment(
@@ -269,8 +336,8 @@ def run_experiment(
             f"stream supplies {len(stream)} vectors but experiment {experiment} needs {need} "
             f"(shortfall {need - len(stream)}): {config.N} node(s) x (T={config.T} + {_SLACK})"
         )
-    (events,) = _simulate(config, _vector_rows(stream[:need])[None], first_experiment=experiment)
-    return ExperimentTrace(experiment=experiment, events=tuple(events))
+    events = _simulate(config, _vector_rows(stream[:need])[None], first_experiment=experiment)
+    return ExperimentTrace(experiment=experiment, events=events)
 
 
 def _cell_streams(config: ExperimentConfig, dataset) -> np.ndarray:
@@ -310,30 +377,29 @@ def run_cell(config: ExperimentConfig, dataset=None,
     warning once the replay data is exhausted); aggregation is ordered by
     experiment index, so results never depend on execution interleaving.
     """
-    per_experiment = _simulate(config, _cell_streams(config, dataset), engine)
-    first_stops: list[int] = []
-    stop_counts: list[int] = []
-    for i, events in enumerate(per_experiment):
-        firsts = {e.node: e.t_star for e in reversed(events)}
-        if len(firsts) != config.N:
-            raise InvariantViolation(
-                f"experiment {i}: {len(firsts)} of {config.N} nodes disseminated; "
-                "the deadline rule guarantees at least one stop per node per window"
-            )
-        counts = Counter(e.node for e in events)
-        for node_id in sorted(firsts):
-            first_stops.append(firsts[node_id])
-            stop_counts.append(counts[node_id])
-    events = tuple(chain.from_iterable(per_experiment))
+    events = _simulate(config, _cell_streams(config, dataset), engine)
+    N, T = config.N, config.T
+    lane = events.experiment * N + events.node - 1
+    counts = np.bincount(lane, minlength=config.E * N)
+    silent = np.flatnonzero(counts == 0)
+    if silent.size:
+        i = int(silent[0]) // N
+        raise InvariantViolation(
+            f"experiment {i}: {np.count_nonzero(counts[i * N:(i + 1) * N])} of {N} nodes "
+            "disseminated; the deadline rule guarantees at least one stop per node per window"
+        )
+    # Events of a lane are in step order, so its first occurrence is its first stop.
+    _, first = np.unique(lane, return_index=True)
+    # statistics.fmean is math.fsum(data) / len(data): the same metrics, bit for bit.
     return MetricsReport(
         policy=config.policy,
-        T=config.T,
+        T=T,
         theta=config.theta,
         E=config.E,
-        N=config.N,
-        phi=statistics.fmean(t / config.T for t in first_stops),
-        delta=statistics.fmean(e.magnitude for e in events),
-        psi=statistics.fmean(config.T / c for c in stop_counts),
+        N=N,
+        phi=math.fsum((events.t_star[first] / T).tolist()) / len(first),
+        delta=math.fsum(events.magnitude.tolist()) / len(events),
+        psi=math.fsum((T / counts).tolist()) / len(counts),
         message_count=len(events),
         per_experiment=events,
     )

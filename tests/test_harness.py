@@ -324,6 +324,13 @@ class TestCli:
         assert error.startswith("configuration error: ") and "\n" not in error
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_gen_seed_exit_code(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--out", "stream.txt", "--length", "5", "--seed", "-3"]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error == "configuration error: seed must be a non-negative integer, got -3"
+        assert list(tmp_path.iterdir()) == []
+
     def test_help_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "--help"])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 import statistics
 from itertools import zip_longest
 
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.errors import ConfigurationError, IngestionError, StreamTruncationError
+from qsim import simulator
+from qsim.errors import ConfigurationError, IngestionError, InvariantViolation, StreamTruncationError
 from qsim.harness import load_config, run_grid, write_reports
-from qsim.policies import EpochState, build_policy
+from qsim.policies import BmPolicy, EpochState, build_policy
 from qsim.simulator import (
     STREAM_PROFILES,
     DisseminationEvent,
+    EventColumns,
     ExperimentConfig,
     generate_synthetic_stream,
     run_cell,
@@ -208,6 +211,74 @@ class TestRunCell:
         config = ExperimentConfig(policy="BM", T=50, theta=0.6, E=2, source="replay")
         with pytest.raises(StreamTruncationError):
             run_cell(config, dataset=generate_synthetic_stream(2, 10))
+
+
+class _MutedBm(BmPolicy):
+    """BM, except that the `muted` lanes never disseminate."""
+
+    def __init__(self, muted):
+        self.muted = muted
+
+    def step_lanes(self, state, quantum):
+        t_star, sends, triggered, score = super().step_lanes(state, quantum)
+        sends[self.muted] = triggered[self.muted] = False
+        return t_star, sends, triggered, score
+
+
+class TestDisseminationInvariant:
+    @pytest.mark.parametrize("muted, message", [
+        (slice(None), "experiment 0: 0 of 2 nodes disseminated"),
+        (5, "experiment 2: 1 of 2 nodes disseminated"),  # lane 5: experiment 2, node 2
+    ], ids=["every-lane", "one-lane"])
+    def test_a_silent_node_is_an_invariant_violation(self, monkeypatch, muted, message):
+        monkeypatch.setattr(simulator, "build_policy", lambda *args, **kwargs: _MutedBm(muted))
+        with pytest.raises(InvariantViolation, match=message):
+            run_cell(ExperimentConfig(policy="BM", T=6, E=4, N=2, seed=3))
+
+
+class TestEventColumns:
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_cell(ExperimentConfig(policy="UDDM", T=10, theta=0.6, E=4, N=2, seed=7))
+
+    def test_length_iteration_and_indexing(self, report):
+        events = report.per_experiment
+        listed = list(events)
+        assert len(events) == len(listed) == report.message_count > 2
+        assert all(type(e) is DisseminationEvent for e in listed)
+        assert [events[i] for i in range(len(events))] == listed
+        assert [events[i] for i in range(-len(events), 0)] == listed
+        assert events[np.int64(1)] == listed[1]
+        for index in (len(events), -len(events) - 1):
+            with pytest.raises(IndexError):
+                events[index]
+
+    def test_events_hold_plain_python_values(self, report):
+        for event in report.per_experiment:
+            assert [type(v) for v in event[:4]] == [int] * 4
+            assert type(event.magnitude) is float
+            assert event.g is None or type(event.g) is float
+        assert {e.cause for e in report.per_experiment} <= {"threshold", "deadline"}
+        assert any(e.g is None for e in report.per_experiment)  # no score before round 3
+
+    def test_pickle_round_trip(self, report):
+        restored = pickle.loads(pickle.dumps(report))
+        assert restored == report
+        assert list(restored.per_experiment) == list(report.per_experiment)
+
+    def test_equality_compares_every_column(self, report):
+        events = report.per_experiment
+        assert events == pickle.loads(pickle.dumps(events))
+        names = ("experiment", "node", "step", "t_star", "triggered", "magnitude", "g")
+        for name in names:
+            columns = {key: getattr(events, key).copy() for key in names}
+            last = columns[name][-1].item()
+            # Any other value: the flag flipped, NaN (no score) replaced, a number moved.
+            columns[name][-1] = (not last) if type(last) is bool else 0.5 if last != last else last + 1
+            assert EventColumns(**columns, trigger_cause=events.trigger_cause) != events
+        renamed = EventColumns(events.experiment, events.node, events.step, events.t_star,
+                               events.triggered, events.magnitude, events.g, "other")
+        assert renamed != events
 
 
 def scalar_experiment(config, stream, experiment, policy):
