@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import product
@@ -93,15 +94,18 @@ def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult
     """Parse a sensor log into a (rows, 4) array of readings.
 
     Rows with missing, extra, unparsable, or non-finite fields are dropped and
-    counted; surviving records are sorted by (epoch, mote_id). With `mote` set,
-    only that mote's rows are kept (per-mote mode); otherwise all motes merge
-    into one stream.
+    counted; a byte that is not UTF-8 reads as U+FFFD, so a row with one in a
+    parsed field is dropped too. Surviving records are sorted by (epoch,
+    mote_id). With `mote` set, only that mote's rows are kept (per-mote mode);
+    otherwise all motes merge into one stream.
     """
     path = Path(path)
-    rows: list[tuple[int, int, tuple[float, ...]]] = []
+    epochs: list[int] = []
+    motes: list[int] = []
+    readings = array("d")
     total = 0
     dropped = 0
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("r", encoding="utf-8", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
             parts = line.split()
             if not parts:
@@ -112,15 +116,20 @@ def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult
                 dropped += 1
                 log.debug("%s:%d: malformed sensor row skipped", path, lineno)
                 continue
-            if mote is not None and row[1] != mote:
+            epoch, mote_id, values = row
+            if mote is not None and mote_id != mote:
                 continue
-            rows.append(row)
-    # A stable sort on (epoch, mote) alone: rows sharing both keep file order.
-    rows.sort(key=lambda r: (r[0], r[1]))
-    readings = np.array([values for _, _, values in rows], dtype=float).reshape(-1, 4)
+            epochs.append(epoch)
+            motes.append(mote_id)
+            readings.extend(values)
+    # Stable sorts by mote, then by epoch, give (epoch, mote) order; rows
+    # sharing both keep file order. Python ints: epochs need not fit int64.
+    order = sorted(range(len(motes)), key=motes.__getitem__)
+    order.sort(key=epochs.__getitem__)
+    rows = np.frombuffer(readings, dtype=float).reshape(-1, 4)[order]
     if dropped:
         log.info("%s: dropped %d of %d rows during ingestion", path, dropped, total)
-    return IngestResult(rows=readings, total_rows=total, dropped=dropped, mote=mote)
+    return IngestResult(rows=rows, total_rows=total, dropped=dropped, mote=mote)
 
 
 # --------------------------------------------------------------------------- #
@@ -186,15 +195,19 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat `key = value` lines; '#' starts a comment, blank lines are ignored."""
     values: dict[str, str] = {}
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            values[_canonical_key(key)] = value.strip()
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        values[_canonical_key(key)] = value.strip()
     return values
 
 
@@ -286,7 +299,11 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
         }
     engine = None
     if config.fuzzy:
-        engine = engine_from_config(json.loads(Path(config.fuzzy).read_text(encoding="utf-8")))
+        try:
+            spec = json.loads(Path(config.fuzzy).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise IngestionError(f"{config.fuzzy}: not a JSON text: {exc}") from exc
+        engine = engine_from_config(spec)
     if config.workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=min(config.workers, len(cells))) as executor:
             futures = [executor.submit(_run_cell_task, cell, dataset, engine) for cell in cells]
@@ -435,7 +452,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigurationError as exc:
         log.error("configuration error: %s", exc)
         return 1
-    except (IngestionError, OSError, json.JSONDecodeError) as exc:
+    except (IngestionError, OSError) as exc:
         log.error("I/O error: %s", exc)
         return 2
     except InvariantViolation as exc:

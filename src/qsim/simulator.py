@@ -291,32 +291,24 @@ def _simulate(config: ExperimentConfig, block: np.ndarray, engine: InferenceEngi
     epochs = EpochState(T, config.theta, np.tile(np.where(offsets > 0, offsets, T), E),
                         config.window)
     # The running mean of the bootstrap vector alone, taken as sent.
-    empty = np.zeros((dims, lanes))
-    last_sent = mean = empty + (rounds[0] - empty) / 1
-    # Per round with a send: the sending lanes, the step, and their t*,
-    # trigger flag, quantum and score.
-    chunks: list[tuple[np.ndarray, ...]] = []
+    last_sent = mean = rounds[0]
+    # The decision record: row s - 1 holds every lane's round s. A row is
+    # written once, so the quanta the epoch state keeps stay valid.
+    sends, triggered = np.empty((2, T, lanes), bool)
+    t_star = np.empty((T, lanes), np.int64)
+    quantum, score = np.empty((2, T, lanes))
     for s in range(1, T + 1):
         mean = mean + (rounds[s] - mean) / (s + 1)
         # The L1 sum, dimension after dimension.
-        quantum = np.add.accumulate(np.abs(mean - last_sent), axis=0)[-1]
-        t_star, sends, triggered, score = policy.step_lanes(epochs, quantum)
-        hit = np.flatnonzero(sends)
-        if hit.size:
-            last_sent = np.where(sends, mean, last_sent)
-            chunks.append((hit, np.full(hit.size, s), t_star[hit], triggered[hit], quantum[hit],
-                           score[hit]))
-    if not chunks:  # no lane sent at all; run_cell reports the broken invariant
-        chunks.append((np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.int64),
-                       np.empty(0, bool), np.empty(0), np.empty(0)))
-    lane, step, t_star, triggered, magnitude, score = (
-        np.concatenate(column) for column in zip(*chunks))
-    # Rounds come out in (step, lane) order; a stable sort on the experiment
-    # makes it (experiment, step, node).
-    order = np.argsort(lane // n, kind="stable")
-    experiment, node = np.divmod(lane[order], n)
-    return EventColumns(experiment + first_experiment, node + 1, step[order], t_star[order],
-                        triggered[order], magnitude[order], score[order], policy.trigger_cause)
+        quantum[s - 1] = np.add.accumulate(np.abs(mean - last_sent), axis=0)[-1]
+        t_star[s - 1], sends[s - 1], triggered[s - 1], score[s - 1] = policy.step_lanes(
+            epochs, quantum[s - 1])
+        last_sent = np.where(sends[s - 1], mean, last_sent)
+    # Row-major over (experiment, step, node): the report order.
+    experiment, step, node = np.nonzero(sends.reshape(T, E, n).transpose(1, 0, 2))
+    sent = (step, experiment * n + node)
+    return EventColumns(experiment + first_experiment, node + 1, step + 1, t_star[sent],
+                        triggered[sent], quantum[sent], score[sent], policy.trigger_cause)
 
 
 def run_experiment(

@@ -39,7 +39,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Rank order of the linguistic terms; rule consequents are monotone in it.
+# The labels of an engine's three terms, in rank order; rule consequents are
+# monotone in it.
 TERM_LABELS = ("low", "medium", "high")
 
 
@@ -131,44 +132,35 @@ class RuleBase:
 
     `table` maps each (a1, a2, a3) antecedent triple to its consequent label:
     IF the three inputs are (a1, a2, a3) THEN the potential is the consequent.
-    Every combination of the three term labels must appear, and raising any
+    Every combination of the TERM_LABELS must appear, and raising any
     antecedent label may never lower the consequent label.
     """
 
-    def __init__(self, table: Mapping[tuple[str, str, str], str],
-                 labels: Sequence[str] = TERM_LABELS) -> None:
-        labels = tuple(labels)
-        if len(labels) != 3 or len(set(labels)) != 3:
-            raise ConfigurationError(f"rule base needs three distinct term labels, got {labels}")
-        rank = {label: i for i, label in enumerate(labels)}
+    def __init__(self, table: Mapping[tuple[str, str, str], str]) -> None:
+        rank = TERM_LABELS.index
         table = dict(table)
         for antecedents, consequent in table.items():
             rule = f"{antecedents!r} -> {consequent!r}"
             if len(antecedents) != 3:
                 raise ConfigurationError(f"rule {rule} must have exactly 3 antecedents")
             for label in (*antecedents, consequent):
-                if label not in rank:
+                if label not in TERM_LABELS:
                     raise ConfigurationError(f"unknown term label {label!r} in rule {rule}")
-        missing = [c for c in product(labels, repeat=3) if c not in table]
+        missing = [c for c in product(TERM_LABELS, repeat=3) if c not in table]
         if missing:
             raise ConfigurationError(f"rule base incomplete: {len(missing)} combinations missing")
         for combo, consequent in table.items():
             for pos in range(3):
-                r = rank[combo[pos]]
+                r = rank(combo[pos])
                 if r == 2:
                     continue
                 raised = list(combo)
-                raised[pos] = labels[r + 1]
-                if rank[table[tuple(raised)]] < rank[consequent]:
+                raised[pos] = TERM_LABELS[r + 1]
+                if rank(table[tuple(raised)]) < rank(consequent):
                     raise ConfigurationError(
                         f"rule base not monotone: raising input {pos} of {combo} lowers the consequent"
                     )
-        self._labels = labels
         self._table = table
-
-    @property
-    def labels(self) -> tuple[str, str, str]:
-        return self._labels
 
     @property
     def table(self) -> Mapping[tuple[str, str, str], str]:
@@ -181,19 +173,18 @@ class RuleBase:
         return len(self._table)
 
 
-def default_rule_base(labels: Sequence[str] = TERM_LABELS) -> RuleBase:
+def default_rule_base() -> RuleBase:
     """Rank-average rules: the consequent rank is the half-up rounded mean rank.
 
     With ranks 0/1/2 the consequent is low for rank sums 0-1, medium for 2-4,
     high for 5-6; this is monotone by construction.
     """
-    labels = tuple(labels)
     table = {
         # floor(s/3 + 1/2) in integer arithmetic, s the rank sum
-        tuple(labels[i] for i in combo): labels[(2 * sum(combo) + 3) // 6]
+        tuple(TERM_LABELS[i] for i in combo): TERM_LABELS[(2 * sum(combo) + 3) // 6]
         for combo in product(range(3), repeat=3)
     }
-    return RuleBase(table, labels)
+    return RuleBase(table)
 
 
 class InferenceEngine:
@@ -206,25 +197,19 @@ class InferenceEngine:
         grid_points: int = 101,
     ) -> None:
         terms = tuple(terms) if terms is not None else default_terms()
-        if len(terms) != 3:
-            raise ConfigurationError(f"engine needs exactly 3 terms, got {len(terms)}")
         labels = tuple(t.label for t in terms)
-        if len(set(labels)) != 3:
-            raise ConfigurationError(f"term labels must be distinct, got {labels}")
+        if labels != TERM_LABELS:
+            raise ConfigurationError(f"engine terms must be {TERM_LABELS} in that order, got {labels}")
         if grid_points < 2:
             raise ConfigurationError(f"centroid grid needs at least 2 points, got {grid_points}")
-        rules = rules if rules is not None else default_rule_base(labels)
-        if rules.labels != labels:
-            raise ConfigurationError(
-                f"rule-base labels {rules.labels} do not match term labels {labels}"
-            )
+        rules = rules if rules is not None else default_rule_base()
         self.terms = terms
         self.rules = rules
         self.grid_points = grid_points
         self._centroids = tuple(self._term_centroid(t) for t in terms)
-        index = {label: i for i, label in enumerate(labels)}
         rule_centroids = [
-            self._centroids[index[rules.consequent(combo)]] for combo in product(labels, repeat=3)
+            self._centroids[TERM_LABELS.index(rules.consequent(combo))]
+            for combo in product(TERM_LABELS, repeat=3)
         ]
         # One row per lower shape, then one per upper shape, as columns
         # broadcasting over (input, triple).
@@ -347,11 +332,10 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
     if unknown:
         raise ConfigurationError(f"unknown term labels in engine overrides: {sorted(unknown)}")
     terms = []
-    defaults = {t.label: t for t in default_terms()}
-    for label in TERM_LABELS:
+    for label, default in zip(TERM_LABELS, default_terms()):
         entry = term_spec.get(label)
         if entry is None:
-            terms.append(defaults[label])
+            terms.append(default)
             continue
         if not isinstance(entry, Mapping) or "upper" not in entry:
             raise ConfigurationError(f"term {label!r}: invalid or missing upper shape")

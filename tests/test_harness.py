@@ -167,6 +167,39 @@ class TestIngestion:
         with pytest.raises(OSError):
             ingest_sensor_log(tmp_path / "missing.txt")
 
+    def test_keys_beyond_int64_and_negative_keep_epoch_mote_order(self, tmp_path):
+        big = 2 ** 63
+        keys = [(big, -big - 1), (-big - 1, big), (5, -3), (-7, 2), (big, -1), (5, -big - 1),
+                (-big - 1, -big - 1), (0, 0)]
+        rows = [f"2004-02-28 01:00:00 {epoch} {mote} {i}.0 0.0 0.0 0.0\n"
+                for i, (epoch, mote) in enumerate(keys)]
+        result = ingest_sensor_log(write_log(tmp_path / "log.txt", rows))
+        expected = sorted(range(len(keys)), key=keys.__getitem__)
+        assert result.rows[:, 0].tolist() == [float(i) for i in expected]
+        assert result.dropped == 0
+
+    def test_malformed_row_of_another_mote_counts_as_dropped(self, tmp_path):
+        rows = [
+            "2004-02-28 01:00:00 1 1 1.0 1.0 1.0 1.0\n",
+            "2004-02-28 01:00:01 2 2 2.0 oops 2.0 2.0\n",  # mote 2, malformed
+            "2004-02-28 01:00:02 3 2 3.0 3.0 3.0 3.0\n",  # mote 2, valid: skipped, not dropped
+        ]
+        result = ingest_sensor_log(write_log(tmp_path / "log.txt", rows), mote=1)
+        assert result.rows.tolist() == [[1.0] * 4]
+        assert (result.total_rows, result.dropped) == (3, 1)
+
+    def test_non_utf8_byte_in_a_parsed_field_drops_the_row(self, tmp_path):
+        log = tmp_path / "log.txt"
+        log.write_bytes(
+            b"2004-02-28 01:00:00 1 1 1.0 1.0 1.0 1.0\n"
+            b"2004-02-28 01:00:01 2 1 2.0 2\xff.0 2.0 2.0\n"  # a reading: dropped
+            b"2004-02-28 01:00:02 3 \xe21 3.0 3.0 3.0 3.0\n"  # the mote: dropped
+            b"2004-02-\xff28 01:00:03 4 1 4.0 4.0 4.0 4.0\n"  # the date is not parsed: kept
+        )
+        result = ingest_sensor_log(log)
+        assert result.rows[:, 0].tolist() == [1.0, 4.0]
+        assert (result.total_rows, result.dropped) == (4, 2)
+
 
 def small_config(**overrides):
     base = {"policy": "UDDM,BM", "t": "5", "theta": "0.6,0.75", "e": "6", "seed": "3"}
@@ -413,6 +446,32 @@ class TestCli:
             "run", "--fuzzy", str(fuzzy), "--E", "1", "--T", "2",
             "--out-dir", str(tmp_path / "out"),
         ]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, content, code",
+        [
+            ("--config", b"policy = BM\nT = \xff5\n", 1),
+            ("--fuzzy", b'{"grid_points": 5\xff}', 2),
+            ("--fuzzy", b'{"grid_points": 5', 2),
+            ("--fuzzy", b"[" * 100_000, 2),
+        ],
+        ids=["config-not-utf8", "fuzzy-not-utf8", "fuzzy-invalid-json", "fuzzy-nested-too-deep"],
+    )
+    def test_unreadable_input_file_exit_code(self, tmp_path, capsys, caplog, flag, content, code):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        assert main(["run", flag, str(path), "--E", "1", "--T", "2",
+                     "--out-dir", str(tmp_path / "out")]) == code
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert str(path) in error.getMessage() and "\n" not in error.getMessage()
+        assert error.exc_info is None and "Traceback" not in "".join(capsys.readouterr())
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_sensor_log_validates(self, tmp_path, capsys):
+        log = tmp_path / "log.txt"
+        log.write_bytes(VALID_ROW.encode() + b"2004-02-28 00:58:46 3 1 19.3 3\xff8.4 45.0 2.7\n")
+        assert main(["validate", "--source", str(log)]) == 0
+        assert "rows=2 kept=1 dropped=1" in capsys.readouterr().out
 
     def test_env_override_reaches_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QSIM_E", "2")

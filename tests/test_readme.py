@@ -2,10 +2,12 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from qsim.harness import _KEYS, _build_parser, load_config
 from qsim.t2fls import engine_from_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -35,3 +37,24 @@ def test_fuzzy_json_example_builds_an_engine():
     (spec,) = fenced_blocks("json")
     engine = engine_from_config(json.loads(spec))
     assert 0.0 <= engine.evaluate(0.5, 0.1, 0.1) <= 1.0
+
+
+def qsim_lines():
+    """The `qsim ...` lines of the README's unlabelled blocks, `\\` continuations joined."""
+    lines = (line.strip() for body in fenced_blocks("") for line in body.replace("\\\n", " ").splitlines())
+    return [line for line in lines if line.startswith("qsim ")]
+
+
+QSIM_LINES = qsim_lines()
+
+
+def test_readme_has_qsim_lines():
+    assert {line.split()[1] for line in QSIM_LINES} == {"run", "gen", "validate"}
+
+
+@pytest.mark.parametrize("line", QSIM_LINES, ids=[line.split()[1] for line in QSIM_LINES])
+def test_qsim_line_parses(line):
+    """Each command line parses, and a `run` line's flags make a valid configuration; nothing runs."""
+    args = _build_parser().parse_args(shlex.split(line)[1:])
+    if args.command == "run":
+        load_config(cli_overrides={key: getattr(args, key) for key in _KEYS}, environ={})

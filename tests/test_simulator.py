@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pickle
+import random
 import statistics
 from itertools import zip_longest
 
@@ -356,6 +357,24 @@ class TestKernelMatchesScalarPath:
             for T, theta in ((5, 0.3), (10, 0.6), (40, 0.45)):
                 self.check(ExperimentConfig(policy="UDDM", T=T, theta=theta, E=3, N=N, seed=23,
                                             profile=profile), engine)
+
+    @pytest.mark.parametrize("policy", ["UDDM", "BM", "PM"])
+    def test_signed_zero_streams_equal(self, policy):
+        # The kernel starts from the bootstrap vector as it is, -0.0 included;
+        # the scalar synopsis computes 0.0 + (x - 0.0) / 1, which turns -0.0 into 0.0.
+        rng = random.Random(2)
+        values = (0.0, -0.0, 1.0, -1.0, 2.5)
+        for N in (1, 3):
+            for T in (1, 3, 7):
+                config = ExperimentConfig(policy=policy, T=T, theta=0.6, E=1, N=N)
+                scalar_policy = build_policy(policy)
+                for experiment in range(20):
+                    stream = [DataVector(tuple(rng.choice(values) for _ in range(2)))
+                              for _ in range(config.vectors_per_experiment)]
+                    events = list(run_experiment(config, stream, experiment).events)
+                    expected = scalar_experiment(config, stream, experiment, scalar_policy)
+                    assert events == expected
+                    assert list(map(repr, events)) == list(map(repr, expected))
 
     def test_replay_array_equals_data_vectors(self):
         config = ExperimentConfig(policy="PM", T=10, theta=0.6, E=5, N=2, source="replay")

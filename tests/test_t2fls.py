@@ -365,6 +365,15 @@ class TestEvaluate:
         with pytest.raises(ConfigurationError):
             InferenceEngine(grid_points=1)
 
+    @pytest.mark.parametrize("terms", [
+        tuple(make_term(label, *t.upper) for label, t in zip(("small", "mid", "large"), default_terms())),
+        tuple(make_term(label, *t.upper) for label, t in zip(("low", "high", "medium"), default_terms())),
+        default_terms()[::-1],
+    ], ids=["relabelled", "labels-swapped", "reversed"])
+    def test_terms_must_be_low_medium_high_in_order(self, terms):
+        with pytest.raises(ConfigurationError, match=r"\('low', 'medium', 'high'\) in that order"):
+            InferenceEngine(terms=terms)
+
 
 def corner_triples(engine, count, seed):
     """Seeded input triples, about a third of the inputs on 0, 1 or a trapezoid corner."""
