@@ -20,9 +20,10 @@ import math
 import os
 import sys
 import time
+import zlib
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -60,6 +61,11 @@ SUMMARY_COLUMNS = ("policy", "T", "theta", "phi", "delta", "psi", "messages")
 DETAIL_COLUMNS = ("experiment", "t_star", "cause", "magnitude", "g_score")
 
 
+# Why a sensor row is dropped: not eight fields, a field that does not parse, or
+# a reading that is NaN or infinite. Reports list the counts in this order.
+DROP_REASONS = ("field_count", "unparsable", "non_finite")
+
+
 @dataclass(frozen=True, slots=True)
 class IngestResult:
     """Readings that survived ingestion, one (rows, 4) float array, plus the
@@ -67,26 +73,32 @@ class IngestResult:
 
     rows: np.ndarray
     total_rows: int
-    dropped: int
+    dropped_by_reason: dict[str, int]  # every one of DROP_REASONS, in that order
     mote: int | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
 
+    @property
+    def dropped(self) -> int:
+        """Rows dropped for any reason."""
+        return sum(self.dropped_by_reason.values())
 
-def _parse_sensor_row(parts: list[str]) -> tuple[int, int, tuple[float, ...]] | None:
+
+def _parse_sensor_row(parts: list[str]) -> tuple[int, int, tuple[float, ...]] | str:
     """Split `date time epoch mote temperature humidity light voltage` into
-    (epoch, mote, the four readings); None for a malformed row."""
+    (epoch, mote, the four readings); for a malformed row, the DROP_REASONS
+    entry that drops it."""
     if len(parts) != 8:
-        return None
+        return "field_count"
     try:
         epoch = int(parts[2])
         mote_id = int(parts[3])
         values = tuple(map(float, parts[4:]))
     except ValueError:
-        return None
+        return "unparsable"
     if not all(map(math.isfinite, values)):
-        return None
+        return "non_finite"
     return epoch, mote_id, values
 
 
@@ -94,17 +106,17 @@ def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult
     """Parse a sensor log into a (rows, 4) array of readings.
 
     Rows with missing, extra, unparsable, or non-finite fields are dropped and
-    counted; a byte that is not UTF-8 reads as U+FFFD, so a row with one in a
-    parsed field is dropped too. Surviving records are sorted by (epoch,
-    mote_id). With `mote` set, only that mote's rows are kept (per-mote mode);
-    otherwise all motes merge into one stream.
+    counted by reason (DROP_REASONS); a byte that is not UTF-8 reads as
+    U+FFFD, so a row with one in a parsed field is dropped too. Surviving
+    records are sorted by (epoch, mote_id). With `mote` set, only that mote's
+    rows are kept (per-mote mode); otherwise all motes merge into one stream.
     """
     path = Path(path)
     epochs: list[int] = []
     motes: list[int] = []
     readings = array("d")
     total = 0
-    dropped = 0
+    dropped = dict.fromkeys(DROP_REASONS, 0)
     with path.open("r", encoding="utf-8", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
             parts = line.split()
@@ -112,9 +124,9 @@ def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult
                 continue
             total += 1
             row = _parse_sensor_row(parts)
-            if row is None:
-                dropped += 1
-                log.debug("%s:%d: malformed sensor row skipped", path, lineno)
+            if isinstance(row, str):
+                dropped[row] += 1
+                log.debug("%s:%d: malformed sensor row skipped (%s)", path, lineno, row)
                 continue
             epoch, mote_id, values = row
             if mote is not None and mote_id != mote:
@@ -127,9 +139,15 @@ def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult
     order = sorted(range(len(motes)), key=motes.__getitem__)
     order.sort(key=epochs.__getitem__)
     rows = np.frombuffer(readings, dtype=float).reshape(-1, 4)[order]
-    if dropped:
-        log.info("%s: dropped %d of %d rows during ingestion", path, dropped, total)
-    return IngestResult(rows=rows, total_rows=total, dropped=dropped, mote=mote)
+    result = IngestResult(rows=rows, total_rows=total, dropped_by_reason=dropped, mote=mote)
+    if result.dropped:
+        log.info("%s: dropped %d of %d rows during ingestion (%s)",
+                 path, result.dropped, total, _drop_counts(result))
+    return result
+
+
+def _drop_counts(result: IngestResult) -> str:
+    return ", ".join(f"{reason}={n}" for reason, n in result.dropped_by_reason.items())
 
 
 # --------------------------------------------------------------------------- #
@@ -271,10 +289,14 @@ def _dataset_checksum(config: HarnessConfig) -> str:
 
 
 def _run_cell_task(cell: ExperimentConfig, dataset, engine) -> MetricsReport:
+    """Pool worker entry point: run one cell and format its detail rows here,
+    so the workers share the formatting and it overlaps other cells' runs."""
     # Resolves `run_cell` in the worker, at call time: a pool pickles the
     # submitted function by name, so a wrapper set on this module's `run_cell`
     # (a profiling or tracing hook) could not be submitted itself.
-    return run_cell(cell, dataset, engine)
+    report = run_cell(cell, dataset, engine)
+    detail = tuple(zlib.compress(block, 1) for block in _detail_blocks(report.per_experiment))
+    return replace(report, detail=detail)
 
 
 def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
@@ -294,6 +316,7 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
             "rows": result.total_rows,
             "kept": len(result),
             "dropped": result.dropped,
+            "dropped_by_reason": result.dropped_by_reason,
             "mode": "per-mote" if config.mote is not None else "merged",
             "mote": config.mote,
         }
@@ -326,28 +349,31 @@ def _detail_filename(report: MetricsReport) -> str:
     return f"detail_{report.policy}_{report.T}_{report.theta}.csv"
 
 
-# Events converted from the columns to Python values this many at a time, so a
-# large cell's rows never exist as Python objects all at once.
-_DETAIL_BLOCK = 1 << 16
+# Detail rows are formatted this many at a time. A pool worker compresses each
+# block on its own, so no process holds more than one block of a cell's text.
+_DETAIL_BLOCK = 4096
 
 
-def _detail_lines(events: EventColumns):
-    """The detail rows of a cell, one CSV line at a time."""
+def _detail_blocks(events: EventColumns):
+    """The detail rows of a cell as UTF-8 CSV text, one block of rows at a time."""
     causes = events.causes
     columns = (events.experiment, events.t_star, events.triggered, events.magnitude, events.g)
     for start in range(0, len(events), _DETAIL_BLOCK):
         block = slice(start, start + _DETAIL_BLOCK)
-        for experiment, t_star, fired, magnitude, g in zip(*(c[block].tolist() for c in columns)):
-            # NaN g: the policy gives no score, written as an empty field.
-            yield (f"{experiment},{t_star},{causes[fired]},{magnitude!r},"
-                   f"{'' if g != g else repr(g)}\n")
+        # NaN g: the policy gives no score, written as an empty field.
+        yield "".join(
+            f"{experiment},{t_star},{causes[fired]},{magnitude!r},{'' if g != g else repr(g)}\n"
+            for experiment, t_star, fired, magnitude, g in zip(*(c[block].tolist() for c in columns))
+        ).encode("utf-8")
 
 
 def write_reports(reports: Sequence[MetricsReport], manifest: dict, out_dir: str | Path) -> Path:
     """Emit summary.csv, per-cell detail files, and manifest.json under out_dir.
 
     No field can hold a comma, quote or line break (policy names, causes,
-    numbers), so the rows are plain comma-joined CSV lines.
+    numbers), so the rows are plain comma-joined CSV lines. A pooled report's
+    detail rows come formatted by its worker (`MetricsReport.detail`); any
+    other report's are formatted here, by the same block formatter.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -357,10 +383,15 @@ def write_reports(reports: Sequence[MetricsReport], manifest: dict, out_dir: str
             f"{r.policy},{r.T},{r.theta!r},{r.phi!r},{r.delta!r},{r.psi!r},{r.message_count}\n"
             for r in reports
         )
+    header = (",".join(DETAIL_COLUMNS) + "\n").encode("utf-8")
     for report in reports:
-        with (out / _detail_filename(report)).open("w", encoding="utf-8", newline="") as handle:
-            handle.write(",".join(DETAIL_COLUMNS) + "\n")
-            handle.writelines(_detail_lines(report.per_experiment))
+        if report.detail is None:
+            blocks = _detail_blocks(report.per_experiment)
+        else:  # formatted by the pool worker that ran the cell
+            blocks = map(zlib.decompress, report.detail)
+        with (out / _detail_filename(report)).open("wb") as handle:
+            handle.write(header)
+            handle.writelines(blocks)
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -435,7 +466,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     result = ingest_sensor_log(args.source, mote=args.mote)
     print(
         f"{args.source}: rows={result.total_rows} kept={len(result)} dropped={result.dropped}"
-        + (f" mote={args.mote}" if args.mote is not None else "")
+        f" ({_drop_counts(result)})" + (f" mote={args.mote}" if args.mote is not None else "")
     )
     return 0
 
@@ -462,3 +493,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def cli() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":  # python -m qsim.harness
+    cli()

@@ -205,6 +205,10 @@ class MetricsReport:
     psi: float
     message_count: int
     per_experiment: EventColumns = field(repr=False)
+    # A pooled report's detail rows as the worker formatted them: UTF-8 CSV
+    # text, zlib-compressed per block of rows. None where the rows are still
+    # to be formatted from `per_experiment`.
+    detail: tuple[bytes, ...] | None = field(default=None, repr=False, compare=False)
 
 
 def _synthetic_block(seeds, length: int, dims: int = 4, profile: str = "drift",

@@ -14,6 +14,7 @@ yields 0.
 from __future__ import annotations
 
 import logging
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -140,12 +141,12 @@ class RuleBase:
         rank = TERM_LABELS.index
         table = dict(table)
         for antecedents, consequent in table.items():
-            rule = f"{antecedents!r} -> {consequent!r}"
+            rule = f"{_echo(antecedents)} -> {_echo(consequent)}"
             if len(antecedents) != 3:
                 raise ConfigurationError(f"rule {rule} must have exactly 3 antecedents")
             for label in (*antecedents, consequent):
                 if label not in TERM_LABELS:
-                    raise ConfigurationError(f"unknown term label {label!r} in rule {rule}")
+                    raise ConfigurationError(f"unknown term label {_echo(label)} in rule {rule}")
         missing = [c for c in product(TERM_LABELS, repeat=3) if c not in table]
         if missing:
             raise ConfigurationError(f"rule base incomplete: {len(missing)} combinations missing")
@@ -287,29 +288,42 @@ def default_engine() -> InferenceEngine:
     return InferenceEngine()
 
 
+# A spec value echoed in an error message: reprlib elides deep nesting, long
+# containers and long strings, and the text is cut at _ECHO_MAX characters, so
+# the message stays one short line whatever the file holds.
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 3
+_ECHO_MAX = 40
+
+
+def _echo(value) -> str:
+    text = _REPR.repr(value)
+    return text if len(text) <= _ECHO_MAX else text[:_ECHO_MAX - 3] + "..."
+
+
 def _spec_number(value, what: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{what} must be a number, got {value!r}") from exc
+        raise ConfigurationError(f"{what} must be a number, got {_echo(value)}") from exc
 
 
 def _spec_list(value, what: str) -> Sequence:
     if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{what} must be a list, got {value!r}")
+        raise ConfigurationError(f"{what} must be a list, got {_echo(value)}")
     return value
 
 
 def _spec_keys(entry: Mapping, allowed: tuple[str, ...], what: str) -> None:
     unknown = set(entry) - set(allowed)
     if unknown:
-        raise ConfigurationError(f"unknown keys in {what}: {sorted(unknown, key=str)}")
+        raise ConfigurationError(f"unknown keys in {what}: {_echo(sorted(unknown, key=str))}")
 
 
 def _spec_shape(entry: Mapping, key: str, label: str) -> tuple[float, float, float, float]:
     corners = _spec_list(entry[key], f"term {label!r}: {key} shape")
     if len(corners) != 4:
-        raise ConfigurationError(f"term {label!r}: {key} shape needs 4 corners, got {corners}")
+        raise ConfigurationError(f"term {label!r}: {key} shape needs 4 corners, got {_echo(corners)}")
     return tuple(_spec_number(v, f"term {label!r}: {key} corner") for v in corners)
 
 
@@ -327,10 +341,12 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
     _spec_keys(spec, ("grid_points", "terms", "rules"), "engine overrides")
     term_spec = spec.get("terms", {})
     if not isinstance(term_spec, Mapping):
-        raise ConfigurationError(f"engine overrides: terms must map labels to shapes, got {term_spec!r}")
+        raise ConfigurationError(
+            f"engine overrides: terms must map labels to shapes, got {_echo(term_spec)}"
+        )
     unknown = set(term_spec) - set(TERM_LABELS)
     if unknown:
-        raise ConfigurationError(f"unknown term labels in engine overrides: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown term labels in engine overrides: {_echo(sorted(unknown))}")
     terms = []
     for label, default in zip(TERM_LABELS, default_terms()):
         entry = term_spec.get(label)
@@ -357,16 +373,16 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
         table = dict(default_rule_base().table)
         for entry in _spec_list(spec["rules"], "engine overrides: rules"):
             if not isinstance(entry, Mapping) or "antecedents" not in entry or "consequent" not in entry:
-                raise ConfigurationError(f"malformed rule override {entry!r}")
-            _spec_keys(entry, ("antecedents", "consequent"), f"rule override {entry!r}")
-            antecedents = _spec_list(entry["antecedents"], f"rule override {entry!r}: antecedents")
+                raise ConfigurationError(f"malformed rule override {_echo(entry)}")
+            _spec_keys(entry, ("antecedents", "consequent"), f"rule override {_echo(entry)}")
+            antecedents = _spec_list(entry["antecedents"], f"rule override {_echo(entry)}: antecedents")
             table[tuple(str(v) for v in antecedents)] = str(entry["consequent"])
         rules = RuleBase(table)
     grid_points = spec.get("grid_points", 101)
     if isinstance(grid_points, float) and not grid_points.is_integer():
-        raise ConfigurationError(f"grid_points must be an integer, got {grid_points!r}")
+        raise ConfigurationError(f"grid_points must be an integer, got {_echo(grid_points)}")
     try:
         grid_points = int(grid_points)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"grid_points must be an integer, got {grid_points!r}") from exc
+        raise ConfigurationError(f"grid_points must be an integer, got {_echo(grid_points)}") from exc
     return InferenceEngine(terms=terms, rules=rules, grid_points=grid_points)

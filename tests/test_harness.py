@@ -2,8 +2,13 @@
 
 import csv
 import json
+import os
+import pickle
 import statistics
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +147,41 @@ class TestIngestion:
         rows = [VALID_ROW, "2004-02-28 00:59:46 5 1 nan 38.4 45.0 2.7\n"]
         result = ingest_sensor_log(write_log(tmp_path / "log.txt", rows))
         assert len(result) == 1 and result.dropped == 1
+
+    def test_drops_are_counted_by_reason(self, tmp_path, caplog):
+        rows = [
+            VALID_ROW,
+            "2004-02-28 00:58:46 3 1 19.3 38.4\n",                  # field_count
+            "2004-02-28 00:58:46 3 1 19.3 38.4 45.0 2.7 9.9\n",     # field_count
+            "2004-02-28 00:59:16 4 1 19.3 38.4 oops 2.7\n",         # unparsable
+            "2004-02-28 00:59:16 4.5 1 19.3 38.4 45.0 2.7\n",       # unparsable epoch
+            "2004-02-28 00:59:46 5 1 nan 38.4 45.0 2.7\n",          # non_finite
+            "2004-02-28 00:59:46 6 1 19.3 inf 45.0 2.7\n",          # non_finite
+            "2004-02-28 00:59:46 7 1 19.3 38.4 45.0 -inf\n",        # non_finite
+        ]
+        caplog.set_level("INFO", logger="qsim.harness")
+        result = ingest_sensor_log(write_log(tmp_path / "log.txt", rows))
+        assert tuple(result.dropped_by_reason) == harness.DROP_REASONS
+        assert result.dropped_by_reason == {"field_count": 2, "unparsable": 2, "non_finite": 3}
+        assert (result.total_rows, len(result), result.dropped) == (8, 1, 7)
+        assert "field_count=2, unparsable=2, non_finite=3" in caplog.text
+
+    @pytest.mark.parametrize("row, reason", [
+        ("2004-02-28 00:58:46 3 1 19.3 38.4\n", "field_count"),
+        ("2004-02-28 00:59:16 4 x 19.3 38.4 45.0 2.7\n", "unparsable"),
+        ("2004-02-28 00:59:46 5 1 19.3 38.4 45.0 nan\n", "non_finite"),
+    ])
+    def test_each_drop_reason_reaches_the_manifest_and_validate(
+            self, tmp_path, capsys, row, reason):
+        log = write_log(tmp_path / "log.txt", [VALID_ROW * 8, row])
+        counts = dict.fromkeys(harness.DROP_REASONS, 0) | {reason: 1}
+        assert main(["validate", "--source", str(log)]) == 0
+        expected = ", ".join(f"{name}={n}" for name, n in counts.items())
+        assert f"rows=9 kept=8 dropped=1 ({expected})" in capsys.readouterr().out
+        assert main(["run", "--policy", "BM", "--T", "2", "--E", "1", "--source", str(log),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        ingest = json.loads((tmp_path / "out" / "manifest.json").read_text())["ingest"]
+        assert ingest["dropped"] == 1 and ingest["dropped_by_reason"] == counts
 
     def test_sorted_by_epoch_then_mote(self, tmp_path):
         rows = [
@@ -310,6 +350,47 @@ class TestGridAndReports:
         assert reports[0] != baseline[0]
 
 
+class TestPooledDetail:
+    """Detail rows formatted in the pool workers, on cells of several blocks:
+    BM (g always empty) and UDDM with staggered nodes (g both empty and set)."""
+
+    OVERRIDES = {"policy": "BM,UDDM", "t": "5", "theta": "0.6", "e": "1500", "n": "4",
+                 "seed": "11"}
+
+    @pytest.fixture(scope="class")
+    def pooled(self):
+        return run_grid(load_config(cli_overrides={**self.OVERRIDES, "workers": "2"}, environ={}))
+
+    @staticmethod
+    def detail_bytes(out):
+        return {p.name: p.read_bytes() for p in sorted(out.glob("detail_*.csv"))}
+
+    def test_cells_span_several_blocks(self, pooled):
+        reports, _ = pooled
+        bm, uddm = (r.per_experiment for r in reports)
+        assert min(len(bm), len(uddm)) > 2 * harness._DETAIL_BLOCK
+        assert np.isnan(bm.g).all()
+        assert 0 < np.isnan(uddm.g).sum() < len(uddm)
+        assert [len(r.detail) for r in reports] == [
+            -(-len(r.per_experiment) // harness._DETAIL_BLOCK) for r in reports]
+
+    def test_detail_bytes_do_not_depend_on_the_worker_count(self, pooled, tmp_path):
+        serial = run_grid(load_config(cli_overrides={**self.OVERRIDES, "workers": "1"}, environ={}))
+        assert all(r.detail is None for r in serial[0])
+        assert pooled[0] == serial[0]  # the detail text takes no part in equality
+        written = self.detail_bytes(write_reports(*pooled, tmp_path / "w2"))
+        assert written == self.detail_bytes(write_reports(*serial, tmp_path / "w1"))
+        assert [text.count(b"\n") for text in written.values()] == [
+            1 + r.message_count for r in pooled[0]]
+
+    def test_pickled_pooled_reports_write_the_same_bytes(self, pooled, tmp_path):
+        reports, manifest = pooled
+        copies = pickle.loads(pickle.dumps(reports, pickle.HIGHEST_PROTOCOL))
+        assert [c.detail for c in copies] == [r.detail for r in reports]
+        assert self.detail_bytes(write_reports(copies, manifest, tmp_path / "copy")) == \
+            self.detail_bytes(write_reports(reports, manifest, tmp_path / "orig"))
+
+
 class TestCli:
     def test_run_gen_validate_round_trip(self, tmp_path, capsys):
         log = tmp_path / "stream.txt"
@@ -466,6 +547,58 @@ class TestCli:
         assert str(path) in error.getMessage() and "\n" not in error.getMessage()
         assert error.exc_info is None and "Traceback" not in "".join(capsys.readouterr())
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"terms": json.loads("[" * 900 + "]" * 900)},
+            {"rules": [{"antecedents": ["low"] * 300, "consequent": "low"}]},
+            {"rules": [{"antecedents": ["x" * 5000, "low", "low"], "consequent": "y" * 5000}]},
+            {"rules": [json.loads("[" * 900 + "]" * 900)]},
+            {"rules": [{"antecedents": "z" * 5000, "consequent": "low"}]},
+            {"rules": [{"antecedents": ["low"] * 3, "consequent": "low", "k" * 5000: 1}]},
+            {"terms": {"x" * 5000: {}, "y" * 5000: {}}},
+            {"terms": {"high": {"upper": list(range(500))}}},
+            {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0],
+                                "height": json.loads("[" * 900 + "]" * 900)}}},
+            {"grid_points": list(range(1000))},
+        ],
+        ids=[
+            "terms-nested-900-deep", "rule-300-antecedents", "rule-long-labels",
+            "rule-nested-900-deep", "antecedents-long-string", "rule-long-unknown-key",
+            "long-unknown-term-labels", "upper-500-corners", "height-nested-900-deep",
+            "grid-points-long-list",
+        ],
+    )
+    def test_fuzzy_spec_error_echoes_a_short_value(self, tmp_path, capsys, caplog, spec):
+        fuzzy = tmp_path / "fuzzy.json"
+        fuzzy.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["run", "--fuzzy", str(fuzzy), "--E", "1", "--T", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        message = error.getMessage()
+        assert message.startswith("configuration error: ")
+        assert "\n" not in message and len(message) <= 200, message
+        assert "Traceback" not in "".join(capsys.readouterr())
+
+    @pytest.mark.parametrize("module", ["qsim", "qsim.harness"])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, module):
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", module, "run", "--policy", "BM,UDDM", "--T", "3", "--E", "2",
+             "--workers", "2", "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "wrote 2 report(s)" in done.stdout
+        assert sorted(p.name for p in out.iterdir()) == [
+            "detail_BM_3_0.6.csv", "detail_UDDM_3_0.6.csv", "manifest.json", "summary.csv"]
+        bad = subprocess.run([sys.executable, "-m", module, "run", "--policy", "NOPE"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert bad.returncode == 1 and "configuration error" in bad.stderr
 
     def test_non_utf8_sensor_log_validates(self, tmp_path, capsys):
         log = tmp_path / "log.txt"

@@ -416,12 +416,11 @@ class TestReportDigests:
         ("piecewise-constant", 3, True): "e5d551e3e8b6f1cbc2d822fed109ee375b64adbc1685d24e7318d1dd5aee341a",
     }
 
-    @pytest.mark.parametrize("fuzzy", [False, True], ids=["default-engine", "fuzzy-spec"])
-    @pytest.mark.parametrize("N", [1, 3])
-    @pytest.mark.parametrize("profile", STREAM_PROFILES)
-    def test_summary_and_detail_digests(self, tmp_path, profile, N, fuzzy):
+    @staticmethod
+    def digest(tmp_path, profile, N, fuzzy, workers):
         overrides = {"policy": "UDDM,BM,PM", "T": "1,5,10", "theta": "0.3,0.6,1.01", "E": "3",
-                     "N": str(N), "seed": "17", "profile": profile, "out-dir": str(tmp_path / "out")}
+                     "N": str(N), "seed": "17", "profile": profile, "workers": str(workers),
+                     "out-dir": str(tmp_path / "out")}
         if fuzzy:
             spec = tmp_path / "fuzzy.json"
             spec.write_text(json.dumps(FUZZY_SPEC), encoding="utf-8")
@@ -431,7 +430,20 @@ class TestReportDigests:
         digest = hashlib.sha256()
         for path in [out / "summary.csv", *sorted(out.glob("detail_*.csv"))]:
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
-        assert digest.hexdigest() == self.DIGESTS[profile, N, fuzzy]
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("fuzzy", [False, True], ids=["default-engine", "fuzzy-spec"])
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("profile", STREAM_PROFILES)
+    def test_summary_and_detail_digests(self, tmp_path, profile, N, fuzzy):
+        assert self.digest(tmp_path, profile, N, fuzzy, workers=1) == self.DIGESTS[profile, N, fuzzy]
+
+    @pytest.mark.parametrize("fuzzy", [False, True], ids=["default-engine", "fuzzy-spec"])
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("profile", STREAM_PROFILES)
+    def test_pooled_run_gives_the_same_digests(self, tmp_path, profile, N, fuzzy):
+        """Detail rows formatted in the pool workers hash to the serial run's digests."""
+        assert self.digest(tmp_path, profile, N, fuzzy, workers=2) == self.DIGESTS[profile, N, fuzzy]
 
 
 TOL = 1e-9  # criterion 8
