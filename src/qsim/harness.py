@@ -6,8 +6,8 @@ name (precedence: CLI > environment > file > defaults). A run emits one summary.
 grid, one detail_<policy>_<T>_<theta>.csv per cell, and a manifest.json that
 pins the configuration, dataset checksum, seed, and tool version.
 
-Exit codes: 0 success, 1 configuration or command-line usage error, 2 I/O or
-data error, 3 internal invariant violation.
+Exit codes: 0 success, 1 configuration or command-line usage error or a grid
+too large for memory, 2 I/O or data error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -482,6 +482,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_validate(args)
     except ConfigurationError as exc:
         log.error("configuration error: %s", exc)
+        return 1
+    except MemoryError as exc:
+        log.error("out of memory: %s", str(exc) or "the configured grid does not fit")
         return 1
     except (IngestionError, OSError) as exc:
         log.error("I/O error: %s", exc)

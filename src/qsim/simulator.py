@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -60,6 +59,8 @@ STREAM_PROFILES = ("random-walk", "drift", "piecewise-constant")
 
 # Vectors each node needs per experiment: 1 bootstrap + T rounds, with headroom.
 _SLACK = 3
+# The largest experiment, node, step or t* that an int32 event column holds.
+_ID_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,14 +82,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.policy not in POLICY_NAMES:
             raise ConfigurationError(f"unknown policy {self.policy!r}; expected one of {POLICY_NAMES}")
-        if self.T < 1:
-            raise ConfigurationError(f"T must be >= 1, got {self.T}")
+        for name in ("T", "E", "N"):  # event ids are int32 columns
+            if not 1 <= getattr(self, name) <= _ID_MAX:
+                raise ConfigurationError(f"{name} must lie in [1, {_ID_MAX}], got {getattr(self, name)}")
         if not self.theta > 0.0:
             raise ConfigurationError(f"theta must be positive, got {self.theta}")
-        if self.E < 1:
-            raise ConfigurationError(f"E must be >= 1, got {self.E}")
-        if self.N < 1:
-            raise ConfigurationError(f"N must be >= 1, got {self.N}")
         if not 0.0 < self.alpha < 1.0 or not 0.0 < self.beta < 1.0:
             raise ConfigurationError(
                 f"smoothing factors must lie strictly inside (0, 1), got {self.alpha}, {self.beta}"
@@ -120,14 +118,14 @@ class DisseminationEvent(NamedTuple):
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
-class EventColumns(Sequence):
-    """Read-only sequence of dissemination events, held as one numpy array per field.
+class EventColumns:
+    """Read-only dissemination events, held as one numpy array per field.
 
-    The integer fields are int64 columns, `magnitude` and `g` float64 ones (g
-    NaN where the policy gives no score). The cause is the bool `triggered`
-    column: a triggered send has the policy's `trigger_cause`, any other one
-    hit the deadline. Indexing and iteration build DisseminationEvents on
-    demand; equality compares the columns, and pickling ships them as arrays.
+    `experiment`, `node`, `step` and `t_star` are int32 columns, `magnitude`
+    and `g` float64 ones (g NaN where the policy gives no score). The bool
+    `triggered` column gives the cause: the policy's `trigger_cause`, else the
+    deadline. Iteration builds DisseminationEvents on demand; equality compares
+    the columns, and pickling ships them as arrays.
     """
 
     experiment: np.ndarray
@@ -150,15 +148,6 @@ class EventColumns(Sequence):
 
     def __len__(self) -> int:
         return len(self.step)
-
-    def __getitem__(self, index) -> DisseminationEvent:
-        index = operator.index(index)
-        if not -len(self) <= index < len(self):
-            raise IndexError(f"event index {index} out of range for {len(self)} events")
-        experiment, node, step, t_star, fired, magnitude, g = (
-            column[index].item() for column in self._columns())
-        return DisseminationEvent(experiment, node, step, t_star, self.causes[fired], magnitude,
-                                  None if g != g else g)  # NaN: the policy gives no score
 
     def __iter__(self):
         causes = self.causes
@@ -270,15 +259,34 @@ def _vector_rows(vectors) -> np.ndarray:
     return rows
 
 
-def _simulate(config: ExperimentConfig, block: np.ndarray, engine: InferenceEngine | None = None,
-              first_experiment: int = 0) -> EventColumns:
+@dataclass(frozen=True, slots=True)
+class _DecisionRecord:
+    """Every lane's every round: (T, E, N) views of the arrays `_simulate` fills."""
+
+    sends: np.ndarray
+    triggered: np.ndarray
+    t_star: np.ndarray
+    quantum: np.ndarray
+    score: np.ndarray
+    trigger_cause: str
+
+    def events(self, first_experiment: int = 0) -> EventColumns:
+        """The sends in report order, (experiment, step, node), experiments from `first_experiment`."""
+        experiment, step, node = (i.astype(np.int32) for i in np.nonzero(self.sends.transpose(1, 0, 2)))
+        sent = (step, experiment, node)
+        return EventColumns(experiment + first_experiment, node + 1, step + 1, self.t_star[sent],
+                            self.triggered[sent], self.quantum[sent], self.score[sent],
+                            self.trigger_cause)
+
+
+def _simulate(config: ExperimentConfig, block: np.ndarray,
+              engine: InferenceEngine | None = None) -> _DecisionRecord:
     """Run the experiments of `block`, one stream slice per row, as array lanes.
 
     Each (experiment, node) pair is a lane; all lanes go through the T rounds
     together. Node j reads position s * N + j - 1 of its experiment's slice at
     round s, after one bootstrap vector apiece at round 0, so the lanes share
-    the synopsis count. Returns the events in (experiment, step, node) order,
-    experiments numbered from `first_experiment`.
+    the synopsis count. Returns the decision record.
     """
     if not np.isfinite(block).all():
         raise IngestionError("non-finite entry in the experiment streams")
@@ -292,14 +300,15 @@ def _simulate(config: ExperimentConfig, block: np.ndarray, engine: InferenceEngi
     policy = build_policy(config.policy, engine=engine, alpha=config.alpha, beta=config.beta)
     # Staggered first deadlines: node i's first epoch ends at round (i - 1) mod T.
     offsets = np.arange(n) % T
+    # A cell observes T quanta, all >= 0, so a window above T keeps the same maximum.
     epochs = EpochState(T, config.theta, np.tile(np.where(offsets > 0, offsets, T), E),
-                        config.window)
+                        min(config.window, T))
     # The running mean of the bootstrap vector alone, taken as sent.
     last_sent = mean = rounds[0]
-    # The decision record: row s - 1 holds every lane's round s. A row is
-    # written once, so the quanta the epoch state keeps stay valid.
+    # Row s - 1 holds every lane's round s. A row is written once, so the
+    # quanta the epoch state keeps stay valid.
     sends, triggered = np.empty((2, T, lanes), bool)
-    t_star = np.empty((T, lanes), np.int64)
+    t_star = np.empty((T, lanes), np.int32)
     quantum, score = np.empty((2, T, lanes))
     for s in range(1, T + 1):
         mean = mean + (rounds[s] - mean) / (s + 1)
@@ -308,11 +317,8 @@ def _simulate(config: ExperimentConfig, block: np.ndarray, engine: InferenceEngi
         t_star[s - 1], sends[s - 1], triggered[s - 1], score[s - 1] = policy.step_lanes(
             epochs, quantum[s - 1])
         last_sent = np.where(sends[s - 1], mean, last_sent)
-    # Row-major over (experiment, step, node): the report order.
-    experiment, step, node = np.nonzero(sends.reshape(T, E, n).transpose(1, 0, 2))
-    sent = (step, experiment * n + node)
-    return EventColumns(experiment + first_experiment, node + 1, step + 1, t_star[sent],
-                        triggered[sent], quantum[sent], score[sent], policy.trigger_cause)
+    return _DecisionRecord(*(a.reshape(T, E, n) for a in (sends, triggered, t_star, quantum, score)),
+                           policy.trigger_cause)
 
 
 def run_experiment(
@@ -326,13 +332,15 @@ def run_experiment(
     (node j takes position s * N + j - 1 at round s, after one bootstrap vector
     apiece). The trace is a pure function of (config, stream).
     """
+    if not 0 <= experiment < _ID_MAX:
+        raise ConfigurationError(f"experiment index must lie in [0, {_ID_MAX}), got {experiment}")
     need = config.vectors_per_experiment
     if len(stream) < need:
         raise StreamTruncationError(
             f"stream supplies {len(stream)} vectors but experiment {experiment} needs {need} "
             f"(shortfall {need - len(stream)}): {config.N} node(s) x (T={config.T} + {_SLACK})"
         )
-    events = _simulate(config, _vector_rows(stream[:need])[None], first_experiment=experiment)
+    events = _simulate(config, _vector_rows(stream[:need])[None]).events(experiment)
     return ExperimentTrace(experiment=experiment, events=events)
 
 
@@ -373,19 +381,18 @@ def run_cell(config: ExperimentConfig, dataset=None,
     warning once the replay data is exhausted); aggregation is ordered by
     experiment index, so results never depend on execution interleaving.
     """
-    events = _simulate(config, _cell_streams(config, dataset), engine)
+    record = _simulate(config, _cell_streams(config, dataset), engine)
+    events = record.events()
     N, T = config.N, config.T
-    lane = events.experiment * N + events.node - 1
-    counts = np.bincount(lane, minlength=config.E * N)
-    silent = np.flatnonzero(counts == 0)
+    counts = record.sends.sum(axis=0)  # (E, N): each lane's sends
+    silent = np.flatnonzero((counts == 0).any(axis=1))
     if silent.size:
-        i = int(silent[0]) // N
         raise InvariantViolation(
-            f"experiment {i}: {np.count_nonzero(counts[i * N:(i + 1) * N])} of {N} nodes "
+            f"experiment {silent[0]}: {np.count_nonzero(counts[silent[0]])} of {N} nodes "
             "disseminated; the deadline rule guarantees at least one stop per node per window"
         )
-    # Events of a lane are in step order, so its first occurrence is its first stop.
-    _, first = np.unique(lane, return_index=True)
+    # A lane's first epoch starts at round 1, so its first t* is the step of its first send.
+    first_t_star = record.sends.argmax(axis=0) + 1
     # statistics.fmean is math.fsum(data) / len(data): the same metrics, bit for bit.
     return MetricsReport(
         policy=config.policy,
@@ -393,9 +400,9 @@ def run_cell(config: ExperimentConfig, dataset=None,
         theta=config.theta,
         E=config.E,
         N=N,
-        phi=math.fsum((events.t_star[first] / T).tolist()) / len(first),
+        phi=math.fsum((first_t_star / T).ravel().tolist()) / first_t_star.size,
         delta=math.fsum(events.magnitude.tolist()) / len(events),
-        psi=math.fsum((T / counts).tolist()) / len(counts),
+        psi=math.fsum((T / counts).ravel().tolist()) / counts.size,
         message_count=len(events),
         per_experiment=events,
     )

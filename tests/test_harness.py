@@ -606,6 +606,36 @@ class TestCli:
         assert main(["validate", "--source", str(log)]) == 0
         assert "rows=2 kept=1 dropped=1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key", ["E", "N", "T"])
+    def test_id_beyond_int32_exit_code(self, tmp_path, caplog, key):
+        # 2**31 is rejected by the bounds check, before anything is allocated.
+        out = tmp_path / "out"
+        assert main(["run", f"--{key}", str(2**31), "--out-dir", str(out)]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error == f"configuration error: {key} must lie in [1, 2147483647], got {2**31}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 1.40 TiB")],
+                             ids=["bare", "numpy-style"])
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, caplog, exc):
+        def exhausted(config):
+            raise exc
+
+        monkeypatch.setattr(harness, "run_grid", exhausted)
+        assert main(["run", "--out-dir", str(tmp_path / "out")]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error.startswith("out of memory: ") and "\n" not in error
+        assert str(exc) in error
+
+    def test_window_above_T_acts_as_T(self, tmp_path):
+        grid = ["--policy", "UDDM,BM,PM", "--T", "12", "--theta", "0.6", "--E", "3", "--N", "2",
+                "--profile", "random-walk"]
+        for window in ("12", str(10**20)):
+            assert main(["run", *grid, "--window", window, "--out-dir", str(tmp_path / window)]) == 0
+        written = [sorted((p.name, p.read_bytes()) for p in (tmp_path / w).glob("*.csv"))
+                   for w in ("12", str(10**20))]
+        assert len(written[0]) == 4 and written[0] == written[1]
+
     def test_env_override_reaches_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QSIM_E", "2")
         monkeypatch.setenv("QSIM_OUT_DIR", str(tmp_path / "envout"))

@@ -140,6 +140,15 @@ class TestRunExperiment:
         stream = generate_synthetic_stream(11, config.vectors_per_experiment)
         assert run_experiment(config, stream) == run_experiment(config, stream)
 
+    def test_experiment_index_must_fit_an_int32_column(self):
+        config = ExperimentConfig(policy="BM", T=4, E=1, N=2, seed=5)
+        stream = generate_synthetic_stream(5, config.vectors_per_experiment)
+        trace = run_experiment(config, stream, experiment=2**31 - 2)
+        assert {e.experiment for e in trace.events} == {2**31 - 2}
+        for experiment in (-1, 2**31 - 1, 2**40):
+            with pytest.raises(ConfigurationError, match="experiment index"):
+                run_experiment(config, stream, experiment=experiment)
+
     def test_truncation_error_names_the_shortfall(self):
         config = ExperimentConfig(T=10, E=1)
         stream = generate_synthetic_stream(1, 5)
@@ -203,6 +212,20 @@ class TestRunCell:
         report = run_cell(config, dataset=dataset)
         assert report.message_count == len(report.per_experiment) > 0
 
+    def test_decision_record_is_views_of_the_kernel_arrays(self):
+        config = ExperimentConfig(policy="UDDM", T=7, E=3, N=2, seed=8)
+        record = simulator._simulate(config, simulator._cell_streams(config, None))
+        arrays = (record.sends, record.triggered, record.t_star, record.quantum, record.score)
+        for array in arrays:
+            assert array.shape == (7, 3, 2) and not array.flags.owndata
+        assert record.events() == run_cell(config).per_experiment
+
+    def test_grid_ids_are_bounded_by_int32(self):
+        ExperimentConfig(T=2**31 - 1, E=2**31 - 1, N=2**31 - 1)  # builds, allocating nothing
+        for key in ("T", "E", "N"):
+            with pytest.raises(ConfigurationError, match=f"{key} must lie in"):
+                ExperimentConfig(**{key: 2**31})
+
     def test_replay_requires_dataset(self):
         config = ExperimentConfig(source="some/file.txt")
         with pytest.raises(ConfigurationError):
@@ -242,17 +265,18 @@ class TestEventColumns:
     def report(self):
         return run_cell(ExperimentConfig(policy="UDDM", T=10, theta=0.6, E=4, N=2, seed=7))
 
-    def test_length_iteration_and_indexing(self, report):
+    def test_length_and_iteration(self, report):
         events = report.per_experiment
         listed = list(events)
         assert len(events) == len(listed) == report.message_count > 2
         assert all(type(e) is DisseminationEvent for e in listed)
-        assert [events[i] for i in range(len(events))] == listed
-        assert [events[i] for i in range(-len(events), 0)] == listed
-        assert events[np.int64(1)] == listed[1]
-        for index in (len(events), -len(events) - 1):
-            with pytest.raises(IndexError):
-                events[index]
+
+    def test_columns_pickle_in_at_most_34_bytes_per_event(self):
+        events = run_cell(ExperimentConfig(policy="BM", T=1000, E=10, seed=4)).per_experiment
+        assert len(events) >= 10_000
+        assert [c.dtype for c in (events.experiment, events.node, events.step, events.t_star)] \
+            == [np.int32] * 4
+        assert len(pickle.dumps(events)) <= 34 * len(events)
 
     def test_events_hold_plain_python_values(self, report):
         for event in report.per_experiment:
