@@ -24,7 +24,7 @@ import zlib
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -37,8 +37,8 @@ from .simulator import (
     EventColumns,
     ExperimentConfig,
     MetricsReport,
+    _run_group,
     _synthetic_block,
-    run_cell,
 )
 from .t2fls import engine_from_config
 
@@ -288,25 +288,26 @@ def _dataset_checksum(config: HarnessConfig) -> str:
     return hashlib.sha256(Path(config.source).read_bytes()).hexdigest()
 
 
-def _run_cell_task(cell: ExperimentConfig, dataset, engine) -> MetricsReport:
-    """Pool worker entry point: run one cell and format its detail rows here,
-    so the workers share the formatting and it overlaps other cells' runs."""
-    # Resolves `run_cell` in the worker, at call time: a pool pickles the
-    # submitted function by name, so a wrapper set on this module's `run_cell`
-    # (a profiling or tracing hook) could not be submitted itself.
-    report = run_cell(cell, dataset, engine)
-    detail = tuple(zlib.compress(block, 1) for block in _detail_blocks(report.per_experiment))
-    return replace(report, detail=detail)
+def _run_group_task(cells: Sequence[ExperimentConfig], dataset, engine) -> tuple[MetricsReport, ...]:
+    """Pool worker entry point: run one group of cells and format their detail
+    rows here, so the workers share the formatting and it overlaps other runs."""
+    # Resolves `_run_group` in the worker, at call time: a pool pickles the
+    # submitted function by name, so a wrapper set on this module's
+    # `_run_group` (a profiling or tracing hook) could not be submitted itself.
+    return tuple(
+        replace(report, detail=tuple(zlib.compress(b, 1) for b in _detail_blocks(report.per_experiment)))
+        for report in _run_group(cells, dataset, engine))
 
 
 def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
     """Execute every grid cell; report content is independent of worker count.
 
+    Cells sharing (policy, T) run as one kernel pass, one pool task per group in grid order.
     Returns the reports and the manifest, the reproducibility record that
     `write_reports` writes beside them as manifest.json.
     """
     started = time.perf_counter()
-    cells = config.cells()
+    groups = [tuple(group) for _, group in groupby(config.cells(), key=lambda c: (c.policy, c.T))]
     dataset = None
     ingest_info = None
     if config.source != SYNTHETIC_SOURCE:
@@ -327,12 +328,12 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise IngestionError(f"{config.fuzzy}: not a JSON text: {exc}") from exc
         engine = engine_from_config(spec)
-    if config.workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(cells))) as executor:
-            futures = [executor.submit(_run_cell_task, cell, dataset, engine) for cell in cells]
-            reports = tuple(f.result() for f in futures)
+    if config.workers > 1 and len(groups) > 1:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(groups))) as executor:
+            futures = [executor.submit(_run_group_task, group, dataset, engine) for group in groups]
+            reports = tuple(report for f in futures for report in f.result())
     else:
-        reports = tuple(run_cell(cell, dataset, engine) for cell in cells)
+        reports = tuple(report for group in groups for report in _run_group(group, dataset, engine))
     manifest = {
         "tool": "qsim",
         "version": __version__,

@@ -82,7 +82,8 @@ class EpochState:
     An omitted or integer `deadline` gives one lane; an array gives one lane
     per entry. A lane's deadline is the round at which the deadline rule fires
     for its current epoch: shorter than T for a node's first epoch (staggered
-    phase offsets), back to T after every dissemination.
+    phase offsets), back to T after every dissemination. A float `theta` is
+    every lane's threshold; an array gives one per lane.
 
     Per lane: the round counter `t`, the `deadline`, the last three quanta
     (oldest first; `t` of them belong to the current epoch), the Holt `level`
@@ -97,14 +98,15 @@ class EpochState:
     def __init__(self, T: int, theta: float, deadline=None, window: int = 50) -> None:
         if T < 1:
             raise ConfigurationError(f"epoch length T must be >= 1, got {T}")
-        if not theta > 0.0:
-            raise ConfigurationError(f"threshold theta must be positive, got {theta}")
         if window < 1:
             raise ConfigurationError(f"normalization window must be >= 1, got {window}")
         deadline = np.array(T if deadline is None else deadline, dtype=np.int64, ndmin=1)
         if not ((1 <= deadline) & (deadline <= T)).all():
             raise ConfigurationError(f"epoch deadlines {deadline} must lie in [1, T={T}]")
         lanes = len(deadline)
+        theta = np.asarray(theta, dtype=float)
+        if not (theta > 0.0).all() or theta.shape not in ((), (lanes,)):
+            raise ConfigurationError(f"thresholds must be positive, one or one per lane, got {theta}")
         self.T = T
         self.theta = theta
         self.t = np.ones(lanes, dtype=np.int64)
@@ -203,10 +205,14 @@ class UddmPolicy(_ForecastingPolicy):
         self.engine = engine if engine is not None else default_engine()
 
     def _fires(self, state: EpochState, quantum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Rows: the three past quanta, then the three forecasts; scored from t = 3 on.
+        # Rows: the three past quanta, then the three forecasts. Lanes are scored
+        # from t = 3 on; a score does not depend on the batch, so only they are sent.
         views = state.normalize(np.vstack((*state.quanta, self._forecast(state))))
-        pod_p, pod_f = self.engine.evaluate_many(*views.reshape(2, 3, -1).transpose(1, 0, 2))
-        g = np.where(state.t >= 3, combine_pods(pod_p, pod_f), np.nan)
+        g = np.full(len(state.t), np.nan)
+        scored = np.flatnonzero(state.t >= 3)
+        if scored.size:
+            triples = views[:, scored].reshape(2, 3, -1).transpose(1, 0, 2)
+            g[scored] = combine_pods(*self.engine.evaluate_many(*triples))
         return g > state.theta, g
 
 

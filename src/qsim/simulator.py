@@ -9,10 +9,10 @@ staggered across nodes: node i's first epoch ends at round (i - 1) mod T (a
 full epoch when the offset is zero), so deadline-driven sends of distinct
 nodes land on distinct rounds.
 
-The experiments of a cell, and the nodes of an experiment, never interact, so
-the driver steps all of them together: each (experiment, node) pair is one
-lane of numpy arrays, and one loop runs the T rounds (`step_lanes` in
-policies.py holds the per-lane epoch logic). Since lanes never interact, its
+The cells of one (policy, T), their experiments and their nodes never
+interact, so the driver steps all of them together: each (theta, experiment,
+node) is one lane of numpy arrays, and one loop runs the T rounds (`step_lanes`
+in policies.py holds the per-lane epoch logic). Since lanes never interact, its
 events equal, bit for bit, those of driving each node alone, one round at a
 time, through a running mean, an L1 quantum and `policy.step` (`step_lanes` on
 one lane); the test suite keeps that scalar driver as the reference.
@@ -279,29 +279,30 @@ class _DecisionRecord:
                             self.trigger_cause)
 
 
-def _simulate(config: ExperimentConfig, block: np.ndarray,
-              engine: InferenceEngine | None = None) -> _DecisionRecord:
-    """Run the experiments of `block`, one stream slice per row, as array lanes.
+def _simulate(config: ExperimentConfig, thetas: Sequence[float], block: np.ndarray,
+              engine: InferenceEngine | None = None) -> tuple[_DecisionRecord, ...]:
+    """Run the experiments of `block`, one stream slice per row, once per
+    threshold in `thetas`, as array lanes: one per (theta, experiment, node).
 
-    Each (experiment, node) pair is a lane; all lanes go through the T rounds
-    together. Node j reads position s * N + j - 1 of its experiment's slice at
-    round s, after one bootstrap vector apiece at round 0, so the lanes share
-    the synopsis count. Returns the decision record.
+    All lanes go through the T rounds together. Node j reads position
+    s * N + j - 1 of its experiment's slice at round s, after one bootstrap
+    vector apiece at round 0, so the lanes share the synopsis count, and the
+    thresholds share the running means. Returns one decision record per theta.
     """
     if not np.isfinite(block).all():
         raise IngestionError("non-finite entry in the experiment streams")
-    E, n, T = len(block), config.N, config.T
-    dims = block.shape[2]
-    lanes = E * n
-    # (round, dim, lane), lane = experiment * N + node - 1: lanes innermost.
+    E, n, T, k, dims = len(block), config.N, config.T, len(thetas), block.shape[2]
+    lanes = k * E * n
+    # (round, dim, 1, stream), stream = experiment * N + node - 1. A lane is
+    # theta index * E * N + stream: the thresholds share the streams.
     rounds = np.ascontiguousarray(
         block[:, : n * (T + 1)].reshape(E, T + 1, n, dims).transpose(1, 3, 0, 2)
-    ).reshape(T + 1, dims, lanes)
+    ).reshape(T + 1, dims, 1, E * n)
     policy = build_policy(config.policy, engine=engine, alpha=config.alpha, beta=config.beta)
     # Staggered first deadlines: node i's first epoch ends at round (i - 1) mod T.
     offsets = np.arange(n) % T
     # A cell observes T quanta, all >= 0, so a window above T keeps the same maximum.
-    epochs = EpochState(T, config.theta, np.tile(np.where(offsets > 0, offsets, T), E),
+    epochs = EpochState(T, np.repeat(thetas, E * n), np.tile(np.where(offsets > 0, offsets, T), k * E),
                         min(config.window, T))
     # The running mean of the bootstrap vector alone, taken as sent.
     last_sent = mean = rounds[0]
@@ -310,15 +311,17 @@ def _simulate(config: ExperimentConfig, block: np.ndarray,
     sends, triggered = np.empty((2, T, lanes), bool)
     t_star = np.empty((T, lanes), np.int32)
     quantum, score = np.empty((2, T, lanes))
+    # The same rows as (k, E * N) arrays, which broadcast against the mean.
+    sends_k, quantum_k = sends.reshape(T, k, E * n), quantum.reshape(T, k, E * n)
     for s in range(1, T + 1):
         mean = mean + (rounds[s] - mean) / (s + 1)
         # The L1 sum, dimension after dimension.
-        quantum[s - 1] = np.add.accumulate(np.abs(mean - last_sent), axis=0)[-1]
+        quantum_k[s - 1] = np.add.accumulate(np.abs(mean - last_sent), axis=0)[-1]
         t_star[s - 1], sends[s - 1], triggered[s - 1], score[s - 1] = policy.step_lanes(
             epochs, quantum[s - 1])
-        last_sent = np.where(sends[s - 1], mean, last_sent)
-    return _DecisionRecord(*(a.reshape(T, E, n) for a in (sends, triggered, t_star, quantum, score)),
-                           policy.trigger_cause)
+        last_sent = np.where(sends_k[s - 1], mean, last_sent)
+    record = [a.reshape(T, k, E, n) for a in (sends, triggered, t_star, quantum, score)]
+    return tuple(_DecisionRecord(*(a[:, i] for a in record), policy.trigger_cause) for i in range(k))
 
 
 def run_experiment(
@@ -340,7 +343,7 @@ def run_experiment(
             f"stream supplies {len(stream)} vectors but experiment {experiment} needs {need} "
             f"(shortfall {need - len(stream)}): {config.N} node(s) x (T={config.T} + {_SLACK})"
         )
-    events = _simulate(config, _vector_rows(stream[:need])[None]).events(experiment)
+    events = _simulate(config, (config.theta,), _vector_rows(stream[:need])[None])[0].events(experiment)
     return ExperimentTrace(experiment=experiment, events=events)
 
 
@@ -359,14 +362,10 @@ def _cell_streams(config: ExperimentConfig, dataset) -> np.ndarray:
     total = len(dataset)
     if total < count:
         raise StreamTruncationError(
-            f"replay dataset holds {total} vectors but each experiment needs {count}"
-        )
+            f"replay dataset holds {total} vectors but each experiment needs {count}")
     if config.E * count > total:
-        log.warning(
-            "replay dataset (%d vectors) is shorter than the grid demands (%d); wrapping around",
-            total,
-            config.E * count,
-        )
+        log.warning("replay dataset (%d vectors) is shorter than the grid demands (%d); wrapping around",
+                    total, config.E * count)
     # Experiments take disjoint contiguous slices, wrapping past the end.
     positions = np.arange(config.E * count).reshape(config.E, count) % total
     return _vector_rows(dataset)[positions]
@@ -381,7 +380,19 @@ def run_cell(config: ExperimentConfig, dataset=None,
     warning once the replay data is exhausted); aggregation is ordered by
     experiment index, so results never depend on execution interleaving.
     """
-    record = _simulate(config, _cell_streams(config, dataset), engine)
+    return _run_group((config,), dataset, engine)[0]
+
+
+def _run_group(cells: Sequence[ExperimentConfig], dataset=None,
+               engine: InferenceEngine | None = None) -> tuple[MetricsReport, ...]:
+    """`run_cell` of each of `cells`, which differ in theta alone, from one kernel pass."""
+    config = cells[0]
+    records = _simulate(config, [cell.theta for cell in cells], _cell_streams(config, dataset), engine)
+    return tuple(map(_report, cells, records))
+
+
+def _report(config: ExperimentConfig, record: _DecisionRecord) -> MetricsReport:
+    """The metrics of one cell, read off its decision record."""
     events = record.events()
     N, T = config.N, config.T
     counts = record.sends.sum(axis=0)  # (E, N): each lane's sends

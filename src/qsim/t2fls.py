@@ -278,8 +278,10 @@ class InferenceEngine:
         lo, hi = np.minimum(
             np.minimum(g[:, :, 0, None, None], g[:, None, :, 1, None]), g[:, None, None, :, 2]
         ).reshape(2, 27, -1)
-        mass = np.where(hi > 0.0, lo + hi, 0.0)
-        num, den = np.add.accumulate(mass * self._rule_weights, axis=1)[:, -1]
+        weighted = np.where(hi > 0.0, lo + hi, 0.0) * self._rule_weights
+        # reduce adds the rules in order over two or more triples, but pairwise over one.
+        num, den = (np.add.reduce(weighted, axis=1) if weighted.shape[2] > 1
+                    else np.add.accumulate(weighted, axis=1)[:, -1])
         return np.minimum(num / np.where(den > 0.0, den, 1.0), 1.0).reshape(shape)
 
 

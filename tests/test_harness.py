@@ -317,8 +317,10 @@ class TestGridAndReports:
         assert len(payload["dataset_checksum"]) == 64
         assert payload["runtime_seconds"] >= 0.0
 
-    def test_pool_is_sized_to_the_grid(self, monkeypatch):
-        sizes = []
+    def test_pool_is_sized_to_the_grid(self, monkeypatch, tmp_path):
+        """One pool task per (policy, T) group, in grid order, on min(workers, groups)
+        workers; a one-group grid runs in-process."""
+        sizes, tasks = [], []
 
         class InlineExecutor:
             def __init__(self, max_workers):
@@ -331,14 +333,29 @@ class TestGridAndReports:
                 return False
 
             def submit(self, fn, *args):
+                tasks.append([(cell.policy, cell.T, cell.theta) for cell in args[0]])
                 future = Future()
                 future.set_result(fn(*args))
                 return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
-        reports, _ = run_grid(small_config(policy="UDDM", workers="4"))
-        assert len(reports) == 2
+        reports, _ = run_grid(small_config(t="5,8", workers="8"))  # 8 cells in 4 groups
+        assert [(r.policy, r.T, r.theta) for r in reports] == [c for task in tasks for c in task]
+        assert sizes == [4]
+        assert tasks == [[(policy, T, 0.6), (policy, T, 0.75)]
+                         for policy in ("UDDM", "BM") for T in (5, 8)]
+        sizes.clear()
+        run_grid(small_config(policy="UDDM,BM,PM", theta="0.6", workers="2"))
         assert sizes == [2]
+        sizes.clear()
+        one_group = small_config(policy="UDDM", workers="2")
+        pooled = write_reports(*run_grid(one_group), tmp_path / "w2")
+        serial = write_reports(*run_grid(small_config(policy="UDDM", workers="1")), tmp_path / "w1")
+        assert sizes == []
+        names = sorted(p.name for p in serial.glob("*.csv"))
+        assert len(names) == 3
+        for name in names:
+            assert (pooled / name).read_bytes() == (serial / name).read_bytes()
 
     def test_fuzzy_override_file(self, tmp_path):
         spec = {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0]}}}

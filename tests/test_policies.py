@@ -273,6 +273,29 @@ class TestEpochLifecycle:
         with pytest.raises(ConfigurationError, match="one lane"):
             BmPolicy().step(state, 1.0)
 
+    @pytest.mark.parametrize("theta", [[0.6, 0.0], [0.6, -0.1], [float("nan"), 0.6],
+                                       [0.6, 0.7, 0.8], [[0.6, 0.7]]],
+                             ids=["zero", "negative", "nan", "too-many", "two-dimensional"])
+    def test_threshold_array_validation(self, theta):
+        with pytest.raises(ConfigurationError, match="thresholds must be positive, one or one per lane"):
+            EpochState(T=5, theta=np.array(theta), deadline=np.array([5, 5]))
+
+    @pytest.mark.parametrize("policy_cls", [UddmPolicy, PmPolicy])
+    def test_threshold_per_lane_equals_one_state_per_threshold(self, policy_cls):
+        thetas = (0.2, 0.45, 0.7, 0.95)
+        rng = random.Random(4)
+        quanta = [rng.choice((0.0, rng.random(), 3 * rng.random())) for _ in range(60)]
+        policy = policy_cls()
+        state = EpochState(T=7, theta=np.array(thetas), deadline=np.full(len(thetas), 7))
+        lanes = [policy.step_lanes(state, np.full(len(thetas), q)) for q in quanta]
+        for i, theta in enumerate(thetas):
+            one = make_state(T=7, theta=theta)
+            for q, (t_star, sends, triggered, score) in zip(quanta, lanes):
+                want = policy.step_lanes(one, np.array([q]))
+                got = (t_star[i:i + 1], sends[i:i + 1], triggered[i:i + 1], score[i:i + 1])
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("quantum", [float("nan"), float("inf"), -1.0])
     @pytest.mark.parametrize("policy_cls", [UddmPolicy, BmPolicy, PmPolicy])
     def test_step_rejects_a_quantum_that_is_no_distance(self, policy_cls, quantum):

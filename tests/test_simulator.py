@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import statistics
+from dataclasses import replace
 from itertools import zip_longest
 
 import numpy as np
@@ -26,7 +27,7 @@ from qsim.simulator import (
     run_experiment,
 )
 from qsim.synopsis import DataVector
-from qsim.t2fls import engine_from_config
+from qsim.t2fls import InferenceEngine, engine_from_config
 
 from reference_sim import reference_trace
 from scalar_synopsis import Synopsis, update_quantum, update_synopsis
@@ -214,11 +215,14 @@ class TestRunCell:
 
     def test_decision_record_is_views_of_the_kernel_arrays(self):
         config = ExperimentConfig(policy="UDDM", T=7, E=3, N=2, seed=8)
-        record = simulator._simulate(config, simulator._cell_streams(config, None))
-        arrays = (record.sends, record.triggered, record.t_star, record.quantum, record.score)
-        for array in arrays:
-            assert array.shape == (7, 3, 2) and not array.flags.owndata
-        assert record.events() == run_cell(config).per_experiment
+        thetas = (0.6, 0.3, 0.75)
+        records = simulator._simulate(config, thetas, simulator._cell_streams(config, None))
+        assert len(records) == len(thetas)
+        for theta, record in zip(thetas, records):
+            arrays = (record.sends, record.triggered, record.t_star, record.quantum, record.score)
+            for array in arrays:
+                assert array.shape == (7, 3, 2) and not array.flags.owndata
+            assert record.events() == run_cell(replace(config, theta=theta)).per_experiment
 
     def test_grid_ids_are_bounded_by_int32(self):
         ExperimentConfig(T=2**31 - 1, E=2**31 - 1, N=2**31 - 1)  # builds, allocating nothing
@@ -418,6 +422,64 @@ class TestKernelMatchesScalarPath:
         rows[1, 2] = np.inf
         with pytest.raises(IngestionError, match="non-finite"):
             run_cell(config, dataset=rows)
+
+
+class TestGroupedPass:
+    """One kernel pass over the cells of a (policy, T) group, one lane set per
+    theta, against one `run_cell` per cell, compared with ==."""
+
+    THETAS = (0.6, 0.3, 0.75, 1.01)
+
+    def check(self, config, dataset=None, engine=None):
+        cells = [replace(config, theta=theta) for theta in self.THETAS]
+        grouped = simulator._run_group(cells, dataset, engine)
+        separate = [run_cell(cell, dataset, engine) for cell in cells]
+        assert list(grouped) == separate
+        assert [r.per_experiment for r in grouped] == [r.per_experiment for r in separate]
+        assert [r.theta for r in grouped] == list(self.THETAS)
+        return grouped
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("policy", ["UDDM", "BM", "PM"])
+    def test_synthetic(self, policy, N):
+        for profile in STREAM_PROFILES:
+            reports = self.check(ExperimentConfig(policy=policy, T=12, E=5, N=N, seed=9,
+                                                  profile=profile))
+            if policy != "BM":  # the thresholds lead to different decisions
+                assert len({r.message_count for r in reports}) > 1
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("policy", ["UDDM", "BM", "PM"])
+    def test_replay(self, policy, N):
+        dataset = generate_synthetic_stream(6, 150, profile="random-walk")
+        self.check(ExperimentConfig(policy=policy, T=10, E=4, N=N, source="replay"), dataset)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_custom_engine(self, N):
+        self.check(ExperimentConfig(policy="UDDM", T=15, E=4, N=N, seed=2, profile="random-walk"),
+                   engine=engine_from_config(FUZZY_SPEC))
+
+    def test_engine_sees_only_the_scored_lanes(self):
+        """Drift at theta 0.6 locks UDDM into period 3, so the engine is skipped
+        on the rounds where no lane has t >= 3, and sees only those that have."""
+
+        class CountingEngine(InferenceEngine):
+            def __init__(self):
+                super().__init__()
+                self.lanes = []
+
+            def evaluate_many(self, x1, x2, x3):
+                self.lanes.append(np.shape(x1))
+                return super().evaluate_many(x1, x2, x3)
+
+        config = ExperimentConfig(policy="UDDM", T=30, theta=0.6, E=3, seed=5)
+        engine = CountingEngine()
+        record, = simulator._simulate(config, (0.6,), simulator._cell_streams(config, None), engine)
+        scored = (record.t_star >= 3).reshape(30, -1).sum(axis=1)
+        assert engine.lanes == [(2, n) for n in scored if n]
+        assert 0 < np.count_nonzero(scored) <= 30 // 3 + 1
+        assert np.isnan(record.score[record.t_star < 3]).all()
+        assert not np.isnan(record.score[record.t_star >= 3]).any()
 
 
 class TestReportDigests:

@@ -428,6 +428,28 @@ class TestEvaluateMany:
                                            np.array([0.1, 0.2]))
 
 
+class TestRuleSum:
+    """The 27 rules are summed in rule order: `np.add.reduce` over two or more
+    triples, `np.add.accumulate` over one, where reduce would sum pairwise."""
+
+    @pytest.mark.parametrize("lanes", [2, 3, 1000])
+    def test_reduce_over_the_rule_axis_equals_accumulate(self, lanes):
+        rng = np.random.default_rng(lanes)
+        for _ in range(50):
+            weighted = rng.random((2, 27, lanes)) * (rng.random((2, 27, lanes)) < 0.6)
+            got = np.add.reduce(weighted, axis=1)
+            assert got.tobytes() == np.add.accumulate(weighted, axis=1)[:, -1].tobytes()
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 1000])
+    def test_batches_equal_the_sequential_scalar_sum(self, lanes):
+        engine = SHRUNK
+        triples = corner_triples(engine, 200 * lanes if lanes < 1000 else lanes, seed=lanes)
+        want = np.array([scalar_evaluate(engine, *triple) for triple in triples])
+        batches = np.array(triples).reshape(-1, lanes, 3).transpose(0, 2, 1)
+        got = np.concatenate([engine.evaluate_many(*batch) for batch in batches])
+        assert got.tobytes() == want.tobytes()
+
+
 class TestEngineFromConfig:
     def test_term_and_rule_overrides(self):
         spec = {
