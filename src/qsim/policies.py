@@ -95,7 +95,7 @@ class EpochState:
     nothing divides by the floor.
     """
 
-    def __init__(self, T: int, theta: float, deadline=None, window: int = 50) -> None:
+    def __init__(self, T: int, theta: float | np.ndarray, deadline=None, window: int = 50) -> None:
         if T < 1:
             raise ConfigurationError(f"epoch length T must be >= 1, got {T}")
         if window < 1:
