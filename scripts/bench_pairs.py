@@ -1,18 +1,18 @@
 """Paired benchmark runs of two qsim checkouts, written to one JSON file.
 
     python3 scripts/bench_pairs.py --parent ../qsim-parent --out BENCH_12.json \
-        --pairs grid-drift=10,replay-walk=3,baselines-multinode=3 --first-seed 3001
+        --pairs grid-drift=10,replay-walk=4,baselines-multinode=4 --first-seed 8001
 
-For each workload it runs the checkouts' own `bench/run.py --trace 0` in
-alternating pairs (the parent first in even pairs, this checkout first in odd
+For each workload it runs the checkouts' own `bench/run.py --trace 0`, for the
+run length BENCHMARK.json sets, in alternating pairs (the parent first in even pairs, this checkout first in odd
 ones), one seed per pair, and reads the JSON object each run prints last. It
 then times the criterion-10 grid (UDDM, BM, PM x T 10, 100, 1000 x theta 0.6,
 0.75, E = 1000, seed 42) in a fresh interpreter per run, at `workers` 1 and 2,
-alternating the checkouts: `run_grid` and `write_reports` seconds, the main
+alternating the checkouts, twice per side: `run_grid` and `write_reports` seconds, the main
 process's peak resident set after each of them, and the pool workers' peak.
 
-The output holds the environment of each checkout (git sha, Python, numpy,
-nproc), every run, and per workload, metric and side the median, the
+The output holds the environment (each checkout's git sha, Python, numpy,
+nproc, the run length and this script's arguments), every run, and per workload, metric and side the median, the
 quartiles and the number of pairs each side won. Whether lower or higher is
 better comes from the parent's BENCHMARK.json. Nothing here changes the
 benchmark: both sides run their own unchanged `bench/run.py`.
@@ -34,6 +34,8 @@ from pathlib import Path
 import numpy
 
 HERE = Path(__file__).resolve().parent.parent
+SECONDS = json.loads((HERE / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+GRID_RUNS = 2  # criterion-10 grid runs per side and worker count
 
 GRID = {"policy": "UDDM,BM,PM", "t": "10,100,1000", "theta": "0.6,0.75", "e": "1000",
         "seed": "42"}
@@ -69,10 +71,10 @@ def last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int) -> dict:
     done = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -129,17 +131,13 @@ def log(message: str) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, default=HERE, help="checkout of the change (this one)")
-    parser.add_argument("--pairs", default="grid-drift=10,replay-walk=3,baselines-multinode=3",
+    parser.add_argument("--pairs", default="grid-drift=10,replay-walk=4,baselines-multinode=4",
                         help="workload=pairs, comma-separated")
-    parser.add_argument("--first-seed", type=int, default=3001)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--grid-runs", type=int, default=2,
-                        help="criterion-10 grid runs per side and worker count")
+    parser.add_argument("--first-seed", type=int, default=8001)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    sides = {"parent": args.parent.resolve(), "change": HERE}
     spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     report = {
@@ -148,7 +146,8 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": numpy.__version__,
             "nproc": os.cpu_count(),
-            "seconds": args.seconds,
+            "seconds": SECONDS,
+            "argv": sys.argv[1:] if argv is None else list(argv),
         },
         "workloads": {},
         "criterion_10_grid": {},
@@ -161,7 +160,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = bench_run(sides[side], workload, seed, args.seconds)
+                pair[side] = bench_run(sides[side], workload, seed)
                 log(f"{workload} seed {seed} {side}: {json.dumps(pair[side].get('metrics'))}"
                     f" correct={pair[side]['correct']}")
             pairs.append(pair)
@@ -169,7 +168,7 @@ def main(argv=None) -> int:
         report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
     for workers in (1, 2):
         runs = {"parent": [], "change": []}
-        for i in range(args.grid_runs):
+        for i in range(GRID_RUNS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 runs[side].append(grid_run(sides[side], workers))
                 log(f"grid workers={workers} {side}: {json.dumps(runs[side][-1])}")

@@ -291,9 +291,8 @@ def _dataset_checksum(config: HarnessConfig) -> str:
 def _run_group_task(cells: Sequence[ExperimentConfig], dataset, engine) -> tuple[MetricsReport, ...]:
     """Pool worker entry point: run one group of cells and format their detail
     rows here, so the workers share the formatting and it overlaps other runs."""
-    # Resolves `_run_group` in the worker, at call time: a pool pickles the
-    # submitted function by name, so a wrapper set on this module's
-    # `_run_group` (a profiling or tracing hook) could not be submitted itself.
+    # Resolves `_run_group` in the worker, at call time: a pool pickles the submitted function
+    # by name, so a wrapper set on this module's `_run_group` (a tracing hook) could not be.
     return tuple(
         replace(report, detail=tuple(zlib.compress(b, 1) for b in _detail_blocks(report.per_experiment)))
         for report in _run_group(cells, dataset, engine))
@@ -308,6 +307,8 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
     """
     started = time.perf_counter()
     groups = [tuple(group) for _, group in groupby(config.cells(), key=lambda c: (c.policy, c.T))]
+    if len(groups) < config.workers:  # too few groups to keep every worker busy: a task per cell
+        groups = [(cell,) for group in groups for cell in group]
     dataset = None
     ingest_info = None
     if config.source != SYNTHETIC_SOURCE:

@@ -386,8 +386,7 @@ def run_cell(config: ExperimentConfig, dataset=None,
 def _run_group(cells: Sequence[ExperimentConfig], dataset=None,
                engine: InferenceEngine | None = None) -> tuple[MetricsReport, ...]:
     """`run_cell` of each of `cells`, which differ in theta alone, from one kernel pass."""
-    config = cells[0]
-    records = _simulate(config, [cell.theta for cell in cells], _cell_streams(config, dataset), engine)
+    records = _simulate(cells[0], [c.theta for c in cells], _cell_streams(cells[0], dataset), engine)
     return tuple(map(_report, cells, records))
 
 

@@ -318,8 +318,8 @@ class TestGridAndReports:
         assert payload["runtime_seconds"] >= 0.0
 
     def test_pool_is_sized_to_the_grid(self, monkeypatch, tmp_path):
-        """One pool task per (policy, T) group, in grid order, on min(workers, groups)
-        workers; a one-group grid runs in-process."""
+        """One pool task per (policy, T) group, in grid order, on min(workers, tasks)
+        workers; with fewer groups than workers, one task per cell; one cell runs in-process."""
         sizes, tasks = [], []
 
         class InlineExecutor:
@@ -339,23 +339,32 @@ class TestGridAndReports:
                 return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
-        reports, _ = run_grid(small_config(t="5,8", workers="8"))  # 8 cells in 4 groups
+        reports, _ = run_grid(small_config(t="5,8", workers="4"))  # 8 cells in 4 groups
         assert [(r.policy, r.T, r.theta) for r in reports] == [c for task in tasks for c in task]
         assert sizes == [4]
         assert tasks == [[(policy, T, 0.6), (policy, T, 0.75)]
                          for policy in ("UDDM", "BM") for T in (5, 8)]
-        sizes.clear()
+        del sizes[:], tasks[:]
+        run_grid(small_config(t="5,8", workers="8"))
+        assert sizes == [8]
+        assert tasks == [[(policy, T, theta)]
+                         for policy in ("UDDM", "BM") for T in (5, 8) for theta in (0.6, 0.75)]
+        del sizes[:], tasks[:]
         run_grid(small_config(policy="UDDM,BM,PM", theta="0.6", workers="2"))
         assert sizes == [2]
-        sizes.clear()
-        one_group = small_config(policy="UDDM", workers="2")
-        pooled = write_reports(*run_grid(one_group), tmp_path / "w2")
+        del sizes[:], tasks[:]
+        # One group, two cells: a task per cell, and the pool is no larger than that.
+        pooled = write_reports(*run_grid(small_config(policy="UDDM", workers="4")), tmp_path / "w4")
         serial = write_reports(*run_grid(small_config(policy="UDDM", workers="1")), tmp_path / "w1")
-        assert sizes == []
+        assert sizes == [2]
+        assert tasks == [[("UDDM", 5, 0.6)], [("UDDM", 5, 0.75)]]
         names = sorted(p.name for p in serial.glob("*.csv"))
         assert len(names) == 3
         for name in names:
             assert (pooled / name).read_bytes() == (serial / name).read_bytes()
+        sizes.clear()
+        run_grid(small_config(policy="UDDM", theta="0.6", workers="2"))
+        assert sizes == []
 
     def test_fuzzy_override_file(self, tmp_path):
         spec = {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0]}}}

@@ -429,16 +429,9 @@ class TestEvaluateMany:
 
 
 class TestRuleSum:
-    """The 27 rules are summed in rule order: `np.add.reduce` over two or more
-    triples, `np.add.accumulate` over one, where reduce would sum pairwise."""
-
-    @pytest.mark.parametrize("lanes", [2, 3, 1000])
-    def test_reduce_over_the_rule_axis_equals_accumulate(self, lanes):
-        rng = np.random.default_rng(lanes)
-        for _ in range(50):
-            weighted = rng.random((2, 27, lanes)) * (rng.random((2, 27, lanes)) < 0.6)
-            got = np.add.reduce(weighted, axis=1)
-            assert got.tobytes() == np.add.accumulate(weighted, axis=1)[:, -1].tobytes()
+    """Whatever the batch size, the 27 rules are summed in rule order, as the
+    scalar reference sums them: `evaluate_many` takes `np.add.reduce` over two
+    or more triples and `np.add.accumulate` over one, where reduce sums pairwise."""
 
     @pytest.mark.parametrize("lanes", [1, 2, 3, 1000])
     def test_batches_equal_the_sequential_scalar_sum(self, lanes):
