@@ -12,7 +12,7 @@ alternating the checkouts, twice per side: `run_grid` and `write_reports` second
 process's peak resident set after each of them, and the pool workers' peak.
 
 The output holds the environment (each checkout's git sha, Python, numpy,
-nproc, the run length and this script's arguments), every run, and per workload, metric and side the median, the
+nproc, the run length, `--pairs` and `--first-seed`), every run, and per workload, metric and side the median, the
 quartiles and the number of pairs each side won. Whether lower or higher is
 better comes from the parent's BENCHMARK.json. Nothing here changes the
 benchmark: both sides run their own unchanged `bench/run.py`.
@@ -147,7 +147,8 @@ def main(argv=None) -> int:
             "numpy": numpy.__version__,
             "nproc": os.cpu_count(),
             "seconds": SECONDS,
-            "argv": sys.argv[1:] if argv is None else list(argv),
+            "pairs": args.pairs,
+            "first_seed": args.first_seed,
         },
         "workloads": {},
         "criterion_10_grid": {},
