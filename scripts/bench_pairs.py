@@ -4,18 +4,20 @@
         --pairs grid-drift=10,replay-walk=4,baselines-multinode=4 --first-seed 8001
 
 For each workload it runs the checkouts' own `bench/run.py --trace 0`, for the
-run length BENCHMARK.json sets, in alternating pairs (the parent first in even pairs, this checkout first in odd
-ones), one seed per pair, and reads the JSON object each run prints last. It
-then times the criterion-10 grid (UDDM, BM, PM x T 10, 100, 1000 x theta 0.6,
-0.75, E = 1000, seed 42) in a fresh interpreter per run, at `workers` 1 and 2,
-alternating the checkouts, twice per side: `run_grid` and `write_reports` seconds, the main
-process's peak resident set after each of them, and the pool workers' peak.
+run length BENCHMARK.json sets, in alternating pairs (the parent first in even
+pairs, this checkout first in odd ones), one seed per pair, and reads the JSON
+object each run prints last. It then times the criterion-10 grid (UDDM, BM, PM
+x T 10, 100, 1000 x theta 0.6, 0.75, E = 1000, seed 42) in a fresh interpreter
+per run, at `workers` 1 and 2, alternating the checkouts, twice per side:
+`run_grid` and `write_reports` seconds, the main process's peak resident set
+after each of them, and the pool workers' peak.
 
 The output holds the environment (each checkout's git sha, Python, numpy,
-nproc, the run length, `--pairs` and `--first-seed`), every run, and per workload, metric and side the median, the
-quartiles and the number of pairs each side won. Whether lower or higher is
-better comes from the parent's BENCHMARK.json. Nothing here changes the
-benchmark: both sides run their own unchanged `bench/run.py`.
+nproc, the run length, `--pairs` and `--first-seed`), every run, and per
+workload, metric and side the median, the quartiles and the number of pairs
+each side won. Whether lower or higher is better comes from the parent's
+BENCHMARK.json. Nothing here changes the benchmark: both sides run their own
+unchanged `bench/run.py`.
 """
 
 from __future__ import annotations
