@@ -1,6 +1,7 @@
 """Configuration precedence, ingestion, grid execution, and report files."""
 
 import csv
+import hashlib
 import json
 import os
 import pickle
@@ -415,6 +416,58 @@ class TestPooledDetail:
         assert [c.detail for c in copies] == [r.detail for r in reports]
         assert self.detail_bytes(write_reports(copies, manifest, tmp_path / "copy")) == \
             self.detail_bytes(write_reports(reports, manifest, tmp_path / "orig"))
+
+
+class TestReplayDigest:
+    """Report bytes of a replayed log pinned by sha256, beside the manifest's
+    ingest block. The log is `qsim gen` output spread over 3 motes with
+    unsorted, repeated epochs, plus malformed and non-finite rows, and spans
+    more than two 4,096-line ingestion blocks. Recorded before ingestion read
+    the log a block at a time."""
+
+    DIGEST = "519ab24968141076b93b9559cb7bfb717be15262570e5dc39127b1164e0afe91"
+    INGEST = {"rows": 9009, "kept": 9000, "dropped": 9,
+              "dropped_by_reason": {"field_count": 3, "unparsable": 3, "non_finite": 3},
+              "mode": "merged", "mote": None}
+
+    @pytest.fixture(scope="class")
+    def replay_log(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("replay") / "log.txt"
+        assert main(["gen", "--out", str(path), "--length", "9000", "--seed", "23",
+                     "--profile", "random-walk"]) == 0
+        bad = ["2004-02-28 01:00:00 5 1 19.3 38.4 45.0\n",          # field_count
+               "2004-02-28 01:00:00 5 2 19.3 38.4 oops 2.7\n",      # unparsable
+               "2004-02-28 01:00:00 5 3 19.3 nan 45.0 2.7\n",       # non_finite
+               "2004-02-28 01:00:00 5 1 19.3 38.4 45.0 2.7 1.0\n",  # field_count
+               "2004-02-28 01:00:00 5 2 19.3 38.4 45.0 2.7x\n",     # unparsable
+               "2004-02-28 01:00:00 5 3 inf 38.4 45.0 2.7\n",       # non_finite
+               "2004-02-28 01:00:00 5\n",                           # field_count
+               "2004-02-28 01:00:00 1_0x 1 19.3 38.4 45.0 2.7\n",   # unparsable
+               "2004-02-28 01:00:00 5 1 19.3 38.4 45.0 -inf\n"]     # non_finite
+        lines = []
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(keepends=True)):
+            date, time, _, _, *readings = line.split()
+            # Each (epoch, mote) key appears 3 times, 3,000 rows apart.
+            lines.append(f"{date} {time} {i * 37 % 3000} {i % 3 + 1} {' '.join(readings)}\n")
+            if i % 1000 == 999:
+                lines.append(bad[i // 1000])
+        path.write_text("".join(lines), encoding="utf-8")
+        assert len(lines) > 2 * 4096
+        return path
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_summary_detail_and_ingest_digest(self, tmp_path, replay_log, workers):
+        config = load_config(cli_overrides={
+            "policy": "UDDM,BM,PM", "T": "5,100", "theta": "0.6,0.75", "E": "30", "N": "3",
+            "seed": "7", "source": str(replay_log), "workers": str(workers),
+            "out-dir": str(tmp_path / "out")}, environ={})
+        reports, manifest = run_grid(config)
+        out = write_reports(reports, manifest, config.out_dir)
+        assert manifest["ingest"] == self.INGEST
+        digest = hashlib.sha256(json.dumps(manifest["ingest"], sort_keys=True).encode())
+        for path in [out / "summary.csv", *sorted(out.glob("detail_*.csv"))]:
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestCli:
