@@ -1,7 +1,7 @@
 """Paired benchmark runs of two qsim checkouts, written to one JSON file.
 
-    python3 scripts/bench_pairs.py --parent ../qsim-parent --out BENCH_12.json \
-        --pairs grid-drift=10,replay-walk=4,baselines-multinode=4 --first-seed 8001
+    python3 scripts/bench_pairs.py --parent ../qsim-parent --out BENCH_13.json \
+        --pairs replay-walk=10,grid-drift=4,baselines-multinode=4 --first-seed 13001
 
 For each workload it runs the checkouts' own `bench/run.py --trace 0`, for the
 run length BENCHMARK.json sets, in alternating pairs (the parent first in even
@@ -10,7 +10,12 @@ object each run prints last. It then times the criterion-10 grid (UDDM, BM, PM
 x T 10, 100, 1000 x theta 0.6, 0.75, E = 1000, seed 42) in a fresh interpreter
 per run, at `workers` 1 and 2, alternating the checkouts, twice per side:
 `run_grid` and `write_reports` seconds, the main process's peak resident set
-after each of them, and the pool workers' peak.
+after each of them, and the pool workers' peak. Last it times one
+`ingest_sensor_log` call per fresh interpreter, alternating the checkouts,
+INGEST_RUNS times per side, on three logs: replay-walk's (`qsim gen --profile
+random-walk --length 40000 --seed <first seed>`), the same log with a
+malformed row at the end of every 4,096-line block, and the same log with a
+`nan` reading every 50 rows.
 
 The output holds the environment (each checkout's git sha, Python, numpy,
 nproc, the run length, `--pairs` and `--first-seed`), every run, and per
@@ -38,6 +43,7 @@ import numpy
 HERE = Path(__file__).resolve().parent.parent
 SECONDS = json.loads((HERE / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 GRID_RUNS = 2  # criterion-10 grid runs per side and worker count
+INGEST_RUNS = 10  # ingestion timings per side and log
 
 GRID = {"policy": "UDDM,BM,PM", "t": "10,100,1000", "theta": "0.6,0.75", "e": "1000",
         "seed": "42"}
@@ -60,6 +66,16 @@ print(json.dumps({"run_grid_s": ran - start, "write_reports_s": wrote - ran,
                   "main_peak_mb_after_run_grid": main_after_run_grid,
                   "main_peak_mb": peak(resource.RUSAGE_SELF),
                   "worker_peak_mb": peak(resource.RUSAGE_CHILDREN)}))
+"""
+
+
+# argv[1] the sensor log; prints the seconds one ingest_sensor_log call takes.
+INGEST_CODE = """
+import sys, time
+from qsim.harness import ingest_sensor_log
+start = time.perf_counter()
+ingest_sensor_log(sys.argv[1])
+print(time.perf_counter() - start)
 """
 
 
@@ -99,6 +115,35 @@ def grid_run(checkout: Path, workers: int) -> dict:
     finally:
         shutil.rmtree(out, ignore_errors=True)
     return last_json(done.stdout)
+
+
+def ingest_logs(work: Path, seed: int) -> dict[str, Path]:
+    """Replay-walk's log and its two variants, written with this checkout's `qsim gen`."""
+    clean = work / "clean.txt"
+    subprocess.run(
+        [sys.executable, "-m", "qsim", "gen", "--out", str(clean), "--profile", "random-walk",
+         "--length", "40000", "--seed", str(seed)],
+        env={**os.environ, "PYTHONPATH": str(HERE / "src")}, check=True,
+        stdout=subprocess.DEVNULL,
+    )
+    lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = [line.rsplit(" ", 1)[0] + "\n" if i % 4096 == 4095 else line  # 7 fields
+           for i, line in enumerate(lines)]
+    nan = [" ".join(line.split()[:5] + ["nan"] + line.split()[6:]) + "\n" if i % 50 == 49 else line
+           for i, line in enumerate(lines)]
+    paths = {"clean": clean, "bad_row_per_block": work / "bad.txt", "nan_every_50": work / "nan.txt"}
+    paths["bad_row_per_block"].write_text("".join(bad), encoding="utf-8")
+    paths["nan_every_50"].write_text("".join(nan), encoding="utf-8")
+    return paths
+
+
+def ingest_run(checkout: Path, path: Path) -> float:
+    done = subprocess.run(
+        [sys.executable, "-c", INGEST_CODE, str(path)],
+        env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    return float(done.stdout.strip().splitlines()[-1])
 
 
 def spread(values: list[float]) -> dict:
@@ -154,6 +199,7 @@ def main(argv=None) -> int:
         },
         "workloads": {},
         "criterion_10_grid": {},
+        "ingest_s": {},
     }
     seed = args.first_seed
     for item in args.pairs.split(","):
@@ -176,6 +222,18 @@ def main(argv=None) -> int:
                 runs[side].append(grid_run(sides[side], workers))
                 log(f"grid workers={workers} {side}: {json.dumps(runs[side][-1])}")
         report["criterion_10_grid"][f"workers_{workers}"] = runs
+    with tempfile.TemporaryDirectory(prefix="qsim-ingest-") as work:
+        for name, path in ingest_logs(Path(work), args.first_seed).items():
+            runs = {"parent": [], "change": []}
+            for i in range(INGEST_RUNS):
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    runs[side].append(ingest_run(sides[side], path))
+            medians = {side: statistics.median(times) for side, times in runs.items()}
+            report["ingest_s"][name] = {
+                "runs": runs, **{side: spread(times) for side, times in runs.items()},
+                "parent_over_change": medians["parent"] / medians["change"],
+            }
+            log(f"ingest {name}: {json.dumps(medians)}")
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     log(f"wrote {args.out}")
     return 0

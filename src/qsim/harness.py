@@ -24,7 +24,7 @@ import zlib
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import groupby, product
+from itertools import groupby, islice, product
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -102,6 +102,13 @@ def _parse_sensor_row(parts: list[str]) -> tuple[int, int, tuple[float, ...]] | 
     return epoch, mote_id, values
 
 
+# Lines per np.loadtxt call, and the row it reads: date and time (never read),
+# epoch and mote, the four readings. Without `usecols` it rejects 7- or 9-field rows.
+_INGEST_BLOCK = 4096
+_ROW_DTYPE = np.dtype([("date", "U1"), ("time", "U1"), ("epoch", np.int64), ("mote", np.int64),
+                       ("readings", np.float64, (4,))])
+
+
 def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult:
     """Parse a sensor log into a (rows, 4) array of readings.
 
@@ -110,6 +117,11 @@ def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult
     U+FFFD, so a row with one in a parsed field is dropped too. Surviving
     records are sorted by (epoch, mote_id). With `mote` set, only that mote's
     rows are kept (per-mote mode); otherwise all motes merge into one stream.
+
+    The log is read _INGEST_BLOCK lines at a time. numpy's C text reader takes
+    a block whose rows all parse: it splits on the whitespace `str.split` does
+    and reads each number it accepts as `int` or `float` would. Only a block it
+    rejects goes through `_parse_sensor_row` row by row.
     """
     path = Path(path)
     epochs: list[int] = []
@@ -118,22 +130,43 @@ def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult
     total = 0
     dropped = dict.fromkeys(DROP_REASONS, 0)
     with path.open("r", encoding="utf-8", errors="replace") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.split()
-            if not parts:
+        end = 0
+        while block := list(islice(handle, _INGEST_BLOCK)):
+            start, end = end + 1, end + len(block)
+            if all(map(str.isspace, block)):  # no rows: loadtxt would warn
                 continue
-            total += 1
-            row = _parse_sensor_row(parts)
-            if isinstance(row, str):
-                dropped[row] += 1
-                log.debug("%s:%d: malformed sensor row skipped (%s)", path, lineno, row)
+            try:
+                table = np.loadtxt(block, dtype=_ROW_DTYPE, comments=None, ndmin=1)
+            except ValueError:  # a row that does not parse: this block goes row by row
+                for lineno, line in enumerate(block, start=start):
+                    parts = line.split()
+                    if not parts:
+                        continue
+                    total += 1
+                    row = _parse_sensor_row(parts)
+                    if isinstance(row, str):
+                        dropped[row] += 1
+                        log.debug("%s:%d: malformed sensor row skipped (%s)", path, lineno, row)
+                        continue
+                    epoch, mote_id, values = row
+                    if mote is not None and mote_id != mote:
+                        continue
+                    epochs.append(epoch)
+                    motes.append(mote_id)
+                    readings.extend(values)
                 continue
-            epoch, mote_id, values = row
-            if mote is not None and mote_id != mote:
-                continue
-            epochs.append(epoch)
-            motes.append(mote_id)
-            readings.extend(values)
+            total += len(table)
+            keep = np.isfinite(table["readings"]).all(axis=1)
+            if not keep.all():  # table row i is the block's i-th non-blank line
+                linenos = [n for n, line in enumerate(block, start=start) if not line.isspace()]
+                for i in np.flatnonzero(~keep).tolist():
+                    dropped["non_finite"] += 1
+                    log.debug("%s:%d: malformed sensor row skipped (non_finite)", path, linenos[i])
+            if mote is not None:
+                keep &= table["mote"] == mote
+            epochs.extend(table["epoch"][keep].tolist())
+            motes.extend(table["mote"][keep].tolist())
+            readings.frombytes(table["readings"][keep].tobytes())
     # Stable sorts by mote, then by epoch, give (epoch, mote) order; rows
     # sharing both keep file order. Python ints: epochs need not fit int64.
     order = sorted(range(len(motes)), key=motes.__getitem__)
