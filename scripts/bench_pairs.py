@@ -12,10 +12,11 @@ per run, at `workers` 1 and 2, alternating the checkouts, twice per side:
 `run_grid` and `write_reports` seconds, the main process's peak resident set
 after each of them, and the pool workers' peak. Last it times one
 `ingest_sensor_log` call per fresh interpreter, alternating the checkouts,
-INGEST_RUNS times per side, on three logs: replay-walk's (`qsim gen --profile
+INGEST_RUNS times per side, on four logs: replay-walk's (`qsim gen --profile
 random-walk --length 40000 --seed <first seed>`), the same log with a
-malformed row at the end of every 4,096-line block, and the same log with a
-`nan` reading every 50 rows.
+malformed row at the end of every 4,096-line block, the same with one at the
+end of every 512-line block (each block the ingester reads goes row by row),
+and the same log with a `nan` reading every 50 rows.
 
 The output holds the environment (each checkout's git sha, Python, numpy,
 nproc, the run length, `--pairs` and `--first-seed`), every run, and per
@@ -118,7 +119,7 @@ def grid_run(checkout: Path, workers: int) -> dict:
 
 
 def ingest_logs(work: Path, seed: int) -> dict[str, Path]:
-    """Replay-walk's log and its two variants, written with this checkout's `qsim gen`."""
+    """Replay-walk's log and its variants, written with this checkout's `qsim gen`."""
     clean = work / "clean.txt"
     subprocess.run(
         [sys.executable, "-m", "qsim", "gen", "--out", str(clean), "--profile", "random-walk",
@@ -127,13 +128,19 @@ def ingest_logs(work: Path, seed: int) -> dict[str, Path]:
         stdout=subprocess.DEVNULL,
     )
     lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
-    bad = [line.rsplit(" ", 1)[0] + "\n" if i % 4096 == 4095 else line  # 7 fields
-           for i, line in enumerate(lines)]
-    nan = [" ".join(line.split()[:5] + ["nan"] + line.split()[6:]) + "\n" if i % 50 == 49 else line
-           for i, line in enumerate(lines)]
-    paths = {"clean": clean, "bad_row_per_block": work / "bad.txt", "nan_every_50": work / "nan.txt"}
-    paths["bad_row_per_block"].write_text("".join(bad), encoding="utf-8")
-    paths["nan_every_50"].write_text("".join(nan), encoding="utf-8")
+    variants = {
+        # The last line of every 4,096- or 512-line block cut to 7 fields.
+        "bad_row_per_4096": [line.rsplit(" ", 1)[0] + "\n" if i % 4096 == 4095 else line
+                             for i, line in enumerate(lines)],
+        "bad_row_per_512": [line.rsplit(" ", 1)[0] + "\n" if i % 512 == 511 else line
+                            for i, line in enumerate(lines)],
+        "nan_every_50": [" ".join(line.split()[:5] + ["nan"] + line.split()[6:]) + "\n"
+                         if i % 50 == 49 else line for i, line in enumerate(lines)],
+    }
+    paths = {"clean": clean}
+    for name, text in variants.items():
+        paths[name] = work / f"{name}.txt"
+        paths[name].write_text("".join(text), encoding="utf-8")
     return paths
 
 

@@ -421,9 +421,9 @@ class TestPooledDetail:
 class TestReplayDigest:
     """Report bytes of a replayed log pinned by sha256, beside the manifest's
     ingest block. The log is `qsim gen` output spread over 3 motes with
-    unsorted, repeated epochs, plus malformed and non-finite rows, and spans
-    more than two 4,096-line ingestion blocks. Recorded before ingestion read
-    the log a block at a time."""
+    unsorted, repeated epochs, plus malformed and non-finite rows, and is
+    more than 2 x 4,096 lines long. Recorded before ingestion read the log a
+    block at a time."""
 
     DIGEST = "519ab24968141076b93b9559cb7bfb717be15262570e5dc39127b1164e0afe91"
     INGEST = {"rows": 9009, "kept": 9000, "dropped": 9,

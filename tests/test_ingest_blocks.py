@@ -21,7 +21,7 @@ from qsim import harness
 from qsim.harness import ingest_sensor_log
 from reference_ingest import reference_ingest
 
-BLOCK = 4096
+BLOCK = 512
 
 # Every character str.split() splits on. "\n" and "\r" also end a line when
 # the log is read, so a field separator is any of the others.
@@ -116,10 +116,11 @@ def test_the_alphabet_covers_every_whitespace_character():
 
 
 @settings(max_examples=60, deadline=None)
-@given(size=st.sampled_from([1, 9, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+@given(size=st.sampled_from([1, 9, BLOCK - 1, BLOCK, BLOCK + 1, 4095, 4096, 4097]),
        end=st.sampled_from(LINE_ENDS), seed=st.integers(0, 2**32),
-       placed=st.lists(st.tuples(st.integers(0, 2 * BLOCK + 1), sensor_lines()), max_size=6),
-       edges=st.lists(st.tuples(st.sampled_from([0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK]),
+       placed=st.lists(st.tuples(st.integers(0, 4096), sensor_lines()), max_size=6),
+       edges=st.lists(st.tuples(st.integers(0, 4096 // BLOCK).map(lambda b: b * BLOCK)
+                                | st.integers(1, 4096 // BLOCK).map(lambda b: b * BLOCK - 1),
                                 sensor_lines()), max_size=3),
        last_end=st.booleans())
 def test_block_ingestion_matches_the_per_row_reference(size, end, seed, placed, edges, last_end):
@@ -154,13 +155,14 @@ class TestBlockEdges:
         result = assert_matches_reference(path)
         assert result.total_rows == len(result) == 2 * BLOCK
 
-    def test_clean_log_of_exactly_one_block(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("size", [BLOCK, 4096])
+    def test_clean_log_of_whole_blocks(self, tmp_path, monkeypatch, size):
         parse = harness._parse_sensor_row
         parsed = []
         monkeypatch.setattr(harness, "_parse_sensor_row",
                             lambda parts: parsed.append(parts) or parse(parts))
-        result = assert_matches_reference(self.write(tmp_path, clean_lines(BLOCK, 3)))
-        assert result.total_rows == len(result) == BLOCK
+        result = assert_matches_reference(self.write(tmp_path, clean_lines(size, 3)))
+        assert result.total_rows == len(result) == size
         assert parsed == []
 
     def test_epoch_of_2_to_the_63_in_the_second_block(self, tmp_path):
