@@ -128,12 +128,14 @@ def ingest_logs(work: Path, seed: int) -> dict[str, Path]:
         stdout=subprocess.DEVNULL,
     )
     lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    def bad_row_per(block: int) -> list[str]:  # the last line of every block cut to 7 fields
+        return [line.rsplit(" ", 1)[0] + "\n" if i % block == block - 1 else line
+                for i, line in enumerate(lines)]
+
     variants = {
-        # The last line of every 4,096- or 512-line block cut to 7 fields.
-        "bad_row_per_4096": [line.rsplit(" ", 1)[0] + "\n" if i % 4096 == 4095 else line
-                             for i, line in enumerate(lines)],
-        "bad_row_per_512": [line.rsplit(" ", 1)[0] + "\n" if i % 512 == 511 else line
-                            for i, line in enumerate(lines)],
+        "bad_row_per_4096": bad_row_per(4096),
+        "bad_row_per_512": bad_row_per(512),
         "nan_every_50": [" ".join(line.split()[:5] + ["nan"] + line.split()[6:]) + "\n"
                          if i % 50 == 49 else line for i, line in enumerate(lines)],
     }

@@ -21,7 +21,7 @@ from qsim import harness
 from qsim.harness import ingest_sensor_log
 from reference_ingest import reference_ingest
 
-BLOCK = 512
+BLOCK = harness._INGEST_BLOCK
 
 # Every character str.split() splits on. "\n" and "\r" also end a line when
 # the log is read, so a field separator is any of the others.
@@ -112,7 +112,6 @@ def assert_matches_reference(path: Path, mote=None):
 
 def test_the_alphabet_covers_every_whitespace_character():
     assert len(WHITESPACE) == 29
-    assert harness._INGEST_BLOCK == BLOCK
 
 
 @settings(max_examples=60, deadline=None)
