@@ -1,7 +1,7 @@
 """Paired benchmark runs of two qsim checkouts, written to one JSON file.
 
     python3 scripts/bench_pairs.py --parent ../qsim-parent --out BENCH_13.json \
-        --pairs replay-walk=10,grid-drift=4,baselines-multinode=4 --first-seed 13001
+        --pairs replay-walk=10,grid-drift=4,baselines-multinode=4 --first-seed 13101
 
 For each workload it runs the checkouts' own `bench/run.py --trace 0`, for the
 run length BENCHMARK.json sets, in alternating pairs (the parent first in even
@@ -15,8 +15,8 @@ after each of them, and the pool workers' peak. Last it times one
 INGEST_RUNS times per side, on four logs: replay-walk's (`qsim gen --profile
 random-walk --length 40000 --seed <first seed>`), the same log with a
 malformed row at the end of every 4,096-line block, the same with one at the
-end of every 512-line block (each block the ingester reads goes row by row),
-and the same log with a `nan` reading every 50 rows.
+end of every 512-line block (so every block the ingester reads is parsed
+twice), and the same log with a `nan` reading every 50 rows.
 
 The output holds the environment (each checkout's git sha, Python, numpy,
 nproc, the run length, `--pairs` and `--first-seed`), every run, and per

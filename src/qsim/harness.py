@@ -102,9 +102,9 @@ def _parse_sensor_row(parts: list[str]) -> tuple[int, int, tuple[float, ...]] | 
     return epoch, mote_id, values
 
 
-# Lines per np.loadtxt call (a rejected block is parsed again row by row), and
-# the row it reads: date and time (never read), epoch and mote, the four
-# readings. Without `usecols` it rejects 7- or 9-field rows.
+# Lines per np.loadtxt call, few because a block it rejects is parsed again row
+# by row, and the row it reads: date and time (never read), epoch and mote, the
+# four readings. Without `usecols` it rejects 7- or 9-field rows.
 _INGEST_BLOCK = 512
 _ROW_DTYPE = np.dtype([("date", "U1"), ("time", "U1"), ("epoch", np.int64), ("mote", np.int64),
                        ("readings", np.float64, (4,))])
