@@ -1,16 +1,19 @@
-"""Paired benchmark runs of two qsim checkouts, written to one JSON file.
+"""Paired benchmark runs of two commits of this repository, written to one JSON file.
 
-    python3 scripts/bench_pairs.py --parent ../qsim-parent --out BENCH_13.json \
-        --pairs replay-walk=10,grid-drift=4,baselines-multinode=4 --first-seed 13101
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_14.json \
+        --pairs grid-drift=10,replay-walk=10,baselines-multinode=4 --first-seed 14101
 
-For each workload it runs the checkouts' own `bench/run.py --trace 0`, for the
-run length BENCHMARK.json sets, in alternating pairs (the parent first in even
-pairs, this checkout first in odd ones), one seed per pair, and reads the JSON
-object each run prints last. It then times the criterion-10 grid (UDDM, BM, PM
-x T 10, 100, 1000 x theta 0.6, 0.75, E = 1000, seed 42) in a fresh interpreter
-per run, at `workers` 1 and 2, alternating the checkouts, twice per side:
-`run_grid` and `write_reports` seconds, the main process's peak resident set
-after each of them, and the pool workers' peak. Last it times one
+Each side runs from a fresh `git clone` of its commit in a temporary
+directory, never from a working tree, so both start from committed files and
+without a `__pycache__`. For each workload it runs the clones' own
+`bench/run.py --trace 0`, for the run length BENCHMARK.json sets, in
+alternating pairs (the parent first in even pairs, the change first in odd
+ones), one seed per pair, and reads the JSON object each run prints last. It
+then times the criterion-10 grid (UDDM, BM, PM x T 10, 100, 1000 x theta 0.6,
+0.75, E = 1000, seed 42) in a fresh interpreter per run, at `workers` 1 and 2,
+alternating the sides, twice per side: `run_grid` and `write_reports`
+seconds, the main process's peak resident set after each of them, the pool
+workers' peak, and a sha256 of the run's CSV files. Last it times one
 `ingest_sensor_log` call per fresh interpreter, alternating the checkouts,
 INGEST_RUNS times per side, on four logs: replay-walk's (`qsim gen --profile
 random-walk --length 40000 --seed <first seed>`), the same log with a
@@ -18,12 +21,14 @@ malformed row at the end of every 4,096-line block, the same with one at the
 end of every 512-line block (so every block the ingester reads is parsed
 twice), and the same log with a `nan` reading every 50 rows.
 
-The output holds the environment (each checkout's git sha, Python, numpy,
-nproc, the run length, `--pairs` and `--first-seed`), every run, and per
-workload, metric and side the median, the quartiles and the number of pairs
-each side won. Whether lower or higher is better comes from the parent's
-BENCHMARK.json. Nothing here changes the benchmark: both sides run their own
-unchanged `bench/run.py`.
+The output holds the environment (each side's git sha, Python, numpy, nproc,
+the run length, `--pairs`, `--first-seed`, `PYTHONDONTWRITEBYTECODE` and
+whether each clone held a `__pycache__` before its first run and after its
+last), every run, per workload, metric and side the median, the quartiles and
+the number of pairs each side won, and whether both sides wrote the same
+criterion-10 CSV bytes. The run length and whether lower or higher is better
+come from the parent's BENCHMARK.json. Nothing here changes the benchmark:
+both sides run their own unchanged `bench/run.py`.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from pathlib import Path
 import numpy
 
 HERE = Path(__file__).resolve().parent.parent
-SECONDS = json.loads((HERE / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 GRID_RUNS = 2  # criterion-10 grid runs per side and worker count
 INGEST_RUNS = 10  # ingestion timings per side and log
 
@@ -52,7 +56,7 @@ GRID = {"policy": "UDDM,BM,PM", "t": "10,100,1000", "theta": "0.6,0.75", "e": "1
 # Run in a fresh interpreter with the checkout's src on the path: argv[1] the
 # config overrides as JSON, argv[2] the output directory.
 GRID_CODE = """
-import json, resource, sys, time
+import hashlib, json, pathlib, resource, sys, time
 from qsim.harness import load_config, run_grid, write_reports
 def peak(who):
     return resource.getrusage(who).ru_maxrss / 1024.0
@@ -63,10 +67,14 @@ ran = time.perf_counter()
 main_after_run_grid = peak(resource.RUSAGE_SELF)
 write_reports(reports, manifest, config.out_dir)
 wrote = time.perf_counter()
+csv_sha256 = hashlib.sha256()
+for path in sorted(pathlib.Path(config.out_dir).glob("*.csv")):
+    csv_sha256.update(path.name.encode() + b"\\0" + path.read_bytes())
 print(json.dumps({"run_grid_s": ran - start, "write_reports_s": wrote - ran,
                   "main_peak_mb_after_run_grid": main_after_run_grid,
                   "main_peak_mb": peak(resource.RUSAGE_SELF),
-                  "worker_peak_mb": peak(resource.RUSAGE_CHILDREN)}))
+                  "worker_peak_mb": peak(resource.RUSAGE_CHILDREN),
+                  "csv_sha256": csv_sha256.hexdigest()}))
 """
 
 
@@ -80,20 +88,31 @@ print(time.perf_counter() - start)
 """
 
 
-def git_sha(checkout: Path) -> str | None:
-    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
-    return done.stdout.strip() or None
+def git_sha(revision: str) -> str:
+    """The commit `revision` names in this repository."""
+    return subprocess.run(["git", "-C", str(HERE), "rev-parse", "--verify", f"{revision}^{{commit}}"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def clone(sha: str, into: Path) -> Path:
+    """A fresh checkout of commit `sha` of this repository at `into`."""
+    subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(HERE), str(into)], check=True)
+    subprocess.run(["git", "-C", str(into), "checkout", "--quiet", "--detach", sha], check=True)
+    return into
+
+
+def has_pycache(checkout: Path) -> bool:
+    return any(checkout.rglob("__pycache__"))
 
 
 def last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def bench_run(checkout: Path, workload: str, seed: int) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     done = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -118,13 +137,13 @@ def grid_run(checkout: Path, workers: int) -> dict:
     return last_json(done.stdout)
 
 
-def ingest_logs(work: Path, seed: int) -> dict[str, Path]:
-    """Replay-walk's log and its variants, written with this checkout's `qsim gen`."""
+def ingest_logs(checkout: Path, work: Path, seed: int) -> dict[str, Path]:
+    """Replay-walk's log and its variants, written with the checkout's `qsim gen`."""
     clean = work / "clean.txt"
     subprocess.run(
         [sys.executable, "-m", "qsim", "gen", "--out", str(clean), "--profile", "random-walk",
          "--length", "40000", "--seed", str(seed)],
-        env={**os.environ, "PYTHONPATH": str(HERE / "src")}, check=True,
+        env={**os.environ, "PYTHONPATH": str(checkout / "src")}, check=True,
         stdout=subprocess.DEVNULL,
     )
     lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -186,39 +205,54 @@ def log(message: str) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--parent", required=True, help="the parent commit, e.g. HEAD~1")
+    parser.add_argument("--change", default="HEAD", help="the commit of the change")
     parser.add_argument("--pairs", default="grid-drift=10,replay-walk=4,baselines-multinode=4",
                         help="workload=pairs, comma-separated")
     parser.add_argument("--first-seed", type=int, default=8001)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    sides = {"parent": args.parent.resolve(), "change": HERE}
-    spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    shas = {"parent": git_sha(args.parent), "change": git_sha(args.change)}
+    with tempfile.TemporaryDirectory(prefix="qsim-pairs-") as work:
+        sides = {side: clone(sha, Path(work) / side) for side, sha in shas.items()}
+        pycache_before = {side: has_pycache(path) for side, path in sides.items()}
+        spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        report = {
+            "environment": {
+                "git_sha": shas,
+                "python": platform.python_version(),
+                "numpy": numpy.__version__,
+                "nproc": os.cpu_count(),
+                "seconds": spec["run_seconds"],
+                "pairs": args.pairs,
+                "first_seed": args.first_seed,
+                "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            },
+            **measure(sides, spec, args.pairs, args.first_seed, Path(work)),
+        }
+        report["environment"]["pycache"] = {
+            side: {"before_first_run": pycache_before[side], "after_last_run": has_pycache(path)}
+            for side, path in sides.items()}
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    log(f"wrote {args.out}")
+    return 0
+
+
+def measure(sides: dict[str, Path], spec: dict, pair_counts: str, first_seed: int,
+            work: Path) -> dict:
+    """The bench pairs, the criterion-10 grid runs and the ingestion timings."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    report = {
-        "environment": {
-            "git_sha": {side: git_sha(path) for side, path in sides.items()},
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "nproc": os.cpu_count(),
-            "seconds": SECONDS,
-            "pairs": args.pairs,
-            "first_seed": args.first_seed,
-        },
-        "workloads": {},
-        "criterion_10_grid": {},
-        "ingest_s": {},
-    }
-    seed = args.first_seed
-    for item in args.pairs.split(","):
+    report = {"workloads": {}, "criterion_10_grid": {}, "ingest_s": {}}
+    seed = first_seed
+    for item in pair_counts.split(","):
         workload, count = item.split("=")
         pairs = []
         for i in range(int(count)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = bench_run(sides[side], workload, seed)
+                pair[side] = bench_run(sides[side], workload, seed, spec["run_seconds"])
                 log(f"{workload} seed {seed} {side}: {json.dumps(pair[side].get('metrics'))}"
                     f" correct={pair[side]['correct']}")
             pairs.append(pair)
@@ -230,22 +264,22 @@ def main(argv=None) -> int:
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 runs[side].append(grid_run(sides[side], workers))
                 log(f"grid workers={workers} {side}: {json.dumps(runs[side][-1])}")
-        report["criterion_10_grid"][f"workers_{workers}"] = runs
-    with tempfile.TemporaryDirectory(prefix="qsim-ingest-") as work:
-        for name, path in ingest_logs(Path(work), args.first_seed).items():
-            runs = {"parent": [], "change": []}
-            for i in range(INGEST_RUNS):
-                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                    runs[side].append(ingest_run(sides[side], path))
-            medians = {side: statistics.median(times) for side, times in runs.items()}
-            report["ingest_s"][name] = {
-                "runs": runs, **{side: spread(times) for side, times in runs.items()},
-                "parent_over_change": medians["parent"] / medians["change"],
-            }
-            log(f"ingest {name}: {json.dumps(medians)}")
-    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    log(f"wrote {args.out}")
-    return 0
+        digests = {run["csv_sha256"] for side_runs in runs.values() for run in side_runs}
+        report["criterion_10_grid"][f"workers_{workers}"] = {**runs, "csv_identical": len(digests) == 1}
+    logs = work / "logs"
+    logs.mkdir()
+    for name, path in ingest_logs(sides["change"], logs, first_seed).items():
+        runs = {"parent": [], "change": []}
+        for i in range(INGEST_RUNS):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                runs[side].append(ingest_run(sides[side], path))
+        medians = {side: statistics.median(times) for side, times in runs.items()}
+        report["ingest_s"][name] = {
+            "runs": runs, **{side: spread(times) for side, times in runs.items()},
+            "parent_over_change": medians["parent"] / medians["change"],
+        }
+        log(f"ingest {name}: {json.dumps(medians)}")
+    return report
 
 
 if __name__ == "__main__":

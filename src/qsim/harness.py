@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import os
+import shutil
 import sys
 import time
 import zlib
@@ -324,12 +325,18 @@ def _dataset_checksum(config: HarnessConfig) -> str:
 
 def _run_group_task(cells: Sequence[ExperimentConfig], dataset, engine) -> tuple[MetricsReport, ...]:
     """Pool worker entry point: run one group of cells and format their detail
-    rows here, so the workers share the formatting and it overlaps other runs."""
+    rows here, so the workers share the formatting and it overlaps other runs.
+    Cells sharing one event table share one text, so the result pickles it once."""
+    details: dict[int, tuple[bytes, ...]] = {}  # by id of the table
+    reports = []
     # Resolves `_run_group` in the worker, at call time: a pool pickles the submitted function
     # by name, so a wrapper set on this module's `_run_group` (a tracing hook) could not be.
-    return tuple(
-        replace(report, detail=tuple(zlib.compress(b, 1) for b in _detail_blocks(report.per_experiment)))
-        for report in _run_group(cells, dataset, engine))
+    for report in _run_group(cells, dataset, engine):
+        events = report.per_experiment
+        if id(events) not in details:
+            details[id(events)] = tuple(zlib.compress(b, 1) for b in _detail_blocks(events))
+        reports.append(replace(report, detail=details[id(events)]))
+    return tuple(reports)
 
 
 def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
@@ -409,7 +416,8 @@ def write_reports(reports: Sequence[MetricsReport], manifest: dict, out_dir: str
     No field can hold a comma, quote or line break (policy names, causes,
     numbers), so the rows are plain comma-joined CSV lines. A pooled report's
     detail rows come formatted by its worker (`MetricsReport.detail`); any
-    other report's are formatted here, by the same block formatter.
+    other report's are formatted here, by the same block formatter. Reports
+    sharing one event table get one written file, copied for the others.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -420,12 +428,18 @@ def write_reports(reports: Sequence[MetricsReport], manifest: dict, out_dir: str
             for r in reports
         )
     header = (",".join(DETAIL_COLUMNS) + "\n").encode("utf-8")
+    written: dict[int, Path] = {}  # the file holding each table, by id of the table
     for report in reports:
+        path = out / _detail_filename(report)
+        first = written.setdefault(id(report.per_experiment), path)
+        if first != path:
+            shutil.copyfile(first, path)
+            continue
         if report.detail is None:
             blocks = _detail_blocks(report.per_experiment)
         else:  # formatted by the pool worker that ran the cell
             blocks = map(zlib.decompress, report.detail)
-        with (out / _detail_filename(report)).open("wb") as handle:
+        with path.open("wb") as handle:
             handle.write(header)
             handle.writelines(blocks)
     (out / "manifest.json").write_text(

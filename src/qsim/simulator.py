@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -124,8 +124,9 @@ class EventColumns:
     `experiment`, `node`, `step` and `t_star` are int32 columns, `magnitude`
     and `g` float64 ones (g NaN where the policy gives no score). The bool
     `triggered` column gives the cause: the policy's `trigger_cause`, else the
-    deadline. Iteration builds DisseminationEvents on demand; equality compares
-    the columns, and pickling ships them as arrays.
+    deadline. The constructor marks every column read-only, since reports may
+    share one table. Iteration builds DisseminationEvents on demand; equality
+    compares the columns, and pickling ships them as arrays.
     """
 
     experiment: np.ndarray
@@ -137,9 +138,23 @@ class EventColumns:
     g: np.ndarray
     trigger_cause: str
 
+    def __post_init__(self) -> None:
+        for column in self._columns():
+            column.flags.writeable = False
+
+    def __reduce__(self):
+        # Through the constructor, so an unpickled table is read-only too.
+        return EventColumns, (*self._columns(), self.trigger_cause)
+
     def _columns(self) -> tuple:
         return (self.experiment, self.node, self.step, self.t_star, self.triggered,
                 self.magnitude, self.g)
+
+    def _same_bits(self, other: EventColumns) -> bool:
+        """Equal bytes in every column. Unlike ==, this tells -0.0 from 0.0,
+        which the detail files write differently."""
+        return self.trigger_cause == other.trigger_cause and len(self) == len(other) and all(
+            a.tobytes() == b.tobytes() for a, b in zip(self._columns(), other._columns()))
 
     @property
     def causes(self) -> tuple[str, str]:
@@ -182,7 +197,13 @@ class ExperimentTrace:
 
 @dataclass(frozen=True, slots=True)
 class MetricsReport:
-    """Aggregates of one (policy, T, theta) cell across E experiments."""
+    """Aggregates of one (policy, T, theta) cell across E experiments.
+
+    Cells of one (policy, T) run whose events are equal bit for bit share one
+    `per_experiment` table (BM never reads theta, so its cells always do), one
+    `detail` text, and `write_reports` writes their detail file once and
+    copies it for the others.
+    """
 
     policy: str
     T: int
@@ -385,9 +406,22 @@ def run_cell(config: ExperimentConfig, dataset=None,
 
 def _run_group(cells: Sequence[ExperimentConfig], dataset=None,
                engine: InferenceEngine | None = None) -> tuple[MetricsReport, ...]:
-    """`run_cell` of each of `cells`, which differ in theta alone, from one kernel pass."""
+    """`run_cell` of each of `cells`, which differ in theta alone, from one kernel pass.
+
+    A report whose events equal an earlier report's bit for bit takes that
+    report's table, so the copies are formatted and written once downstream.
+    """
     records = _simulate(cells[0], [c.theta for c in cells], _cell_streams(cells[0], dataset), engine)
-    return tuple(map(_report, cells, records))
+    tables: list[EventColumns] = []  # the distinct ones so far
+    reports = []
+    for report in map(_report, cells, records):
+        shared = next((t for t in tables if t._same_bits(report.per_experiment)), None)
+        if shared is None:
+            tables.append(report.per_experiment)
+        else:
+            report = replace(report, per_experiment=shared)
+        reports.append(report)
+    return tuple(reports)
 
 
 def _report(config: ExperimentConfig, record: _DecisionRecord) -> MetricsReport:

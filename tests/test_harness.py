@@ -410,12 +410,51 @@ class TestPooledDetail:
         assert [text.count(b"\n") for text in written.values()] == [
             1 + r.message_count for r in pooled[0]]
 
+    def test_pooled_columns_are_read_only(self, pooled):
+        for report in pooled[0]:
+            events = report.per_experiment
+            for name in ("experiment", "node", "step", "t_star", "triggered", "magnitude", "g"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(events, name)[0] = getattr(events, name)[-1]
+
     def test_pickled_pooled_reports_write_the_same_bytes(self, pooled, tmp_path):
         reports, manifest = pooled
         copies = pickle.loads(pickle.dumps(reports, pickle.HIGHEST_PROTOCOL))
         assert [c.detail for c in copies] == [r.detail for r in reports]
         assert self.detail_bytes(write_reports(copies, manifest, tmp_path / "copy")) == \
             self.detail_bytes(write_reports(reports, manifest, tmp_path / "orig"))
+
+
+class TestSharedDetail:
+    """BM never reads theta, so each (BM, T) group's cells share one table and
+    one detail text, and their detail files are written once and copied."""
+
+    OVERRIDES = {"policy": "BM", "t": "5,7", "theta": "0.6,0.75,0.9", "e": "40", "n": "2",
+                 "seed": "5"}
+
+    def test_a_group_task_ships_one_table_and_one_text(self):
+        cells = load_config(cli_overrides={**self.OVERRIDES, "t": "5"}, environ={}).cells()
+        shipped = pickle.dumps(harness._run_group_task(cells, None, None), pickle.HIGHEST_PROTOCOL)
+        reports = pickle.loads(shipped)
+        assert len(reports) == 3
+        assert reports[0].per_experiment is reports[1].per_experiment is reports[2].per_experiment
+        assert reports[0].detail is reports[1].detail is reports[2].detail
+        one_cell = pickle.dumps(harness._run_group_task(cells[:1], None, None), pickle.HIGHEST_PROTOCOL)
+        assert len(shipped) <= 1.1 * len(one_cell)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_shared_files_equal_each_report_written_alone(self, tmp_path, workers):
+        reports, manifest = run_grid(load_config(cli_overrides={**self.OVERRIDES, "workers": workers},
+                                                 environ={}))
+        for T in (5, 7):  # at workers 2 a task per group, so the pooled reports share too
+            assert len({id(r.per_experiment) for r in reports if r.T == T}) == 1
+        shared = TestPooledDetail.detail_bytes(write_reports(reports, manifest, tmp_path / "shared"))
+        alone = {}
+        for i, report in enumerate(reports):
+            alone.update(TestPooledDetail.detail_bytes(
+                write_reports([report], manifest, tmp_path / f"alone{i}")))
+        assert shared == alone
+        assert len(shared) == 6 and len(set(shared.values())) == 2
 
 
 class TestReplayDigest:

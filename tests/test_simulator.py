@@ -264,6 +264,9 @@ class TestDisseminationInvariant:
             run_cell(ExperimentConfig(policy="BM", T=6, E=4, N=2, seed=3))
 
 
+EVENT_COLUMNS = ("experiment", "node", "step", "t_star", "triggered", "magnitude", "g")
+
+
 class TestEventColumns:
     @pytest.fixture(scope="class")
     def report(self):
@@ -295,12 +298,18 @@ class TestEventColumns:
         assert restored == report
         assert list(restored.per_experiment) == list(report.per_experiment)
 
+    def test_columns_are_read_only(self, report):
+        """Before and after a pickle round trip, which is how a pooled report arrives."""
+        for events in (report.per_experiment, pickle.loads(pickle.dumps(report)).per_experiment):
+            for name in EVENT_COLUMNS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(events, name)[0] = getattr(events, name)[-1]
+
     def test_equality_compares_every_column(self, report):
         events = report.per_experiment
         assert events == pickle.loads(pickle.dumps(events))
-        names = ("experiment", "node", "step", "t_star", "triggered", "magnitude", "g")
-        for name in names:
-            columns = {key: getattr(events, key).copy() for key in names}
+        for name in EVENT_COLUMNS:
+            columns = {key: getattr(events, key).copy() for key in EVENT_COLUMNS}
             last = columns[name][-1].item()
             # Any other value: the flag flipped, NaN (no score) replaced, a number moved.
             columns[name][-1] = (not last) if type(last) is bool else 0.5 if last != last else last + 1
@@ -480,6 +489,52 @@ class TestGroupedPass:
         assert 0 < np.count_nonzero(scored) <= 30 // 3 + 1
         assert np.isnan(record.score[record.t_star < 3]).all()
         assert not np.isnan(record.score[record.t_star >= 3]).any()
+
+
+class TestSharedTables:
+    """Cells of a group whose events are equal bit for bit share one table."""
+
+    THETAS = (0.6, 0.75, 0.9)
+
+    def group(self, policy, thetas=THETAS, **config):
+        return simulator._run_group([ExperimentConfig(policy=policy, theta=theta, **config)
+                                     for theta in thetas])
+
+    def test_bm_cells_share_one_table(self):
+        reports = self.group("BM", T=20, E=6, N=2, seed=3, profile="random-walk")
+        assert [r.theta for r in reports] == list(self.THETAS)
+        assert reports[0].per_experiment is reports[1].per_experiment is reports[2].per_experiment
+
+    def test_uddm_cells_that_decide_differently_share_nothing(self):
+        reports = self.group("UDDM", T=30, E=6, seed=3, profile="random-walk")
+        assert len({r.message_count for r in reports}) == 3
+        assert len({id(r.per_experiment) for r in reports}) == 3
+
+    @pytest.mark.parametrize("column", ["quantum", "score"])
+    def test_a_zero_of_another_sign_is_not_shared(self, monkeypatch, column):
+        """The tables are == (-0.0 == 0.0), but the detail files differ, so they
+        must not share: the test compares bytes."""
+        simulate = simulator._simulate
+
+        def signed_zeros(config, thetas, block, engine=None):
+            records = simulate(config, thetas, block, engine)
+            # The first event: experiment 0's first send.
+            experiment, step, node = (int(i[0]) for i in np.nonzero(records[0].sends.transpose(1, 0, 2)))
+            first_send = step, experiment, node
+            signed = []
+            for record, zero in zip(records, (0.0, -0.0)):
+                values = getattr(record, column).copy()
+                values[first_send] = zero
+                signed.append(replace(record, **{column: values}))
+            return tuple(signed)
+
+        monkeypatch.setattr(simulator, "_simulate", signed_zeros)
+        first, second = self.group("BM", thetas=self.THETAS[:2], T=10, E=3, seed=2)
+        assert first.per_experiment == second.per_experiment
+        assert first.per_experiment is not second.per_experiment
+        name = {"quantum": "magnitude", "score": "g"}[column]
+        assert [repr(getattr(r.per_experiment, name)[0].item()) for r in (first, second)] == [
+            "0.0", "-0.0"]
 
 
 class TestReportDigests:
