@@ -67,14 +67,18 @@ ran = time.perf_counter()
 main_after_run_grid = peak(resource.RUSAGE_SELF)
 write_reports(reports, manifest, config.out_dir)
 wrote = time.perf_counter()
+timings = {"run_grid_s": ran - start, "write_reports_s": wrote - ran,
+           "main_peak_mb_after_run_grid": main_after_run_grid,
+           "main_peak_mb": peak(resource.RUSAGE_SELF),
+           "worker_peak_mb": peak(resource.RUSAGE_CHILDREN)}
+# Hashed after the peaks are read, a block at a time.
 csv_sha256 = hashlib.sha256()
 for path in sorted(pathlib.Path(config.out_dir).glob("*.csv")):
-    csv_sha256.update(path.name.encode() + b"\\0" + path.read_bytes())
-print(json.dumps({"run_grid_s": ran - start, "write_reports_s": wrote - ran,
-                  "main_peak_mb_after_run_grid": main_after_run_grid,
-                  "main_peak_mb": peak(resource.RUSAGE_SELF),
-                  "worker_peak_mb": peak(resource.RUSAGE_CHILDREN),
-                  "csv_sha256": csv_sha256.hexdigest()}))
+    csv_sha256.update(path.name.encode() + b"\\0")
+    with path.open("rb") as handle:
+        while block := handle.read(1 << 20):
+            csv_sha256.update(block)
+print(json.dumps({**timings, "csv_sha256": csv_sha256.hexdigest()}))
 """
 
 
