@@ -1,7 +1,7 @@
 """Paired benchmark runs of two commits of this repository, written to one JSON file.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_14.json \
-        --pairs grid-drift=10,replay-walk=10,baselines-multinode=4 --first-seed 14101
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_15.json \
+        --pairs grid-drift=10,replay-walk=10,baselines-multinode=4 --first-seed 15101
 
 Each side runs from a fresh `git clone` of its commit in a temporary
 directory, never from a working tree, so both start from committed files and
@@ -13,7 +13,9 @@ then times the criterion-10 grid (UDDM, BM, PM x T 10, 100, 1000 x theta 0.6,
 0.75, E = 1000, seed 42) in a fresh interpreter per run, at `workers` 1 and 2,
 alternating the sides, twice per side: `run_grid` and `write_reports`
 seconds, the main process's peak resident set after each of them, the pool
-workers' peak, and a sha256 of the run's CSV files. Last it times one
+workers' peak, and a sha256 of the run's CSV files. It times the same way
+the theta sweeps (0.6, 0.75) of each policy at T = 1000, with E = 100 and
+E = 1000, at `workers` 2: grids of one (policy, T) group. Last it times one
 `ingest_sensor_log` call per fresh interpreter, alternating the checkouts,
 INGEST_RUNS times per side, on four logs: replay-walk's (`qsim gen --profile
 random-walk --length 40000 --seed <first seed>`), the same log with a
@@ -26,7 +28,7 @@ the run length, `--pairs`, `--first-seed`, `PYTHONDONTWRITEBYTECODE` and
 whether each clone held a `__pycache__` before its first run and after its
 last), every run, per workload, metric and side the median, the quartiles and
 the number of pairs each side won, and whether both sides wrote the same
-criterion-10 CSV bytes. The run length and whether lower or higher is better
+CSV bytes for each grid. The run length and whether lower or higher is better
 come from the parent's BENCHMARK.json. Nothing here changes the benchmark:
 both sides run their own unchanged `bench/run.py`.
 """
@@ -47,11 +49,14 @@ from pathlib import Path
 import numpy
 
 HERE = Path(__file__).resolve().parent.parent
-GRID_RUNS = 2  # criterion-10 grid runs per side and worker count
+GRID_RUNS = 2  # runs per side of each timed grid
 INGEST_RUNS = 10  # ingestion timings per side and log
 
 GRID = {"policy": "UDDM,BM,PM", "t": "10,100,1000", "theta": "0.6,0.75", "e": "1000",
         "seed": "42"}
+SWEEPS = {f"{policy}_T1000_E{e}": {"policy": policy, "t": "1000", "theta": "0.6,0.75", "e": str(e),
+                                   "seed": "42", "workers": "2"}
+          for policy in ("UDDM", "BM", "PM") for e in (100, 1000)}
 
 # Run in a fresh interpreter with the checkout's src on the path: argv[1] the
 # config overrides as JSON, argv[2] the output directory.
@@ -127,12 +132,12 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def grid_run(checkout: Path, workers: int) -> dict:
+def grid_run(checkout: Path, overrides: dict[str, str]) -> dict:
+    """One timed `run_grid` + `write_reports` of the grid `overrides` configure."""
     out = Path(tempfile.mkdtemp(prefix="qsim-grid-"))
     try:
         done = subprocess.run(
-            [sys.executable, "-c", GRID_CODE, json.dumps({**GRID, "workers": str(workers)}),
-             str(out / "grid")],
+            [sys.executable, "-c", GRID_CODE, json.dumps(overrides), str(out / "grid")],
             env={**os.environ, "PYTHONPATH": str(checkout / "src")},
             capture_output=True, text=True, check=True,
         )
@@ -245,9 +250,9 @@ def main(argv=None) -> int:
 
 def measure(sides: dict[str, Path], spec: dict, pair_counts: str, first_seed: int,
             work: Path) -> dict:
-    """The bench pairs, the criterion-10 grid runs and the ingestion timings."""
+    """The bench pairs, the criterion-10 grid and theta sweep runs, and the ingestion timings."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    report = {"workloads": {}, "criterion_10_grid": {}, "ingest_s": {}}
+    report = {"workloads": {}, "criterion_10_grid": {}, "theta_sweeps": {}, "ingest_s": {}}
     seed = first_seed
     for item in pair_counts.split(","):
         workload, count = item.split("=")
@@ -262,14 +267,17 @@ def measure(sides: dict[str, Path], spec: dict, pair_counts: str, first_seed: in
             pairs.append(pair)
             seed += 1
         report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
-    for workers in (1, 2):
+    grids = {("criterion_10_grid", f"workers_{workers}"): {**GRID, "workers": str(workers)}
+             for workers in (1, 2)}
+    grids.update({("theta_sweeps", name): overrides for name, overrides in SWEEPS.items()})
+    for (kind, name), overrides in grids.items():
         runs = {"parent": [], "change": []}
         for i in range(GRID_RUNS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[side].append(grid_run(sides[side], workers))
-                log(f"grid workers={workers} {side}: {json.dumps(runs[side][-1])}")
+                runs[side].append(grid_run(sides[side], overrides))
+                log(f"{kind} {name} {side}: {json.dumps(runs[side][-1])}")
         digests = {run["csv_sha256"] for side_runs in runs.values() for run in side_runs}
-        report["criterion_10_grid"][f"workers_{workers}"] = {**runs, "csv_identical": len(digests) == 1}
+        report[kind][name] = {**runs, "csv_identical": len(digests) == 1}
     logs = work / "logs"
     logs.mkdir()
     for name, path in ingest_logs(sides["change"], logs, first_seed).items():

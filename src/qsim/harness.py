@@ -348,8 +348,6 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
     """
     started = time.perf_counter()
     groups = [tuple(group) for _, group in groupby(config.cells(), key=lambda c: (c.policy, c.T))]
-    if len(groups) < config.workers:  # too few groups to keep every worker busy: a task per cell
-        groups = [(cell,) for group in groups for cell in group]
     dataset = None
     ingest_info = None
     if config.source != SYNTHETIC_SOURCE:

@@ -125,8 +125,10 @@ class EventColumns:
     and `g` float64 ones (g NaN where the policy gives no score). The bool
     `triggered` column gives the cause: the policy's `trigger_cause`, else the
     deadline. The constructor marks every column read-only, since reports may
-    share one table. Iteration builds DisseminationEvents on demand; equality
-    compares the columns, and pickling ships them as arrays.
+    share one table. Iteration builds DisseminationEvents on demand, and
+    pickling ships the columns as arrays. Two tables are equal when their
+    trigger causes and the bytes of every column are, so -0.0 and 0.0 differ,
+    as the detail files write them.
     """
 
     experiment: np.ndarray
@@ -150,12 +152,6 @@ class EventColumns:
         return (self.experiment, self.node, self.step, self.t_star, self.triggered,
                 self.magnitude, self.g)
 
-    def _same_bits(self, other: EventColumns) -> bool:
-        """Equal bytes in every column. Unlike ==, this tells -0.0 from 0.0,
-        which the detail files write differently."""
-        return self.trigger_cause == other.trigger_cause and len(self) == len(other) and all(
-            a.tobytes() == b.tobytes() for a, b in zip(self._columns(), other._columns()))
-
     @property
     def causes(self) -> tuple[str, str]:
         """The cause of a send, indexed by its `triggered` flag."""
@@ -177,8 +173,7 @@ class EventColumns:
         if not isinstance(other, EventColumns):
             return NotImplemented
         return self.trigger_cause == other.trigger_cause and all(
-            np.array_equal(a, b, equal_nan=True) for a, b in zip(self._columns(), other._columns())
-        )
+            a.tobytes() == b.tobytes() for a, b in zip(self._columns(), other._columns()))
 
     def __hash__(self) -> int:
         return hash((len(self), self.trigger_cause))
@@ -412,16 +407,9 @@ def _run_group(cells: Sequence[ExperimentConfig], dataset=None,
     report's table, so the copies are formatted and written once downstream.
     """
     records = _simulate(cells[0], [c.theta for c in cells], _cell_streams(cells[0], dataset), engine)
-    tables: list[EventColumns] = []  # the distinct ones so far
-    reports = []
-    for report in map(_report, cells, records):
-        shared = next((t for t in tables if t._same_bits(report.per_experiment)), None)
-        if shared is None:
-            tables.append(report.per_experiment)
-        else:
-            report = replace(report, per_experiment=shared)
-        reports.append(report)
-    return tuple(reports)
+    tables: dict[EventColumns, EventColumns] = {}  # each distinct table, keyed by itself
+    return tuple(replace(r, per_experiment=tables.setdefault(r.per_experiment, r.per_experiment))
+                 for r in map(_report, cells, records))
 
 
 def _report(config: ExperimentConfig, record: _DecisionRecord) -> MetricsReport:

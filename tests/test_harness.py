@@ -319,8 +319,8 @@ class TestGridAndReports:
         assert payload["runtime_seconds"] >= 0.0
 
     def test_pool_is_sized_to_the_grid(self, monkeypatch, tmp_path):
-        """One pool task per (policy, T) group, in grid order, on min(workers, tasks)
-        workers; with fewer groups than workers, one task per cell; one cell runs in-process."""
+        """One pool task per (policy, T) group, in grid order, on min(workers, groups)
+        workers; a grid of one group runs in-process at any worker count."""
         sizes, tasks = [], []
 
         class InlineExecutor:
@@ -345,25 +345,24 @@ class TestGridAndReports:
         assert sizes == [4]
         assert tasks == [[(policy, T, 0.6), (policy, T, 0.75)]
                          for policy in ("UDDM", "BM") for T in (5, 8)]
+        group_tasks = tasks[:]
         del sizes[:], tasks[:]
+        # More workers than groups: the pool is no larger than the groups, and they stay whole.
         run_grid(small_config(t="5,8", workers="8"))
-        assert sizes == [8]
-        assert tasks == [[(policy, T, theta)]
-                         for policy in ("UDDM", "BM") for T in (5, 8) for theta in (0.6, 0.75)]
+        assert sizes == [4]
+        assert tasks == group_tasks
         del sizes[:], tasks[:]
         run_grid(small_config(policy="UDDM,BM,PM", theta="0.6", workers="2"))
         assert sizes == [2]
         del sizes[:], tasks[:]
-        # One group, two cells: a task per cell, and the pool is no larger than that.
+        # One group, two cells: no pool.
         pooled = write_reports(*run_grid(small_config(policy="UDDM", workers="4")), tmp_path / "w4")
         serial = write_reports(*run_grid(small_config(policy="UDDM", workers="1")), tmp_path / "w1")
-        assert sizes == [2]
-        assert tasks == [[("UDDM", 5, 0.6)], [("UDDM", 5, 0.75)]]
+        assert sizes == [] and tasks == []
         names = sorted(p.name for p in serial.glob("*.csv"))
         assert len(names) == 3
         for name in names:
             assert (pooled / name).read_bytes() == (serial / name).read_bytes()
-        sizes.clear()
         run_grid(small_config(policy="UDDM", theta="0.6", workers="2"))
         assert sizes == []
 
@@ -446,7 +445,7 @@ class TestSharedDetail:
     def test_shared_files_equal_each_report_written_alone(self, tmp_path, workers):
         reports, manifest = run_grid(load_config(cli_overrides={**self.OVERRIDES, "workers": workers},
                                                  environ={}))
-        for T in (5, 7):  # at workers 2 a task per group, so the pooled reports share too
+        for T in (5, 7):  # at workers 2 one pool task per group, so the pooled reports share too
             assert len({id(r.per_experiment) for r in reports if r.T == T}) == 1
         shared = TestPooledDetail.detail_bytes(write_reports(reports, manifest, tmp_path / "shared"))
         alone = {}
@@ -455,6 +454,14 @@ class TestSharedDetail:
                 write_reports([report], manifest, tmp_path / f"alone{i}")))
         assert shared == alone
         assert len(shared) == 6 and len(set(shared.values())) == 2
+
+    def test_a_one_group_sweep_shares_on_several_workers(self, tmp_path):
+        """A grid of one group runs in-process, so its cells share at any worker count."""
+        reports, manifest = run_grid(load_config(cli_overrides={**self.OVERRIDES, "t": "5",
+                                                                "workers": "2"}, environ={}))
+        assert reports[0].per_experiment is reports[1].per_experiment is reports[2].per_experiment
+        files = TestPooledDetail.detail_bytes(write_reports(reports, manifest, tmp_path))
+        assert len(files) == 3 and len(set(files.values())) == 1
 
 
 class TestReplayDigest:

@@ -512,8 +512,8 @@ class TestSharedTables:
 
     @pytest.mark.parametrize("column", ["quantum", "score"])
     def test_a_zero_of_another_sign_is_not_shared(self, monkeypatch, column):
-        """The tables are == (-0.0 == 0.0), but the detail files differ, so they
-        must not share: the test compares bytes."""
+        """-0.0 == 0.0, but the detail files write them differently, so the
+        tables are not equal and must not share."""
         simulate = simulator._simulate
 
         def signed_zeros(config, thetas, block, engine=None):
@@ -530,7 +530,7 @@ class TestSharedTables:
 
         monkeypatch.setattr(simulator, "_simulate", signed_zeros)
         first, second = self.group("BM", thetas=self.THETAS[:2], T=10, E=3, seed=2)
-        assert first.per_experiment == second.per_experiment
+        assert first.per_experiment != second.per_experiment
         assert first.per_experiment is not second.per_experiment
         name = {"quantum": "magnitude", "score": "g"}[column]
         assert [repr(getattr(r.per_experiment, name)[0].item()) for r in (first, second)] == [
