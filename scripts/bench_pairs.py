@@ -1,7 +1,7 @@
 """Paired benchmark runs of two commits of this repository, written to one JSON file.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_15.json \
-        --pairs grid-drift=10,replay-walk=10,baselines-multinode=4 --first-seed 15101
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_16.json \
+        --pairs grid-drift=10,replay-walk=10,baselines-multinode=4 --first-seed 16101
 
 Each side runs from a fresh `git clone` of its commit in a temporary
 directory, never from a working tree, so both start from committed files and
@@ -22,6 +22,10 @@ random-walk --length 40000 --seed <first seed>`), the same log with a
 malformed row at the end of every 4,096-line block, the same with one at the
 end of every 512-line block (so every block the ingester reads is parsed
 twice), and the same log with a `nan` reading every 50 rows.
+
+For each side it also records the design's size: `src_lines`, the total of
+`wc -l src/qsim/*.py`, and `public_names`, the length of `qsim.__all__` read in
+a fresh interpreter that writes no bytecode.
 
 The output holds the environment (each side's git sha, Python, numpy, nproc,
 the run length, `--pairs`, `--first-seed`, `PYTHONDONTWRITEBYTECODE` and
@@ -108,6 +112,17 @@ def clone(sha: str, into: Path) -> Path:
     subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(HERE), str(into)], check=True)
     subprocess.run(["git", "-C", str(into), "checkout", "--quiet", "--detach", sha], check=True)
     return into
+
+
+def design_size(checkout: Path) -> dict:
+    """The checkout's `src/` lines, as `wc -l src/qsim/*.py` counts them, and public names."""
+    lines = sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "qsim").glob("*.py"))
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", "import qsim; print(len(qsim.__all__))"],
+        env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    return {"src_lines": lines, "public_names": int(done.stdout.strip())}
 
 
 def has_pycache(checkout: Path) -> bool:
@@ -216,7 +231,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the parent commit, e.g. HEAD~1")
     parser.add_argument("--change", default="HEAD", help="the commit of the change")
-    parser.add_argument("--pairs", default="grid-drift=10,replay-walk=4,baselines-multinode=4",
+    parser.add_argument("--pairs", default="grid-drift=10,replay-walk=10,baselines-multinode=4",
                         help="workload=pairs, comma-separated")
     parser.add_argument("--first-seed", type=int, default=8001)
     parser.add_argument("--out", type=Path, required=True)
@@ -238,6 +253,7 @@ def main(argv=None) -> int:
                 "first_seed": args.first_seed,
                 "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             },
+            "design": {side: design_size(path) for side, path in sides.items()},
             **measure(sides, spec, args.pairs, args.first_seed, Path(work)),
         }
         report["environment"]["pycache"] = {

@@ -6,7 +6,7 @@ to a membership interval rather than a single grade. The 27-rule knowledge
 base conjoins the three inputs with the minimum t-norm applied boundwise,
 giving one firing interval per rule. Type reduction is the Nie-Tan midpoint
 collapse; defuzzification is the firing-weighted average of consequent-term
-centroids, precomputed on a uniform grid over [0, 1]. The output, the
+centroids, precomputed on a uniform grid of 101 points over [0, 1]. The output, the
 potential of dissemination, always lands in [0, 1]; zero total firing mass
 yields 0.
 """
@@ -44,6 +44,9 @@ log = logging.getLogger(__name__)
 # monotone in it.
 TERM_LABELS = ("low", "medium", "high")
 
+# Term centroids are sums over this many evenly spaced points of [0, 1].
+_CENTROID_POINTS = 101
+
 
 def trapezoid(x: float, a: float, b: float, c: float, d: float) -> float:
     """Trapezoidal membership with plateau [b, c]; degenerate edges act as shoulders."""
@@ -76,8 +79,12 @@ class IntervalTerm:
             raise ConfigurationError(
                 f"term {self.label!r}: lower-shape height must lie in (0, 1], got {self.height}"
             )
-        for i in range(101):
-            x = i / 100.0
+        # Both grades are linear between consecutive corners, and each jumps
+        # only at a vertical edge, where the corner takes the higher side. So
+        # lower <= upper holds everywhere when it holds at every corner and at
+        # every midpoint between two consecutive corners.
+        corners = sorted({*self.upper, *self.lower})
+        for x in sorted(corners + [(p + q) / 2 for p, q in zip(corners, corners[1:])]):
             lo, hi = self.membership(x)
             if lo > hi + 1e-12:
                 raise ConfigurationError(
@@ -195,19 +202,15 @@ class InferenceEngine:
         self,
         terms: Sequence[IntervalTerm] | None = None,
         rules: RuleBase | None = None,
-        grid_points: int = 101,
     ) -> None:
         terms = tuple(terms) if terms is not None else default_terms()
         labels = tuple(t.label for t in terms)
         if labels != TERM_LABELS:
             raise ConfigurationError(f"engine terms must be {TERM_LABELS} in that order, got {labels}")
-        if grid_points < 2:
-            raise ConfigurationError(f"centroid grid needs at least 2 points, got {grid_points}")
         rules = rules if rules is not None else default_rule_base()
         self.terms = terms
         self.rules = rules
-        self.grid_points = grid_points
-        self._centroids = tuple(self._term_centroid(t) for t in terms)
+        self._centroids = tuple(map(_term_centroid, terms))
         rule_centroids = [
             self._centroids[TERM_LABELS.index(rules.consequent(combo))]
             for combo in product(TERM_LABELS, repeat=3)
@@ -221,20 +224,6 @@ class InferenceEngine:
         self._scales = np.array([t.height for t in terms] + [1.0] * 3).reshape(6, 1, 1)
         # Rows weighting each rule's firing mass: into the numerator, then the denominator.
         self._rule_weights = np.array([rule_centroids, [1.0] * 27]).reshape(2, 27, 1)
-
-    def _term_centroid(self, term: IntervalTerm) -> float:
-        num = 0.0
-        den = 0.0
-        last = self.grid_points - 1
-        for i in range(self.grid_points):
-            x = i / last
-            lo, hi = term.membership(x)
-            mass = lo + hi  # the midpoint's factor 1/2 cancels in the ratio
-            num += x * mass
-            den += mass
-        if den <= 0.0:
-            raise ConfigurationError(f"term {term.label!r} has zero mass on the centroid grid")
-        return num / den
 
     def centroid(self, label: str) -> float:
         for term, value in zip(self.terms, self._centroids):
@@ -285,6 +274,20 @@ class InferenceEngine:
         return np.minimum(num / np.where(den > 0.0, den, 1.0), 1.0).reshape(shape)
 
 
+def _term_centroid(term: IntervalTerm) -> float:
+    num = 0.0
+    den = 0.0
+    for i in range(_CENTROID_POINTS):
+        x = i / (_CENTROID_POINTS - 1)
+        lo, hi = term.membership(x)
+        mass = lo + hi  # the midpoint's factor 1/2 cancels in the ratio
+        num += x * mass
+        den += mass
+    if den <= 0.0:
+        raise ConfigurationError(f"term {term.label!r} has zero mass on the centroid grid")
+    return num / den
+
+
 @lru_cache(maxsize=1)
 def default_engine() -> InferenceEngine:
     return InferenceEngine()
@@ -322,25 +325,25 @@ def _spec_keys(entry: Mapping, allowed: tuple[str, ...], what: str) -> None:
         raise ConfigurationError(f"unknown keys in {what}: {_echo(sorted(unknown, key=str))}")
 
 
-def _spec_shape(entry: Mapping, key: str, label: str) -> tuple[float, float, float, float]:
-    corners = _spec_list(entry[key], f"term {label!r}: {key} shape")
+def _spec_upper(entry: Mapping, label: str) -> tuple[float, float, float, float]:
+    corners = _spec_list(entry["upper"], f"term {label!r}: upper shape")
     if len(corners) != 4:
-        raise ConfigurationError(f"term {label!r}: {key} shape needs 4 corners, got {_echo(corners)}")
-    return tuple(_spec_number(v, f"term {label!r}: {key} corner") for v in corners)
+        raise ConfigurationError(f"term {label!r}: upper shape needs 4 corners, got {_echo(corners)}")
+    return tuple(_spec_number(v, f"term {label!r}: upper corner") for v in corners)
 
 
 def engine_from_config(spec: Mapping) -> InferenceEngine:
     """Build an engine from a parsed configuration mapping.
 
-    Recognized keys: "grid_points"; "terms" mapping label -> {"upper": [a,b,c,d],
-    "shrink": f, "height": h}, or with an explicit "lower": [a,b,c,d] in place
-    of "shrink"; "rules" as a list of {"antecedents": [l1, l2, l3],
-    "consequent": label} overrides applied on top of the rank-average base. A spec of any other shape, or with any
-    other key, is a ConfigurationError.
+    Recognized keys: "terms" mapping label -> {"upper": [a,b,c,d], "shrink": f,
+    "height": h}, each term built by `make_term` (shrink 0 and height 0.9 by
+    default); "rules" as a list of {"antecedents": [l1, l2, l3], "consequent":
+    label} overrides applied on top of the rank-average base. A spec of any
+    other shape, or with any other key, is a ConfigurationError.
     """
     if not isinstance(spec, Mapping):
         raise ConfigurationError(f"engine overrides must be an object, got {type(spec).__name__}")
-    _spec_keys(spec, ("grid_points", "terms", "rules"), "engine overrides")
+    _spec_keys(spec, ("terms", "rules"), "engine overrides")
     term_spec = spec.get("terms", {})
     if not isinstance(term_spec, Mapping):
         raise ConfigurationError(
@@ -357,19 +360,11 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
             continue
         if not isinstance(entry, Mapping) or "upper" not in entry:
             raise ConfigurationError(f"term {label!r}: invalid or missing upper shape")
-        _spec_keys(entry, ("upper", "lower", "shrink", "height"), f"term {label!r}")
-        upper = _spec_shape(entry, "upper", label)
+        _spec_keys(entry, ("upper", "shrink", "height"), f"term {label!r}")
+        upper = _spec_upper(entry, label)
         height = _spec_number(entry.get("height", 0.9), f"term {label!r}: height")
-        if "lower" in entry:
-            if "shrink" in entry:
-                raise ConfigurationError(
-                    f"term {label!r}: give either lower or shrink, not both (shrink derives lower)"
-                )
-            lower = _spec_shape(entry, "lower", label)
-            terms.append(IntervalTerm(label=label, upper=upper, lower=lower, height=height))
-        else:
-            shrink = _spec_number(entry.get("shrink", 0.0), f"term {label!r}: shrink")
-            terms.append(make_term(label, *upper, shrink=shrink, height=height))
+        shrink = _spec_number(entry.get("shrink", 0.0), f"term {label!r}: shrink")
+        terms.append(make_term(label, *upper, shrink=shrink, height=height))
     rules = None
     if "rules" in spec:
         table = dict(default_rule_base().table)
@@ -380,11 +375,4 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
             antecedents = _spec_list(entry["antecedents"], f"rule override {_echo(entry)}: antecedents")
             table[tuple(str(v) for v in antecedents)] = str(entry["consequent"])
         rules = RuleBase(table)
-    grid_points = spec.get("grid_points", 101)
-    if isinstance(grid_points, float) and not grid_points.is_integer():
-        raise ConfigurationError(f"grid_points must be an integer, got {_echo(grid_points)}")
-    try:
-        grid_points = int(grid_points)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"grid_points must be an integer, got {_echo(grid_points)}") from exc
-    return InferenceEngine(terms=terms, rules=rules, grid_points=grid_points)
+    return InferenceEngine(terms=terms, rules=rules)

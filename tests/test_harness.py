@@ -623,42 +623,43 @@ class TestCli:
         "spec",
         [
             [{"terms": {}}],
-            {"grid_points": "x"},
+            {"grid_points": 101},
             {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "height": "tall"}}},
             {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "shrink": "wide"}}},
-            {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "lower": ["a", 0.7, 1.0, 1.0]}}},
+            {"terms": {"high": {"upper": [0.555, 0.556, 1.0, 1.0], "lower": [0.551, 0.559, 1.0, 1.0]}}},
             {"rules": 5},
             {"terms": ["low"]},
             {"rules": [{"antecedents": "abc", "consequent": "low"}]},
             {"grid_point": 5},
-            {"grid_points": 50.9},
             {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "hieght": 0.9}}},
             {"rules": [{"antecedents": ["medium", "low", "low"], "consequent": "medium",
                         "weight": 2}]},
-            {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "lower": [0.6, 0.7, 1.0, 1.0],
-                                "shrink": 0.9}}},
         ],
         ids=[
-            "top-level-list", "grid-points-text", "height-text", "shrink-text",
-            "lower-text", "rules-number", "terms-list", "antecedents-string",
-            "unknown-top-level-key", "grid-points-fraction", "unknown-term-key",
-            "unknown-rule-key", "lower-and-shrink",
+            "top-level-list", "removed-grid-points", "height-text", "shrink-text",
+            "removed-lower", "rules-number", "terms-list", "antecedents-string",
+            "unknown-top-level-key", "unknown-term-key", "unknown-rule-key",
         ],
     )
-    def test_malformed_fuzzy_spec_exit_code(self, tmp_path, spec):
+    def test_malformed_fuzzy_spec_exit_code(self, tmp_path, caplog, request, spec):
         fuzzy = tmp_path / "fuzzy.json"
         fuzzy.write_text(json.dumps(spec), encoding="utf-8")
         assert main([
             "run", "--fuzzy", str(fuzzy), "--E", "1", "--T", "2",
             "--out-dir", str(tmp_path / "out"),
         ]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error.startswith("configuration error: ") and "\n" not in error
+        # The centroid grid size and a term's explicit lower shape are not settings.
+        if request.node.callspec.id.startswith("removed-"):
+            assert error.startswith("configuration error: unknown keys"), error
 
     @pytest.mark.parametrize(
         "flag, content, code",
         [
             ("--config", b"policy = BM\nT = \xff5\n", 1),
-            ("--fuzzy", b'{"grid_points": 5\xff}', 2),
-            ("--fuzzy", b'{"grid_points": 5', 2),
+            ("--fuzzy", b'{"terms": 5\xff}', 2),
+            ("--fuzzy", b'{"terms": 5', 2),
             ("--fuzzy", b"[" * 100_000, 2),
         ],
         ids=["config-not-utf8", "fuzzy-not-utf8", "fuzzy-invalid-json", "fuzzy-nested-too-deep"],
@@ -686,13 +687,13 @@ class TestCli:
             {"terms": {"high": {"upper": list(range(500))}}},
             {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0],
                                 "height": json.loads("[" * 900 + "]" * 900)}}},
-            {"grid_points": list(range(1000))},
+            {"terms": list(range(1000))},
         ],
         ids=[
             "terms-nested-900-deep", "rule-300-antecedents", "rule-long-labels",
             "rule-nested-900-deep", "antecedents-long-string", "rule-long-unknown-key",
             "long-unknown-term-labels", "upper-500-corners", "height-nested-900-deep",
-            "grid-points-long-list",
+            "terms-long-list",
         ],
     )
     def test_fuzzy_spec_error_echoes_a_short_value(self, tmp_path, capsys, caplog, spec):

@@ -150,9 +150,43 @@ class TestTerms:
         with pytest.raises(ConfigurationError):
             IntervalTerm(label="bad", upper=(0.5, 0.4, 0.6, 0.8), lower=(0.5, 0.4, 0.6, 0.8))
 
-    def test_lower_exceeding_upper_rejected(self):
-        with pytest.raises(ConfigurationError):
-            IntervalTerm(label="bad", upper=(0.4, 0.5, 0.5, 0.6), lower=(0.2, 0.5, 0.5, 0.8))
+    @pytest.mark.parametrize("upper, lower, height", [
+        ((0.4, 0.5, 0.5, 0.6), (0.2, 0.5, 0.5, 0.8), 1.0),
+        # Between two hundredths: lower grade 0.11-0.34 where the upper grade is 0.
+        ((0.305, 0.306, 0.6, 0.7), (0.301, 0.309, 0.6, 0.7), 0.9),
+        # Past the upper shape's vertical right edge, seen only between corners.
+        ((0.2, 0.4, 0.6, 0.6), (0.25, 0.4, 0.6, 0.605), 1.0),
+    ], ids=["wider-support", "left-foot-between-samples", "past-a-vertical-edge"])
+    def test_lower_exceeding_upper_rejected(self, upper, lower, height):
+        with pytest.raises(ConfigurationError, match="lower membership exceeds upper"):
+            IntervalTerm(label="bad", upper=upper, lower=lower, height=height)
+
+    def test_accepted_footprints_hold_everywhere(self):
+        # Corners on a 0.001 grid, each lower corner within 0.008 of its upper
+        # one, so many footprints break only between two hundredths; the
+        # multiples of 0.0005 hold every corner and every midpoint.
+        rng = random.Random(11)
+        accepted = 0
+        for _ in range(400):
+            ticks = sorted(rng.randint(0, 1000) for _ in range(4))
+            upper = tuple(v / 1000 for v in ticks)
+            lower = tuple(sorted(min(max(v + rng.randint(-8, 8), 0), 1000) / 1000 for v in ticks))
+            height = rng.choice([1.0, 0.9, 0.5])
+            try:
+                term = IntervalTerm(label="t", upper=upper, lower=lower, height=height)
+            except ConfigurationError:
+                continue
+            accepted += 1
+            for i in range(2001):
+                lo, hi = term.membership(i / 2000)
+                assert lo <= hi + 1e-12, (upper, lower, height, i / 2000)
+        assert accepted >= 50
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(unit, min_size=4, max_size=4), st.floats(0.0, 0.999),
+           st.floats(0.001, 1.0))
+    def test_make_term_is_always_accepted(self, corners, shrink, height):
+        make_term("t", *sorted(corners), shrink=shrink, height=height)
 
     def test_invalid_height_and_shrink(self):
         with pytest.raises(ConfigurationError):
@@ -362,8 +396,6 @@ class TestEvaluate:
     def test_engine_validates_construction(self):
         with pytest.raises(ConfigurationError):
             InferenceEngine(terms=default_terms()[:2])
-        with pytest.raises(ConfigurationError):
-            InferenceEngine(grid_points=1)
 
     @pytest.mark.parametrize("terms", [
         tuple(make_term(label, *t.upper) for label, t in zip(("small", "mid", "large"), default_terms())),
@@ -452,6 +484,7 @@ class TestEngineFromConfig:
         engine = engine_from_config(spec)
         assert engine.terms[2].upper == (0.5, 0.7, 1.0, 1.0)
         assert engine.terms[2].height == 0.8
+        assert engine.terms[2].lower == make_term("high", 0.5, 0.7, 1.0, 1.0, shrink=0.05).lower
         assert engine.rules.consequent(("medium", "low", "low")) == "medium"
         # untouched terms stay at the defaults
         assert engine.terms[0].upper == default_terms()[0].upper
@@ -470,19 +503,20 @@ class TestEngineFromConfig:
         with pytest.raises(ConfigurationError, match="antecedents must be a list"):
             engine_from_config(spec)
 
-    def test_unknown_keys_and_fractional_grid_rejected(self):
+    def test_unknown_keys_and_grid_points_rejected(self):
         with pytest.raises(ConfigurationError, match=r"unknown keys in engine overrides: \['grid_point'\]"):
             engine_from_config({"grid_point": 5})
         with pytest.raises(ConfigurationError, match="unknown keys in term 'high'"):
             engine_from_config({"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "hieght": 0.9}}})
-        with pytest.raises(ConfigurationError, match="grid_points must be an integer, got 50.9"):
-            engine_from_config({"grid_points": 50.9})
-        assert engine_from_config({"grid_points": 51.0}).grid_points == 51
+        # The centroid grid is fixed at 101 points; it is not a setting.
+        with pytest.raises(ConfigurationError, match=r"unknown keys in engine overrides: \['grid_points'\]"):
+            engine_from_config({"grid_points": 101})
 
-    def test_lower_and_shrink_rejected(self):
-        spec = {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "lower": [0.6, 0.7, 1.0, 1.0],
-                                   "shrink": 0.9}}}
-        with pytest.raises(ConfigurationError, match="either lower or shrink, not both"):
+    def test_lower_rejected_as_unknown_key(self):
+        # A spec's lower shape always comes from make_term; an explicit one,
+        # even a valid one, is not a setting.
+        spec = {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "lower": [0.6, 0.7, 1.0, 1.0]}}}
+        with pytest.raises(ConfigurationError, match=r"unknown keys in term 'high': \['lower'\]"):
             engine_from_config(spec)
 
     def test_unknown_term_label_rejected(self):
