@@ -13,8 +13,8 @@ a stale entry shows instead of passing quietly.
 An equivalent mutant changes the code but not what it computes, so no test can
 kill it; it carries the reason. The script exits 1 when a mutant that is not
 equivalent survives or is not applied. The output holds the commit, Python and
-numpy versions, and per mutant its edit, status, seconds and the first failing
-test. It takes minutes, so it runs outside tier-1.
+numpy versions, and per mutant its edit, status, pytest's exit code, seconds
+and the first failing test. It takes minutes, so it runs outside tier-1.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ MUTANTS = [
     Mutant("no-deadline-stagger", SIMULATOR, "np.tile(np.where(offsets > 0, offsets, T), k * E)",
            "np.tile(np.full(n, T), k * E)"),
     # The fuzzy layer.
-    Mutant("rules-summed-pairwise-on-one-triple", T2FLS, "if weighted.shape[2] > 1", "if weighted.shape[2] > 0"),
+    Mutant("rules-summed-pairwise-on-one-triple", T2FLS, "if weighted.shape[2] > 1",
+           "if weighted.shape[2] > 0"),
     Mutant("footprint-check-without-midpoints", T2FLS,
            "for x in sorted(corners + [(p + q) / 2 for p, q in zip(corners, corners[1:])]):",
            "for x in corners:"),
@@ -85,14 +86,16 @@ MUTANTS = [
     Mutant("fast-path-keeps-non-finite", HARNESS, 'keep = np.isfinite(table["readings"]).all(axis=1)',
            "keep = np.ones(len(table), bool)"),
     Mutant("fast-path-ignores-mote", HARNESS, 'keep &= table["mote"] == mote', "pass"),
+    # A window of any size would hold the same maximum, but the cap keeps a
+    # huge configured window from being allocated.
+    Mutant("window-not-capped-at-T", SIMULATOR, "min(config.window, T))", "config.window)"),
     # Equivalent: kept so that the reasoning is re-checked on every sweep.
-    Mutant("rules-always-accumulated", T2FLS, "if weighted.shape[2] > 1", "if weighted.shape[2] > 10**9",
+    Mutant("rules-always-accumulated", T2FLS, "if weighted.shape[2] > 1",
+           "if weighted.shape[2] > 10**9",
            equivalent="np.add.reduce over the rule axis of a (2, 27, n) array with n > 1 adds the "
                       "27 rules in order, as accumulate does; only the speed differs"),
-    Mutant("window-not-capped-at-T", SIMULATOR, "min(config.window, T))", "config.window)",
-           equivalent="a cell observes T quanta, all >= 0, into a window that starts at zeros, so "
-                      "a window longer than T holds the same maximum"),
-    Mutant("geometric-mean-operands-swapped", POLICIES, "np.sqrt(pod_p * pod_f)", "np.sqrt(pod_f * pod_p)",
+    Mutant("geometric-mean-operands-swapped", POLICIES, "np.sqrt(pod_p * pod_f)",
+           "np.sqrt(pod_f * pod_p)",
            equivalent="IEEE multiplication is commutative"),
 ]
 
@@ -103,15 +106,19 @@ def git_sha(revision: str) -> str:
 
 
 def first_failure(output: str) -> str | None:
-    for line in output.splitlines():
+    """The first failed test, else pytest's last line (a failing Hypothesis
+    test can end the run in an INTERNALERROR that names no test)."""
+    lines = output.strip().splitlines()
+    for line in lines:
         if line.startswith(("FAILED ", "ERROR ")):
             return line
-    return None
+    return lines[-1] if lines else None
 
 
 def run_mutant(sha: str, mutant: Mutant) -> dict:
     """Clone `sha`, apply `mutant` and run tier-1 on it."""
-    result = {**asdict(mutant), "status": "not applied", "seconds": None, "first_failure": None}
+    result = {**asdict(mutant), "status": "not applied", "exit": None, "seconds": None,
+              "first_failure": None}
     with tempfile.TemporaryDirectory(prefix="qsim-mutant-") as work:
         checkout = Path(work) / "repo"
         subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(HERE), str(checkout)], check=True)
@@ -129,7 +136,7 @@ def run_mutant(sha: str, mutant: Mutant) -> dict:
             result.update(status="killed", first_failure=f"timed out after {TIMEOUT_S} s")
         else:
             result.update(status="survived" if done.returncode == 0 else "killed",
-                          first_failure=first_failure(done.stdout))
+                          exit=done.returncode, first_failure=first_failure(done.stdout))
         result["seconds"] = round(time.perf_counter() - start, 1)
     return result
 
