@@ -144,20 +144,12 @@ def run_mutant(sha: str, mutant: Mutant) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--commit", default="HEAD", help="the commit to mutate")
-    parser.add_argument("--only", help="comma-separated mutant names to run (default: all)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    chosen = MUTANTS
-    if args.only:
-        names = args.only.split(",")
-        unknown = set(names) - {m.name for m in MUTANTS}
-        if unknown:
-            parser.error(f"unknown mutants: {sorted(unknown)}")
-        chosen = [m for m in MUTANTS if m.name in names]
     sha = git_sha(args.commit)
     results = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         results.append(run_mutant(sha, mutant))
         print(f"[mutants] {mutant.name}: {results[-1]['status']} ({results[-1]['seconds']} s)",
               file=sys.stderr, flush=True)
