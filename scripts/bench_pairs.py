@@ -1,7 +1,7 @@
 """Paired benchmark runs of two commits of this repository, written to one JSON file.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_16.json \
-        --pairs grid-drift=10,replay-walk=10,baselines-multinode=4 --first-seed 16101
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_17.json \
+        --pairs grid-drift=10,replay-walk=10,baselines-multinode=4 --first-seed 17101
 
 Each side runs from a fresh `git clone` of its commit in a temporary
 directory, never from a working tree, so both start from committed files and

@@ -1,6 +1,6 @@
 """Mutation sweep: does tier-1 fail when the decision logic is wrong?
 
-    python3 scripts/mutants.py --commit HEAD --out MUTANTS_16.json
+    python3 scripts/mutants.py --commit HEAD --out MUTANTS_17.json
 
 Each mutant is one source edit: a piece of anchor text in one file and the text
 that replaces it. For each mutant the script makes a fresh `git clone` of the
@@ -75,11 +75,10 @@ MUTANTS = [
     # The fuzzy layer.
     Mutant("rules-summed-pairwise-on-one-triple", T2FLS, "if weighted.shape[2] > 1",
            "if weighted.shape[2] > 0"),
-    Mutant("footprint-check-without-midpoints", T2FLS,
-           "for x in sorted(corners + [(p + q) / 2 for p, q in zip(corners, corners[1:])]):",
-           "for x in corners:"),
-    Mutant("spec-shrink-ignored", T2FLS, "make_term(label, *upper, shrink=shrink, height=height)",
-           "make_term(label, *upper, height=height)"),
+    Mutant("right-foot-pulled-by-left-edge", T2FLS, "d - self.shrink * (d - c))",
+           "d - self.shrink * (b - a))"),
+    Mutant("spec-shrink-ignored", T2FLS, 'for key in ("shrink", "height") if key in entry}',
+           'for key in ("height",) if key in entry}'),
     # Event tables and ingestion.
     Mutant("event-equality-by-value", SIMULATOR, "a.tobytes() == b.tobytes() for a, b",
            "np.array_equal(a, b, equal_nan=True) for a, b"),

@@ -1,21 +1,21 @@
 """Interval Type-2 fuzzy inference over three normalized quanta.
 
 Each linguistic term (low / medium / high) is an interval trapezoid: an upper
-membership function and a lower one contained inside it, so every input maps
-to a membership interval rather than a single grade. The 27-rule knowledge
-base conjoins the three inputs with the minimum t-norm applied boundwise,
-giving one firing interval per rule. Type reduction is the Nie-Tan midpoint
-collapse; defuzzification is the firing-weighted average of consequent-term
-centroids, precomputed on a uniform grid of 101 points over [0, 1]. The output, the
-potential of dissemination, always lands in [0, 1]; zero total firing mass
-yields 0.
+membership function and a lower one derived from it, which lies inside it, so
+every input maps to a membership interval rather than a single grade. The
+27-rule knowledge base conjoins the three inputs with the minimum t-norm
+applied boundwise, giving one firing interval per rule. Type reduction is the
+Nie-Tan midpoint collapse; defuzzification is the firing-weighted average of
+consequent-term centroids, precomputed on a uniform grid of 101 points over
+[0, 1]. The output, the potential of dissemination, always lands in [0, 1];
+zero total firing mass yields 0.
 """
 
 from __future__ import annotations
 
 import logging
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -61,59 +61,45 @@ def trapezoid(x: float, a: float, b: float, c: float, d: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class IntervalTerm:
-    """One linguistic term: an upper trapezoid and a scaled lower trapezoid inside it."""
+    """One linguistic term: an upper trapezoid and a lower one derived from it.
+
+    The lower shape is `upper` with its support feet pulled toward the core by
+    the fraction `shrink` (keyword-only, in [0, 1), default 0), scaled to
+    `height` (keyword-only, in (0, 1], default 0.9). It keeps the upper
+    plateau, its feet lie inside the upper feet (a + shrink * (b - a) rounds
+    to at most b for shrink < 1), and its height is at most 1, so the lower
+    grade never exceeds the upper one. shrink = 0 and height = 1 collapse the
+    footprint entirely (a plain Type-1 term).
+    """
 
     label: str
     upper: tuple[float, float, float, float]
-    lower: tuple[float, float, float, float]
-    height: float = 1.0
+    shrink: float = field(default=0.0, kw_only=True)
+    height: float = field(default=0.9, kw_only=True)
+    lower: tuple[float, float, float, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        for name, shape in (("upper", self.upper), ("lower", self.lower)):
-            a, b, c, d = shape
-            if not (0.0 <= a <= b <= c <= d <= 1.0):
-                raise ConfigurationError(
-                    f"term {self.label!r}: {name} shape {shape} must satisfy 0 <= a <= b <= c <= d <= 1"
-                )
+        a, b, c, d = self.upper
+        if not (0.0 <= a <= b <= c <= d <= 1.0):
+            raise ConfigurationError(
+                f"term {self.label!r}: upper shape {self.upper} must satisfy 0 <= a <= b <= c <= d <= 1"
+            )
+        if not 0.0 <= self.shrink < 1.0:
+            raise ConfigurationError(f"term {self.label!r}: shrink must lie in [0, 1), got {self.shrink}")
         if not 0.0 < self.height <= 1.0:
             raise ConfigurationError(
                 f"term {self.label!r}: lower-shape height must lie in (0, 1], got {self.height}"
             )
-        # Both grades are linear between consecutive corners, and each jumps
-        # only at a vertical edge, where the corner takes the higher side. So
-        # lower <= upper holds everywhere when it holds at every corner and at
-        # every midpoint between two consecutive corners.
-        corners = sorted({*self.upper, *self.lower})
-        for x in sorted(corners + [(p + q) / 2 for p, q in zip(corners, corners[1:])]):
-            lo, hi = self.membership(x)
-            if lo > hi + 1e-12:
-                raise ConfigurationError(
-                    f"term {self.label!r}: lower membership exceeds upper at x={x}"
-                )
+        lower = (a + self.shrink * (b - a), b, c, d - self.shrink * (d - c))
+        object.__setattr__(self, "lower", lower)
 
     def membership(self, x: float) -> tuple[float, float]:
         return (self.height * trapezoid(x, *self.lower), trapezoid(x, *self.upper))
 
 
-def make_term(
-    label: str,
-    a: float,
-    b: float,
-    c: float,
-    d: float,
-    shrink: float = 0.0,
-    height: float = 0.9,
-) -> IntervalTerm:
-    """Build an interval term from an upper trapezoid.
-
-    The lower shape is the same trapezoid with its support feet pulled toward
-    the core by the given fraction, scaled to the given height. shrink = 0 and
-    height = 1 collapse the footprint entirely (a plain Type-1 term).
-    """
-    if not 0.0 <= shrink < 1.0:
-        raise ConfigurationError(f"support shrink must lie in [0, 1), got {shrink}")
-    lower = (a + shrink * (b - a), b, c, d - shrink * (d - c))
-    return IntervalTerm(label=label, upper=(a, b, c, d), lower=lower, height=height)
+def make_term(label: str, a: float, b: float, c: float, d: float, **shape: float) -> IntervalTerm:
+    """The `IntervalTerm` with upper trapezoid (a, b, c, d); `shrink` and `height` pass through."""
+    return IntervalTerm(label, (a, b, c, d), **shape)
 
 
 @lru_cache(maxsize=1)
@@ -307,10 +293,13 @@ def _echo(value) -> str:
 
 
 def _spec_number(value, what: str) -> float:
+    # A JSON number parses to int or float; bool is an int subclass, but not a number here.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{what} must be a number, got {_echo(value)}")
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{what} must be a number, got {_echo(value)}") from exc
+    except OverflowError as exc:
+        raise ConfigurationError(f"{what} is too large for a float, got {_echo(value)}") from exc
 
 
 def _spec_list(value, what: str) -> Sequence:
@@ -336,10 +325,10 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
     """Build an engine from a parsed configuration mapping.
 
     Recognized keys: "terms" mapping label -> {"upper": [a,b,c,d], "shrink": f,
-    "height": h}, each term built by `make_term` (shrink 0 and height 0.9 by
-    default); "rules" as a list of {"antecedents": [l1, l2, l3], "consequent":
-    label} overrides applied on top of the rank-average base. A spec of any
-    other shape, or with any other key, is a ConfigurationError.
+    "height": h}, each an `IntervalTerm` given the keys present; "rules" as a
+    list of {"antecedents": [l1, l2, l3], "consequent": label} overrides
+    applied on top of the rank-average base. A spec of any other shape, or
+    with any other key, is a ConfigurationError.
     """
     if not isinstance(spec, Mapping):
         raise ConfigurationError(f"engine overrides must be an object, got {type(spec).__name__}")
@@ -362,9 +351,9 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
             raise ConfigurationError(f"term {label!r}: invalid or missing upper shape")
         _spec_keys(entry, ("upper", "shrink", "height"), f"term {label!r}")
         upper = _spec_upper(entry, label)
-        height = _spec_number(entry.get("height", 0.9), f"term {label!r}: height")
-        shrink = _spec_number(entry.get("shrink", 0.0), f"term {label!r}: shrink")
-        terms.append(make_term(label, *upper, shrink=shrink, height=height))
+        shape = {key: _spec_number(entry[key], f"term {label!r}: {key}")
+                 for key in ("shrink", "height") if key in entry}
+        terms.append(IntervalTerm(label, upper, **shape))
     rules = None
     if "rules" in spec:
         table = dict(default_rule_base().table)

@@ -634,11 +634,15 @@ class TestCli:
             {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "hieght": 0.9}}},
             {"rules": [{"antecedents": ["medium", "low", "low"], "consequent": "medium",
                         "weight": 2}]},
+            {"terms": {"high": {"upper": [0.55, 0.8, 1, 1], "height": True}}},
+            {"terms": {"high": {"upper": ["0.55", "0.8", "1", "1e0"]}}},
+            {"terms": {"high": {"upper": [0.55, 0.8, 1, 1], "height": 10**400}}},
         ],
         ids=[
             "top-level-list", "removed-grid-points", "height-text", "shrink-text",
             "removed-lower", "rules-number", "terms-list", "antecedents-string",
             "unknown-top-level-key", "unknown-term-key", "unknown-rule-key",
+            "height-true", "corner-text", "height-huge-int",
         ],
     )
     def test_malformed_fuzzy_spec_exit_code(self, tmp_path, caplog, request, spec):
