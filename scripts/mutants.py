@@ -105,8 +105,8 @@ def git_sha(revision: str) -> str:
 
 
 def first_failure(output: str) -> str | None:
-    """The first failed test, else pytest's last line (a failing Hypothesis
-    test can end the run in an INTERNALERROR that names no test)."""
+    """The first failed test, else pytest's last line (a run that ends in an
+    INTERNALERROR or a collection error names no failed test)."""
     lines = output.strip().splitlines()
     for line in lines:
         if line.startswith(("FAILED ", "ERROR ")):
