@@ -1,6 +1,6 @@
 """Mutation sweep: does tier-1 fail when the decision logic is wrong?
 
-    python3 scripts/mutants.py --commit HEAD --out MUTANTS_17.json
+    python3 scripts/mutants.py --commit HEAD --out MUTANTS_18.json
 
 Each mutant is one source edit: a piece of anchor text in one file and the text
 that replaces it. For each mutant the script makes a fresh `git clone` of the
@@ -49,6 +49,7 @@ class Mutant:
 POLICIES = "src/qsim/policies.py"
 SIMULATOR = "src/qsim/simulator.py"
 T2FLS = "src/qsim/t2fls.py"
+FORECASTING = "src/qsim/forecasting.py"
 HARNESS = "src/qsim/harness.py"
 
 MUTANTS = [
@@ -77,8 +78,14 @@ MUTANTS = [
            "if weighted.shape[2] > 0"),
     Mutant("right-foot-pulled-by-left-edge", T2FLS, "d - self.shrink * (d - c))",
            "d - self.shrink * (b - a))"),
+    Mutant("centroid-summed-pairwise", T2FLS,
+           "num, den = np.add.accumulate([grid * mass, mass], axis=2)[:, :, -1]",
+           "num, den = np.sum([grid * mass, mass], axis=2)"),
     Mutant("spec-shrink-ignored", T2FLS, 'for key in ("shrink", "height") if key in entry}',
            'for key in ("height",) if key in entry}'),
+    # The forecaster's one smoothing-factor check, shared by every caller.
+    Mutant("smoothing-bound-inclusive", FORECASTING, "if not 0.0 < value < 1.0:",
+           "if not 0.0 <= value < 1.0:"),
     # Event tables and ingestion.
     Mutant("event-equality-by-value", SIMULATOR, "a.tobytes() == b.tobytes() for a, b",
            "np.array_equal(a, b, equal_nan=True) for a, b"),

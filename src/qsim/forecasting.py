@@ -35,15 +35,20 @@ class HoltState:
 
 @dataclass(frozen=True, slots=True)
 class Forecast:
-    """k-step-ahead projections, clamped at zero."""
+    """The next k quanta projected, clamped at zero; the horizon k is their count."""
 
-    horizon: int
     values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.horizon:
+    @property
+    def horizon(self) -> int:
+        return len(self.values)
+
+
+def _check_smoothing(alpha: float, beta: float) -> None:
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 < value < 1.0:
             raise ConfigurationError(
-                f"forecast carries {len(self.values)} values for horizon {self.horizon}"
+                f"smoothing factor {name} must lie strictly inside (0, 1), got {value!r}"
             )
 
 
@@ -71,11 +76,7 @@ def holt_init(e1: float, e2: float, alpha: float = 0.5, beta: float = 0.5) -> Ho
     The seed state is (level = e1, trend = e2 - e1); it is then advanced once
     with e2 so the returned state has absorbed both observations.
     """
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 < value < 1.0:
-            raise ConfigurationError(
-                f"smoothing factor {name} must lie strictly inside (0, 1), got {value!r}"
-            )
+    _check_smoothing(alpha, beta)
     for value in (e1, e2):
         if not math.isfinite(value):
             raise IngestionError(f"non-finite quantum {value!r} fed to forecaster")
@@ -99,4 +100,4 @@ def holt_forecast(state: HoltState, k: int) -> Forecast:
     if k < 1:
         raise ConfigurationError(f"forecast horizon must be a positive integer, got {k}")
     values = tuple(max(0.0, state.level + (i + 1) * state.trend) for i in range(k))
-    return Forecast(horizon=k, values=values)
+    return Forecast(values)

@@ -498,8 +498,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {args.seed}")
     stream = _synthetic_block([args.seed], args.length, profile=args.profile)[0].tolist()
     with Path(args.out).open("w", encoding="utf-8") as handle:
         for i, (t, h, l, v) in enumerate(stream):

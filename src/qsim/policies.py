@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .forecasting import _holt_update
+from .forecasting import _check_smoothing, _holt_update
 from .t2fls import InferenceEngine, default_engine
 
 __all__ = [
@@ -168,10 +168,7 @@ class _ForecastingPolicy(_PolicyBase):
     """Holt forecaster upkeep shared by the policies that look ahead."""
 
     def __init__(self, alpha: float = 0.5, beta: float = 0.5) -> None:
-        if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
-            raise ConfigurationError(
-                f"smoothing factors must lie strictly inside (0, 1), got alpha={alpha}, beta={beta}"
-            )
+        _check_smoothing(alpha, beta)
         self.alpha = alpha
         self.beta = beta
 

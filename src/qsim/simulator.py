@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError, InvariantViolation, StreamTruncationError
+from .forecasting import _check_smoothing
 from .policies import CAUSE_DEADLINE, POLICY_NAMES, EpochState, build_policy
 from .synopsis import DataVector
 from .t2fls import InferenceEngine
@@ -82,15 +83,16 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.policy not in POLICY_NAMES:
             raise ConfigurationError(f"unknown policy {self.policy!r}; expected one of {POLICY_NAMES}")
+        for name in ("T", "E", "N", "window", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         for name in ("T", "E", "N"):  # event ids are int32 columns
             if not 1 <= getattr(self, name) <= _ID_MAX:
                 raise ConfigurationError(f"{name} must lie in [1, {_ID_MAX}], got {getattr(self, name)}")
         if not self.theta > 0.0:
             raise ConfigurationError(f"theta must be positive, got {self.theta}")
-        if not 0.0 < self.alpha < 1.0 or not 0.0 < self.beta < 1.0:
-            raise ConfigurationError(
-                f"smoothing factors must lie strictly inside (0, 1), got {self.alpha}, {self.beta}"
-            )
+        _check_smoothing(self.alpha, self.beta)
         if self.window < 1:
             raise ConfigurationError(f"normalization window must be >= 1, got {self.window}")
         if self.seed < 0:
@@ -229,7 +231,10 @@ def _synthetic_block(seeds, length: int, dims: int = 4, profile: str = "drift",
         )
     increments = np.zeros((len(seeds), length, dims))
     for stream, seed in zip(increments, seeds):
-        rng = np.random.default_rng(seed)
+        try:
+            rng = np.random.default_rng(seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}") from exc
         if profile == "random-walk":
             stream[:] = rng.normal(0.0, 1.0, size=(length, dims))
         elif profile == "drift":
@@ -248,7 +253,7 @@ def generate_synthetic_stream(
     profile: str = "drift",
     jump_prob: float = 0.05,
 ) -> list[DataVector]:
-    """Deterministic synthetic data stream; the seed fully determines the output.
+    """Deterministic synthetic data stream; the seed, a non-negative integer, fixes the output.
 
     Profiles: "random-walk" (standard Gaussian increments), "drift" (increments
     of 1 plus Gaussian noise of deviation 0.25, so successive differences

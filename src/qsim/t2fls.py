@@ -6,9 +6,10 @@ every input maps to a membership interval rather than a single grade. The
 27-rule knowledge base conjoins the three inputs with the minimum t-norm
 applied boundwise, giving one firing interval per rule. Type reduction is the
 Nie-Tan midpoint collapse; defuzzification is the firing-weighted average of
-consequent-term centroids, precomputed on a uniform grid of 101 points over
-[0, 1]. The output, the potential of dissemination, always lands in [0, 1];
-zero total firing mass yields 0.
+consequent-term centroids, taken on a uniform grid of 101 points over [0, 1]
+that the engine grades with its input kernel (the scalar `trapezoid` and
+`IntervalTerm.membership` are the tests' reference). The output, the potential
+of dissemination, always lands in [0, 1]; zero total firing mass yields 0.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def default_rule_base() -> RuleBase:
 
 
 class InferenceEngine:
-    """Immutable, precomputed evaluator mapping an input triple to a potential."""
+    """Immutable evaluator of input triples; one kernel grades the inputs and the centroid grid."""
 
     def __init__(
         self,
@@ -196,11 +197,6 @@ class InferenceEngine:
         rules = rules if rules is not None else default_rule_base()
         self.terms = terms
         self.rules = rules
-        self._centroids = tuple(map(_term_centroid, terms))
-        rule_centroids = [
-            self._centroids[TERM_LABELS.index(rules.consequent(combo))]
-            for combo in product(TERM_LABELS, repeat=3)
-        ]
         # One row per lower shape, then one per upper shape, as columns
         # broadcasting over (input, triple).
         corners = np.array([t.lower for t in terms] + [t.upper for t in terms]).T.reshape(4, 6, 1, 1)
@@ -208,14 +204,26 @@ class InferenceEngine:
         self._rise = corners[1] - corners[0]
         self._fall = corners[3] - corners[2]
         self._scales = np.array([t.height for t in terms] + [1.0] * 3).reshape(6, 1, 1)
+        grid = np.arange(_CENTROID_POINTS) / (_CENTROID_POINTS - 1)
+        lo, hi = self._grade(grid[None]).reshape(2, 3, -1)
+        mass = lo + hi  # the midpoint's factor 1/2 cancels in the ratio
+        # Each term's sums run over the grid in order, one point after another.
+        num, den = np.add.accumulate([grid * mass, mass], axis=2)[:, :, -1]
+        for label, total in zip(TERM_LABELS, den):
+            if total <= 0.0:
+                raise ConfigurationError(f"term {label!r} has zero mass on the centroid grid")
+        self._centroids = tuple((num / den).tolist())
+        rule_centroids = [
+            self._centroids[TERM_LABELS.index(rules.consequent(combo))]
+            for combo in product(TERM_LABELS, repeat=3)
+        ]
         # Rows weighting each rule's firing mass: into the numerator, then the denominator.
         self._rule_weights = np.array([rule_centroids, [1.0] * 27]).reshape(2, 27, 1)
 
     def centroid(self, label: str) -> float:
-        for term, value in zip(self.terms, self._centroids):
-            if term.label == label:
-                return value
-        raise ConfigurationError(f"unknown term label {label!r}")
+        if label not in TERM_LABELS:
+            raise ConfigurationError(f"unknown term label {label!r}")
+        return self._centroids[TERM_LABELS.index(label)]
 
     def evaluate(self, x1: float, x2: float, x3: float) -> float:
         """Potential of dissemination for one normalized input triple."""
@@ -240,16 +248,8 @@ class InferenceEngine:
             log.warning("%d fuzzifier inputs outside [0, 1]; clamping",
                         np.count_nonzero((x < 0.0) | (x > 1.0)))
             x = np.clip(x, 0.0, 1.0)
-        # Each edge's ratio is at least 1 across the plateau, so the smaller
-        # one, cut to [0, 1], is `trapezoid`. A flat edge divides by zero:
-        # +-inf away from its corner, NaN on it, which fmin passes over.
-        a, b, c, d = self._corners
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            grade = np.fmin((x - a) / self._rise, (d - x) / self._fall)
-        grade = np.fmax(np.fmin(grade, 1.0), 0.0)
-        grade *= self._scales
         # (bound, term, input, triple) -> per rule, the minimum over the inputs.
-        g = grade.reshape(2, 3, 3, -1)
+        g = self._grade(x).reshape(2, 3, 3, -1)
         lo, hi = np.minimum(
             np.minimum(g[:, :, 0, None, None], g[:, None, :, 1, None]), g[:, None, None, :, 2]
         ).reshape(2, 27, -1)
@@ -259,19 +259,17 @@ class InferenceEngine:
                     else np.add.accumulate(weighted, axis=1)[:, -1])
         return np.minimum(num / np.where(den > 0.0, den, 1.0), 1.0).reshape(shape)
 
-
-def _term_centroid(term: IntervalTerm) -> float:
-    num = 0.0
-    den = 0.0
-    for i in range(_CENTROID_POINTS):
-        x = i / (_CENTROID_POINTS - 1)
-        lo, hi = term.membership(x)
-        mass = lo + hi  # the midpoint's factor 1/2 cancels in the ratio
-        num += x * mass
-        den += mass
-    if den <= 0.0:
-        raise ConfigurationError(f"term {term.label!r} has zero mass on the centroid grid")
-    return num / den
+    def _grade(self, x: np.ndarray) -> np.ndarray:
+        """Each term's lower grades, then its upper ones, at (inputs, points) `x`: (6, inputs, points)."""
+        # Each edge's ratio is at least 1 across the plateau, so the smaller
+        # one, cut to [0, 1], is `trapezoid`. A flat edge divides by zero:
+        # +-inf away from its corner, NaN on it, which fmin passes over.
+        a, b, c, d = self._corners
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            grade = np.fmin((x - a) / self._rise, (d - x) / self._fall)
+        grade = np.fmax(np.fmin(grade, 1.0), 0.0)
+        grade *= self._scales
+        return grade
 
 
 @lru_cache(maxsize=1)

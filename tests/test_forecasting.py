@@ -6,6 +6,8 @@ import pytest
 
 from qsim.errors import ConfigurationError, IngestionError, InvariantViolation
 from qsim.forecasting import Forecast, HoltState, holt_forecast, holt_init, holt_step
+from qsim.policies import PmPolicy
+from qsim.simulator import ExperimentConfig
 
 
 def direct_recurrences(series, alpha, beta):
@@ -44,10 +46,16 @@ class TestInit:
         assert state.level == pytest.approx(2.0, abs=1e-12)
         assert state.trend == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (-1, 0.5)])
-    def test_factors_must_be_strictly_inside_unit_interval(self, alpha, beta):
-        with pytest.raises(ConfigurationError):
-            holt_init(1.0, 2.0, alpha, beta)
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (-1, 0.5),
+                                            (0.5, float("nan"))])
+    @pytest.mark.parametrize("build", [
+        lambda alpha, beta: holt_init(1.0, 2.0, alpha, beta),
+        lambda alpha, beta: PmPolicy(alpha=alpha, beta=beta),
+        lambda alpha, beta: ExperimentConfig(alpha=alpha, beta=beta),
+    ], ids=["holt_init", "policy", "config"])
+    def test_factors_must_be_strictly_inside_unit_interval(self, build, alpha, beta):
+        with pytest.raises(ConfigurationError, match=r"smoothing factor (alpha|beta) must lie strictly"):
+            build(alpha, beta)
 
     def test_non_finite_input(self):
         with pytest.raises(IngestionError):
@@ -87,6 +95,8 @@ class TestStep:
         bare = HoltState(level=1.0, trend=0.0, alpha=0.5, beta=0.5, observations=1)
         with pytest.raises(InvariantViolation):
             holt_step(bare, 2.0)
+        with pytest.raises(InvariantViolation):
+            holt_forecast(bare, 3)
 
     def test_non_finite_quantum(self):
         state = holt_init(1.0, 2.0)
@@ -114,9 +124,10 @@ class TestForecast:
         with pytest.raises(ConfigurationError):
             holt_forecast(state, 0)
 
-    def test_forecast_length_invariant(self):
-        with pytest.raises(ConfigurationError):
-            Forecast(horizon=2, values=(1.0,))
+    def test_horizon_is_the_number_of_values(self):
+        assert Forecast((1.0, 0.0)).horizon == 2
+        with pytest.raises(TypeError):
+            Forecast(horizon=2, values=(1.0,))  # the horizon is not settable
 
     def test_successive_values_differ_by_trend_before_clamping(self):
         state = chain([3.0, 5.0, 6.0, 9.0], 0.4, 0.6)

@@ -552,9 +552,10 @@ class TestCli:
             ["run", "--E"],
             ["gen", "--out", "stream.txt", "--length", "abc"],
             [],
+            ["run", "--theta", ","],
         ],
         ids=["abbreviated-flag", "unknown-flag", "flag-without-value", "non-integer-length",
-             "missing-subcommand"],
+             "missing-subcommand", "empty-grid-axis"],
     )
     def test_usage_error_exit_code(self, tmp_path, monkeypatch, caplog, argv):
         monkeypatch.chdir(tmp_path)
@@ -637,12 +638,13 @@ class TestCli:
             {"terms": {"high": {"upper": [0.55, 0.8, 1, 1], "height": True}}},
             {"terms": {"high": {"upper": ["0.55", "0.8", "1", "1e0"]}}},
             {"terms": {"high": {"upper": [0.55, 0.8, 1, 1], "height": 10**400}}},
+            {"terms": {"medium": {"upper": [0.501, 0.502, 0.503, 0.504]}}},
         ],
         ids=[
             "top-level-list", "removed-grid-points", "height-text", "shrink-text",
             "removed-lower", "rules-number", "terms-list", "antecedents-string",
             "unknown-top-level-key", "unknown-term-key", "unknown-rule-key",
-            "height-true", "corner-text", "height-huge-int",
+            "height-true", "corner-text", "height-huge-int", "zero-mass-term",
         ],
     )
     def test_malformed_fuzzy_spec_exit_code(self, tmp_path, caplog, request, spec):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qsim import simulator
 from qsim.errors import ConfigurationError, IngestionError, InvariantViolation, StreamTruncationError
-from qsim.harness import load_config, run_grid, write_reports
+from qsim.harness import load_config, main, run_grid, write_reports
 from qsim.policies import BmPolicy, EpochState, build_policy
 from qsim.simulator import (
     STREAM_PROFILES,
@@ -116,6 +116,12 @@ class TestSyntheticStreams:
     def test_invalid_length(self):
         with pytest.raises(ConfigurationError):
             generate_synthetic_stream(1, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", [1, -2]],
+                             ids=["negative", "fraction", "text", "negative-in-list"])
+    def test_invalid_seed(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be a non-negative integer, got "):
+            generate_synthetic_stream(seed, 10)
 
 
 class TestRunExperiment:
@@ -230,6 +236,25 @@ class TestRunCell:
             with pytest.raises(ConfigurationError, match=f"{key} must lie in"):
                 ExperimentConfig(**{key: 2**31})
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("T", 2.5, "T must be an integer, got 2.5"),
+        ("T", True, "T must be an integer, got True"),
+        ("E", 2.5, "E must be an integer, got 2.5"),
+        ("N", 1.5, "N must be an integer, got 1.5"),
+        ("window", 2.5, "window must be an integer, got 2.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("window", 0, "normalization window must be >= 1, got 0"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ])
+    def test_invalid_cell_values_rejected(self, key, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig(**{"policy": "BM", "E": 2, key: value})
+
+    def test_numpy_integers_accepted(self):
+        sizes = {"T": 3, "E": 2, "N": 2, "window": 5, "seed": 4}
+        config = ExperimentConfig(policy="BM", **{key: np.int64(v) for key, v in sizes.items()})
+        assert run_cell(config) == run_cell(ExperimentConfig(policy="BM", **sizes))
+
     def test_replay_requires_dataset(self):
         config = ExperimentConfig(source="some/file.txt")
         with pytest.raises(ConfigurationError):
@@ -262,6 +287,15 @@ class TestDisseminationInvariant:
         monkeypatch.setattr(simulator, "build_policy", lambda *args, **kwargs: _MutedBm(muted))
         with pytest.raises(InvariantViolation, match=message):
             run_cell(ExperimentConfig(policy="BM", T=6, E=4, N=2, seed=3))
+
+    def test_the_cli_exits_3_with_one_line(self, monkeypatch, tmp_path, caplog):
+        monkeypatch.setattr(simulator, "build_policy", lambda *args, **kwargs: _MutedBm(5))
+        assert main(["run", "--policy", "BM", "--T", "6", "--E", "4", "--N", "2", "--seed", "3",
+                     "--workers", "1", "--out-dir", str(tmp_path / "out")]) == 3
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error.startswith("internal invariant violated: experiment 2: 1 of 2 nodes disseminated;")
+        assert "\n" not in error
+        assert not (tmp_path / "out").exists()
 
 
 EVENT_COLUMNS = ("experiment", "node", "step", "t_star", "triggered", "magnitude", "g")
@@ -419,11 +453,14 @@ class TestKernelMatchesScalarPath:
         rows = np.array([v.values for v in vectors])
         assert run_cell(config, dataset=rows) == run_cell(config, dataset=vectors)
 
-    def test_ragged_dataset_rejected(self):
+    @pytest.mark.parametrize("dataset, message", [
+        ([DataVector((1.0, 2.0))] * 4 + [DataVector((1.0,))], "differ in dimension"),
+        (np.zeros(10), r"must form a \(rows, dims\) array, got shape \(10,\)"),
+    ], ids=["ragged", "one-dimensional"])
+    def test_malformed_dataset_rejected(self, dataset, message):
         config = ExperimentConfig(policy="BM", T=2, E=1, source="replay")
-        vectors = [DataVector((1.0, 2.0))] * 4 + [DataVector((1.0,))]
-        with pytest.raises(ConfigurationError, match="differ in dimension"):
-            run_cell(config, dataset=vectors)
+        with pytest.raises(ConfigurationError, match=message):
+            run_cell(config, dataset=dataset)
 
     def test_non_finite_array_rejected(self):
         config = ExperimentConfig(policy="BM", T=2, E=1, source="replay")

@@ -408,6 +408,16 @@ class TestEvaluate:
     def test_engine_validates_construction(self):
         with pytest.raises(ConfigurationError):
             InferenceEngine(terms=default_terms()[:2])
+        point = make_term("medium", 0.501, 0.502, 0.503, 0.504)  # between two grid points
+        with pytest.raises(ConfigurationError, match="term 'medium' has zero mass on the centroid grid"):
+            InferenceEngine(terms=(default_terms()[0], point, default_terms()[2]))
+
+    def test_default_centroids(self):
+        engine = default_engine()
+        assert [engine.centroid(label) for label in TERM_LABELS] \
+            == [0.1678787878787879, 0.5000000000000003, 0.8321212121212125]
+        with pytest.raises(ConfigurationError, match="unknown term label 'x'"):
+            engine.centroid("x")
 
     @pytest.mark.parametrize("terms", [
         tuple(make_term(label, *t.upper) for label, t in zip(("small", "mid", "large"), default_terms())),
