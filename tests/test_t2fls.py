@@ -408,9 +408,9 @@ class TestEvaluate:
     def test_engine_validates_construction(self):
         with pytest.raises(ConfigurationError):
             InferenceEngine(terms=default_terms()[:2])
-        point = make_term("medium", 0.501, 0.502, 0.503, 0.504)  # between two grid points
+        narrow = make_term("medium", 0.501, 0.502, 0.503, 0.504)  # between two grid points
         with pytest.raises(ConfigurationError, match="term 'medium' has zero mass on the centroid grid"):
-            InferenceEngine(terms=(default_terms()[0], point, default_terms()[2]))
+            InferenceEngine(terms=(default_terms()[0], narrow, default_terms()[2]))
 
     def test_default_centroids(self):
         engine = default_engine()
