@@ -59,29 +59,17 @@ def _holt_update(level, trend, e, alpha, beta):
     return fresh, beta * (fresh - level) + (1.0 - beta) * trend
 
 
-def _advance(state: HoltState, e: float) -> HoltState:
-    level, trend = _holt_update(state.level, state.trend, e, state.alpha, state.beta)
-    return HoltState(
-        level=level,
-        trend=trend,
-        alpha=state.alpha,
-        beta=state.beta,
-        observations=state.observations + 1,
-    )
-
-
 def holt_init(e1: float, e2: float, alpha: float = 0.5, beta: float = 0.5) -> HoltState:
     """Seed the forecaster from the first two quanta of an epoch.
 
-    The seed state is (level = e1, trend = e2 - e1); it is then advanced once
-    with e2 so the returned state has absorbed both observations.
+    The seed (level = e1, trend = e2 - e1) is advanced once with e2, as the
+    lane kernel seeds a lane, so the returned state has absorbed both observations.
     """
     _check_smoothing(alpha, beta)
     for value in (e1, e2):
         if not math.isfinite(value):
             raise IngestionError(f"non-finite quantum {value!r} fed to forecaster")
-    seed = HoltState(level=e1, trend=e2 - e1, alpha=alpha, beta=beta, observations=1)
-    return _advance(seed, e2)
+    return HoltState(*_holt_update(e1, e2 - e1, e2, alpha, beta), alpha, beta, observations=2)
 
 
 def holt_step(state: HoltState, e: float) -> HoltState:
@@ -90,7 +78,8 @@ def holt_step(state: HoltState, e: float) -> HoltState:
         raise InvariantViolation("forecaster not initialized: the first two quanta are required")
     if not math.isfinite(e):
         raise IngestionError(f"non-finite quantum {e!r} fed to forecaster")
-    return _advance(state, e)
+    return HoltState(*_holt_update(state.level, state.trend, e, state.alpha, state.beta),
+                     state.alpha, state.beta, state.observations + 1)
 
 
 def holt_forecast(state: HoltState, k: int) -> Forecast:

@@ -265,9 +265,18 @@ def generate_synthetic_stream(
     return [DataVector(values=tuple(row), timestamp=t) for t, row in enumerate(levels.tolist())]
 
 
-def _vector_rows(vectors) -> np.ndarray:
-    """A stream or replay dataset, given as DataVectors or as a (rows, dims)
-    float array, as that array."""
+def _replay_slices(config: ExperimentConfig, vectors, E: int) -> np.ndarray:
+    """(E, vectors_per_experiment, dims) array of E disjoint contiguous slices
+    of `vectors`, DataVectors or a (rows, dims) float array, wrapping past the
+    end with a warning once the data is exhausted."""
+    count, total = config.vectors_per_experiment, len(vectors)
+    if total < count:
+        raise StreamTruncationError(
+            f"replay data holds {total} vectors but each experiment needs {count} "
+            f"(shortfall {count - total}): {config.N} node(s) x (T={config.T} + {_SLACK})")
+    if E * count > total:
+        log.warning("replay dataset (%d vectors) is shorter than the grid demands (%d); wrapping around",
+                    total, E * count)
     if isinstance(vectors, np.ndarray):
         rows = vectors.astype(float, copy=False)
     else:
@@ -277,7 +286,10 @@ def _vector_rows(vectors) -> np.ndarray:
             raise ConfigurationError(f"data vectors differ in dimension: {exc}") from exc
     if rows.ndim != 2 or rows.shape[1] < 1:
         raise ConfigurationError(f"data vectors must form a (rows, dims) array, got shape {rows.shape}")
-    return rows
+    block = rows[np.arange(E * count).reshape(E, count) % total]
+    if not np.isfinite(block).all():
+        raise IngestionError("non-finite entry in the experiment streams")
+    return block
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,8 +322,6 @@ def _simulate(config: ExperimentConfig, thetas: Sequence[float], block: np.ndarr
     vector apiece at round 0, so the lanes share the synopsis count, and the
     thresholds share the running means. Returns one decision record per theta.
     """
-    if not np.isfinite(block).all():
-        raise IngestionError("non-finite entry in the experiment streams")
     E, n, T, k, dims = len(block), config.N, config.T, len(thetas), block.shape[2]
     lanes = k * E * n
     # (round, dim, 1, stream), stream = experiment * N + node - 1. A lane is
@@ -354,42 +364,28 @@ def run_experiment(
 
     The slice must hold T + 3 vectors per node; vectors are consumed round-robin
     (node j takes position s * N + j - 1 at round s, after one bootstrap vector
-    apiece). The trace is a pure function of (config, stream).
+    apiece). The stream is cut, shape-checked, checked finite and checked for
+    truncation by `run_cell`'s replay slicer, with E = 1. The trace is a pure
+    function of (config, stream).
     """
     if not 0 <= experiment < _ID_MAX:
         raise ConfigurationError(f"experiment index must lie in [0, {_ID_MAX}), got {experiment}")
-    need = config.vectors_per_experiment
-    if len(stream) < need:
-        raise StreamTruncationError(
-            f"stream supplies {len(stream)} vectors but experiment {experiment} needs {need} "
-            f"(shortfall {need - len(stream)}): {config.N} node(s) x (T={config.T} + {_SLACK})"
-        )
-    events = _simulate(config, (config.theta,), _vector_rows(stream[:need])[None])[0].events(experiment)
+    events = _simulate(config, (config.theta,), _replay_slices(config, stream, 1))[0].events(experiment)
     return ExperimentTrace(experiment=experiment, events=events)
 
 
 def _cell_streams(config: ExperimentConfig, dataset) -> np.ndarray:
     """(E, vectors_per_experiment, dims) array: experiment i's stream slice in row i."""
-    count = config.vectors_per_experiment
     if config.source == SYNTHETIC_SOURCE:
         # Streams depend on (seed, T, N, experiment) only, never on policy or
         # theta, so grid cells compare policies on identical data.
         seeds = [[config.seed, config.T, config.N, i] for i in range(config.E)]
-        return _synthetic_block(seeds, count, profile=config.profile)
+        return _synthetic_block(seeds, config.vectors_per_experiment, profile=config.profile)
     if dataset is None:
         raise ConfigurationError(
             f"source {config.source!r} requires a replay dataset; none was supplied"
         )
-    total = len(dataset)
-    if total < count:
-        raise StreamTruncationError(
-            f"replay dataset holds {total} vectors but each experiment needs {count}")
-    if config.E * count > total:
-        log.warning("replay dataset (%d vectors) is shorter than the grid demands (%d); wrapping around",
-                    total, config.E * count)
-    # Experiments take disjoint contiguous slices, wrapping past the end.
-    positions = np.arange(config.E * count).reshape(config.E, count) % total
-    return _vector_rows(dataset)[positions]
+    return _replay_slices(config, dataset, config.E)
 
 
 def run_cell(config: ExperimentConfig, dataset=None,
@@ -398,8 +394,10 @@ def run_cell(config: ExperimentConfig, dataset=None,
 
     A replay `dataset` is a sequence of DataVectors or a (rows, dims) array.
     Experiments consume disjoint contiguous dataset slices (wrapping with a
-    warning once the replay data is exhausted); aggregation is ordered by
-    experiment index, so results never depend on execution interleaving.
+    warning once the replay data is exhausted); one slicer holds these slices
+    and the shape, finiteness and truncation checks, for `run_experiment` too.
+    Aggregation is ordered by experiment index, so results never depend on
+    execution interleaving.
     """
     return _run_group((config,), dataset, engine)[0]
 
