@@ -1,6 +1,6 @@
 """Mutation sweep: does tier-1 fail when the decision logic is wrong?
 
-    python3 scripts/mutants.py --commit HEAD --out MUTANTS_18.json
+    python3 scripts/mutants.py --commit HEAD --out MUTANTS_19.json
 
 Each mutant is one source edit: a piece of anchor text in one file and the text
 that replaces it. For each mutant the script makes a fresh `git clone` of the
@@ -92,6 +92,14 @@ MUTANTS = [
     Mutant("fast-path-keeps-non-finite", HARNESS, 'keep = np.isfinite(table["readings"]).all(axis=1)',
            "keep = np.ones(len(table), bool)"),
     Mutant("fast-path-ignores-mote", HARNESS, 'keep &= table["mote"] == mote', "pass"),
+    # The one replay slicer behind run_cell and run_experiment.
+    Mutant("replay-wrap-clamped", SIMULATOR, "% total]", ".clip(max=total - 1)]"),
+    Mutant("replay-truncation-inclusive", SIMULATOR, "total < count", "total <= count"),
+    Mutant("replay-finite-check-dropped", SIMULATOR, "if not np.isfinite(block).all():", "if False:"),
+    # The scalar forecaster's one recurrence call per step.
+    Mutant("holt-seed-trend-reversed", FORECASTING, "_holt_update(e1, e2 - e1, e2,",
+           "_holt_update(e1, e1 - e2, e2,"),
+    Mutant("holt-step-count-frozen", FORECASTING, "state.observations + 1)", "state.observations)"),
     # A window of any size would hold the same maximum, but the cap keeps a
     # huge configured window from being allocated.
     Mutant("window-not-capped-at-T", SIMULATOR, "min(config.window, T))", "config.window)"),

@@ -90,6 +90,10 @@ class ExperimentConfig:
         for name in ("T", "E", "N"):  # event ids are int32 columns
             if not 1 <= getattr(self, name) <= _ID_MAX:
                 raise ConfigurationError(f"{name} must lie in [1, {_ID_MAX}], got {getattr(self, name)}")
+        for name in ("theta", "alpha", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
         if not self.theta > 0.0:
             raise ConfigurationError(f"theta must be positive, got {self.theta}")
         _check_smoothing(self.alpha, self.beta)
@@ -232,6 +236,8 @@ def _synthetic_block(seeds, length: int, dims: int = 4, profile: str = "drift",
     increments = np.zeros((len(seeds), length, dims))
     for stream, seed in zip(increments, seeds):
         try:
+            if seed is None or isinstance(seed, bool):  # None draws OS entropy; a bool reads as 0 or 1
+                raise TypeError(seed)
             rng = np.random.default_rng(seed)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}") from exc

@@ -117,8 +117,8 @@ class TestSyntheticStreams:
         with pytest.raises(ConfigurationError):
             generate_synthetic_stream(1, 0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7", [1, -2]],
-                             ids=["negative", "fraction", "text", "negative-in-list"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", [1, -2], None, True],
+                             ids=["negative", "fraction", "text", "negative-in-list", "none", "bool"])
     def test_invalid_seed(self, seed):
         with pytest.raises(ConfigurationError, match="seed must be a non-negative integer, got "):
             generate_synthetic_stream(seed, 10)
@@ -245,6 +245,10 @@ class TestRunCell:
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("window", 0, "normalization window must be >= 1, got 0"),
         ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("theta", "0.6", "theta must be a real number, got '0.6'"),
+        ("theta", True, "theta must be a real number, got True"),
+        ("alpha", "0.5", "alpha must be a real number, got '0.5'"),
+        ("beta", "0.5", "beta must be a real number, got '0.5'"),
     ])
     def test_invalid_cell_values_rejected(self, key, value, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -255,6 +259,10 @@ class TestRunCell:
         config = ExperimentConfig(policy="BM", **{key: np.int64(v) for key, v in sizes.items()})
         assert run_cell(config) == run_cell(ExperimentConfig(policy="BM", **sizes))
 
+    def test_numpy_floats_accepted(self):
+        config = ExperimentConfig(policy="PM", T=4, E=2, theta=np.float32(0.75), alpha=np.float64(0.5))
+        assert run_cell(config) == run_cell(ExperimentConfig(policy="PM", T=4, E=2, theta=0.75))
+
     def test_replay_requires_dataset(self):
         config = ExperimentConfig(source="some/file.txt")
         with pytest.raises(ConfigurationError):
@@ -262,7 +270,7 @@ class TestRunCell:
 
     def test_replay_dataset_shorter_than_one_experiment(self):
         config = ExperimentConfig(policy="BM", T=50, theta=0.6, E=2, source="replay")
-        with pytest.raises(StreamTruncationError):
+        with pytest.raises(StreamTruncationError, match="shortfall"):
             run_cell(config, dataset=generate_synthetic_stream(2, 10))
 
 
@@ -386,6 +394,13 @@ FUZZY_SPEC = {
 }
 
 
+# Both entry points that take replay data, which one slicer cuts and checks.
+REPLAY_ENTRY_POINTS = [
+    pytest.param(lambda config, data: run_cell(config, dataset=data), id="run_cell"),
+    pytest.param(lambda config, data: run_experiment(config, data), id="run_experiment"),
+]
+
+
 class TestKernelMatchesScalarPath:
     """The lane kernel against the scalar API, compared with == (no tolerance)."""
 
@@ -457,17 +472,27 @@ class TestKernelMatchesScalarPath:
         ([DataVector((1.0, 2.0))] * 4 + [DataVector((1.0,))], "differ in dimension"),
         (np.zeros(10), r"must form a \(rows, dims\) array, got shape \(10,\)"),
     ], ids=["ragged", "one-dimensional"])
-    def test_malformed_dataset_rejected(self, dataset, message):
+    @pytest.mark.parametrize("entry", REPLAY_ENTRY_POINTS)
+    def test_malformed_dataset_rejected(self, entry, dataset, message):
         config = ExperimentConfig(policy="BM", T=2, E=1, source="replay")
         with pytest.raises(ConfigurationError, match=message):
-            run_cell(config, dataset=dataset)
+            entry(config, dataset)
 
-    def test_non_finite_array_rejected(self):
+    @pytest.mark.parametrize("entry", REPLAY_ENTRY_POINTS)
+    def test_non_finite_array_rejected(self, entry):
         config = ExperimentConfig(policy="BM", T=2, E=1, source="replay")
         rows = np.zeros((5, 4))
         rows[1, 2] = np.inf
         with pytest.raises(IngestionError, match="non-finite"):
-            run_cell(config, dataset=rows)
+            entry(config, rows)
+
+    @pytest.mark.parametrize("dataset", [[], np.zeros((0, 4))], ids=["empty-list", "empty-array"])
+    @pytest.mark.parametrize("entry", REPLAY_ENTRY_POINTS)
+    def test_empty_dataset_is_truncated(self, entry, dataset):
+        # The length is checked before the rows are converted or shape-checked.
+        config = ExperimentConfig(policy="BM", T=2, E=1, source="replay")
+        with pytest.raises(StreamTruncationError, match=r"holds 0 vectors .*\(shortfall 5\)"):
+            entry(config, dataset)
 
 
 class TestGroupedPass:
