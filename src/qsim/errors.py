@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the argument checks of every layer.
 
 The CLI maps these onto process exit codes: configuration errors exit 1,
-ingestion/IO errors exit 2, internal invariant violations exit 3.
+ingestion/IO errors exit 2, internal invariant violations exit 3. Each
+argument rule has one home here: an integer is an `int` or a numpy integer,
+never a `bool`, inside its range, and a named choice is one of its names.
 """
+
+import numpy as np
 
 
 class QsimError(Exception):
@@ -23,3 +27,16 @@ class StreamTruncationError(IngestionError):
 
 class InvariantViolation(QsimError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+        raise ConfigurationError(f"{name} must {bound}, got {value}")
+
+
+def _check_choice(what: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ConfigurationError(f"unknown {what} {value!r}; expected one of {choices}")

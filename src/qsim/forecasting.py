@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, IngestionError, InvariantViolation
+from .errors import ConfigurationError, IngestionError, InvariantViolation, _check_integer
 
 __all__ = ["HoltState", "Forecast", "holt_init", "holt_step", "holt_forecast"]
 
@@ -86,7 +86,6 @@ def holt_forecast(state: HoltState, k: int) -> Forecast:
     """Project the next k quanta as level + i * trend, floored at zero."""
     if state.observations < 2:
         raise InvariantViolation("forecaster not initialized: the first two quanta are required")
-    if k < 1:
-        raise ConfigurationError(f"forecast horizon must be a positive integer, got {k}")
+    _check_integer("forecast horizon", k, 1)
     values = tuple(max(0.0, state.level + (i + 1) * state.trend) for i in range(k))
     return Forecast(values)

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, IngestionError, InvariantViolation
+from .errors import ConfigurationError, IngestionError, InvariantViolation, _check_integer
 from .simulator import (
     SYNTHETIC_SOURCE,
     EventColumns,
@@ -307,8 +307,7 @@ def load_config(
         if value is not None:
             merged[_canonical_key(raw_key)] = str(value)
     config = HarnessConfig(**{key: _parse_value(key, merged[key.lower()]) for key in _KEYS})
-    if config.workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {config.workers}")
+    _check_integer("workers", config.workers, 1)
     config.cells()  # validate the whole grid before any work starts
     return config
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _check_choice, _check_integer
 from .forecasting import _check_smoothing, _holt_update
 from .t2fls import InferenceEngine, default_engine
 
@@ -96,13 +96,11 @@ class EpochState:
     """
 
     def __init__(self, T: int, theta: float | np.ndarray, deadline=None, window: int = 50) -> None:
-        if T < 1:
-            raise ConfigurationError(f"epoch length T must be >= 1, got {T}")
-        if window < 1:
-            raise ConfigurationError(f"normalization window must be >= 1, got {window}")
-        deadline = np.array(T if deadline is None else deadline, dtype=np.int64, ndmin=1)
-        if not ((1 <= deadline) & (deadline <= T)).all():
-            raise ConfigurationError(f"epoch deadlines {deadline} must lie in [1, T={T}]")
+        _check_integer("epoch length T", T, 1)
+        _check_integer("normalization window", window, 1)
+        deadline = np.array(T if deadline is None else deadline, ndmin=1)
+        if deadline.dtype.kind not in "iu" or not ((1 <= deadline) & (deadline <= T)).all():
+            raise ConfigurationError(f"epoch deadlines {deadline} must be integers in [1, T={T}]")
         lanes = len(deadline)
         theta = np.asarray(theta, dtype=float)
         if not (theta > 0.0).all() or theta.shape not in ((), (lanes,)):
@@ -110,7 +108,7 @@ class EpochState:
         self.T = T
         self.theta = theta
         self.t = np.ones(lanes, dtype=np.int64)
-        self.deadline = deadline
+        self.deadline = deadline.astype(np.int64)
         zeros = np.zeros(lanes)
         self.quanta = (zeros, zeros, zeros)
         self.level = zeros
@@ -243,10 +241,9 @@ def build_policy(
     beta: float = 0.5,
 ):
     """Instantiate a policy by its configuration name."""
+    _check_choice("policy", name, POLICY_NAMES)
     if name == "UDDM":
         return UddmPolicy(engine=engine, alpha=alpha, beta=beta)
     if name == "BM":
         return BmPolicy()
-    if name == "PM":
-        return PmPolicy(alpha=alpha, beta=beta)
-    raise ConfigurationError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+    return PmPolicy(alpha=alpha, beta=beta)

@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError, InvariantViolation, StreamTruncationError
+from .errors import (ConfigurationError, IngestionError, InvariantViolation, StreamTruncationError,
+                     _check_choice, _check_integer)
 from .forecasting import _check_smoothing
 from .policies import CAUSE_DEADLINE, POLICY_NAMES, EpochState, build_policy
 from .synopsis import DataVector
@@ -81,15 +82,11 @@ class ExperimentConfig:
     profile: str = "drift"
 
     def __post_init__(self) -> None:
-        if self.policy not in POLICY_NAMES:
-            raise ConfigurationError(f"unknown policy {self.policy!r}; expected one of {POLICY_NAMES}")
-        for name in ("T", "E", "N", "window", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        _check_choice("policy", self.policy, POLICY_NAMES)
         for name in ("T", "E", "N"):  # event ids are int32 columns
-            if not 1 <= getattr(self, name) <= _ID_MAX:
-                raise ConfigurationError(f"{name} must lie in [1, {_ID_MAX}], got {getattr(self, name)}")
+            _check_integer(name, getattr(self, name), 1, _ID_MAX)
+        _check_integer("normalization window", self.window, 1)
+        _check_integer("seed", self.seed, 0)
         for name in ("theta", "alpha", "beta"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -97,14 +94,8 @@ class ExperimentConfig:
         if not self.theta > 0.0:
             raise ConfigurationError(f"theta must be positive, got {self.theta}")
         _check_smoothing(self.alpha, self.beta)
-        if self.window < 1:
-            raise ConfigurationError(f"normalization window must be >= 1, got {self.window}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.source == SYNTHETIC_SOURCE and self.profile not in STREAM_PROFILES:
-            raise ConfigurationError(
-                f"unknown stream profile {self.profile!r}; expected one of {STREAM_PROFILES}"
-            )
+        if self.source == SYNTHETIC_SOURCE:
+            _check_choice("stream profile", self.profile, STREAM_PROFILES)
 
     @property
     def vectors_per_experiment(self) -> int:
@@ -225,22 +216,15 @@ class MetricsReport:
 def _synthetic_block(seeds, length: int, dims: int = 4, profile: str = "drift",
                      jump_prob: float = 0.05) -> np.ndarray:
     """The synthetic stream of each seed, as one (len(seeds), length, dims) array."""
-    if length < 1:
-        raise ConfigurationError(f"stream length must be >= 1, got {length}")
-    if dims < 1:
-        raise ConfigurationError(f"stream dims must be >= 1, got {dims}")
-    if profile not in STREAM_PROFILES:
-        raise ConfigurationError(
-            f"unknown stream profile {profile!r}; expected one of {STREAM_PROFILES}"
-        )
+    _check_integer("stream length", length, 1)
+    _check_integer("stream dims", dims, 1)
+    _check_choice("stream profile", profile, STREAM_PROFILES)
     increments = np.zeros((len(seeds), length, dims))
     for stream, seed in zip(increments, seeds):
-        try:
-            if seed is None or isinstance(seed, bool):  # None draws OS entropy; a bool reads as 0 or 1
-                raise TypeError(seed)
-            rng = np.random.default_rng(seed)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}") from exc
+        # A cell's seed is a list; None would draw OS entropy, and a bool would read as 0 or 1.
+        for part in seed if isinstance(seed, (list, tuple)) else [seed]:
+            _check_integer("seed", part, 0)
+        rng = np.random.default_rng(seed)
         if profile == "random-walk":
             stream[:] = rng.normal(0.0, 1.0, size=(length, dims))
         elif profile == "drift":
@@ -313,7 +297,7 @@ class _DecisionRecord:
         """The sends in report order, (experiment, step, node), experiments from `first_experiment`."""
         experiment, step, node = (i.astype(np.int32) for i in np.nonzero(self.sends.transpose(1, 0, 2)))
         sent = (step, experiment, node)
-        return EventColumns(experiment + first_experiment, node + 1, step + 1, self.t_star[sent],
+        return EventColumns(experiment + np.int32(first_experiment), node + 1, step + 1, self.t_star[sent],
                             self.triggered[sent], self.quantum[sent], self.score[sent],
                             self.trigger_cause)
 
@@ -374,8 +358,7 @@ def run_experiment(
     truncation by `run_cell`'s replay slicer, with E = 1. The trace is a pure
     function of (config, stream).
     """
-    if not 0 <= experiment < _ID_MAX:
-        raise ConfigurationError(f"experiment index must lie in [0, {_ID_MAX}), got {experiment}")
+    _check_integer("experiment index", experiment, 0, _ID_MAX - 1)
     events = _simulate(config, (config.theta,), _replay_slices(config, stream, 1))[0].events(experiment)
     return ExperimentTrace(experiment=experiment, events=events)
 

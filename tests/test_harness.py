@@ -568,7 +568,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "--out", "stream.txt", "--length", "5", "--seed", "-3"]) == 1
         (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert error == "configuration error: seed must be a non-negative integer, got -3"
+        assert error == "configuration error: seed must be >= 0, got -3"
         assert list(tmp_path.iterdir()) == []
 
     def test_help_exit_code(self, capsys):

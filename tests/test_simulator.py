@@ -120,7 +120,7 @@ class TestSyntheticStreams:
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", [1, -2], None, True],
                              ids=["negative", "fraction", "text", "negative-in-list", "none", "bool"])
     def test_invalid_seed(self, seed):
-        with pytest.raises(ConfigurationError, match="seed must be a non-negative integer, got "):
+        with pytest.raises(ConfigurationError, match=r"seed must be (an integer|>= 0), got "):
             generate_synthetic_stream(seed, 10)
 
 
@@ -244,7 +244,7 @@ class TestRunCell:
         ("window", 2.5, "window must be an integer, got 2.5"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("window", 0, "normalization window must be >= 1, got 0"),
-        ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("seed", -1, "seed must be >= 0, got -1"),
         ("theta", "0.6", "theta must be a real number, got '0.6'"),
         ("theta", True, "theta must be a real number, got True"),
         ("alpha", "0.5", "alpha must be a real number, got '0.5'"),
