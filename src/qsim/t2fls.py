@@ -217,8 +217,8 @@ class InferenceEngine:
             self._centroids[TERM_LABELS.index(rules.consequent(combo))]
             for combo in product(TERM_LABELS, repeat=3)
         ]
-        # Rows weighting each rule's firing mass: into the numerator, then the denominator.
-        self._rule_weights = np.array([rule_centroids, [1.0] * 27]).reshape(2, 27, 1)
+        # Each rule's weights for its firing mass: into the numerator, then the denominator.
+        self._rule_weights = np.array([[c, 1.0] for c in rule_centroids]).reshape(27, 2, 1)
 
     def centroid(self, label: str) -> float:
         if label not in TERM_LABELS:
@@ -253,10 +253,9 @@ class InferenceEngine:
         lo, hi = np.minimum(
             np.minimum(g[:, :, 0, None, None], g[:, None, :, 1, None]), g[:, None, None, :, 2]
         ).reshape(2, 27, -1)
-        weighted = np.where(hi > 0.0, lo + hi, 0.0) * self._rule_weights
-        # reduce adds the rules in order over two or more triples, but pairwise over one.
-        num, den = (np.add.reduce(weighted, axis=1) if weighted.shape[2] > 1
-                    else np.add.accumulate(weighted, axis=1)[:, -1])
+        weighted = np.where(hi > 0.0, lo + hi, 0.0)[:, None] * self._rule_weights
+        # The rules lead, not as the contiguous axis, which reduce would add pairwise.
+        num, den = np.add.reduce(weighted, axis=0)
         return np.minimum(num / np.where(den > 0.0, den, 1.0), 1.0).reshape(shape)
 
     def _grade(self, x: np.ndarray) -> np.ndarray:
