@@ -2,8 +2,8 @@
 
 The CLI maps these onto process exit codes: configuration errors exit 1,
 ingestion/IO errors exit 2, internal invariant violations exit 3. Each
-argument rule has one home here: an integer is an `int` or a numpy integer,
-never a `bool`, inside its range, and a named choice is one of its names.
+argument rule has one home here: integers and real numbers are Python or
+numpy numbers of that kind, never a `bool`; a choice is one of its names.
 """
 
 import numpy as np
@@ -35,6 +35,12 @@ def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
     if value < low or (high is not None and value > high):
         bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
         raise ConfigurationError(f"{name} must {bound}, got {value}")
+
+
+def _check_real(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def _check_choice(what: str, value, choices: tuple) -> None:

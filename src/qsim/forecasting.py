@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, IngestionError, InvariantViolation, _check_integer
+from .errors import ConfigurationError, IngestionError, InvariantViolation, _check_integer, _check_real
 
 __all__ = ["HoltState", "Forecast", "holt_init", "holt_step", "holt_forecast"]
 
@@ -46,7 +46,7 @@ class Forecast:
 
 def _check_smoothing(alpha: float, beta: float) -> None:
     for name, value in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 < value < 1.0:
+        if not 0.0 < _check_real(name, value) < 1.0:
             raise ConfigurationError(
                 f"smoothing factor {name} must lie strictly inside (0, 1), got {value!r}"
             )

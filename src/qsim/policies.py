@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, _check_choice, _check_integer
+from .errors import ConfigurationError, _check_choice, _check_integer, _check_real
 from .forecasting import _check_smoothing, _holt_update
 from .t2fls import InferenceEngine, default_engine
 
@@ -102,6 +102,8 @@ class EpochState:
         if deadline.dtype.kind not in "iu" or not ((1 <= deadline) & (deadline <= T)).all():
             raise ConfigurationError(f"epoch deadlines {deadline} must be integers in [1, T={T}]")
         lanes = len(deadline)
+        if not isinstance(theta, np.ndarray):  # an array holds one threshold per lane
+            _check_real("theta", theta)
         theta = np.asarray(theta, dtype=float)
         if not (theta > 0.0).all() or theta.shape not in ((), (lanes,)):
             raise ConfigurationError(f"thresholds must be positive, one or one per lane, got {theta}")
@@ -135,7 +137,7 @@ class _PolicyBase:
 
     def step(self, state: EpochState, quantum: float) -> Decision:
         """`step_lanes` on a one-lane `state`: admit one raw quantum and decide."""
-        if len(state.t) != 1 or not 0.0 <= quantum < math.inf:
+        if len(state.t) != 1 or not 0.0 <= _check_real("quantum", quantum) < math.inf:
             raise ConfigurationError(f"step takes one lane and a finite quantum >= 0, got {quantum!r}")
         _, sends, triggered, score = self.step_lanes(state, np.array([quantum], dtype=float))
         cause = (self.trigger_cause if triggered[0] else CAUSE_DEADLINE) if sends[0] else None

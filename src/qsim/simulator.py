@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigurationError, IngestionError, InvariantViolation, StreamTruncationError,
-                     _check_choice, _check_integer)
+                     _check_choice, _check_integer, _check_real)
 from .forecasting import _check_smoothing
 from .policies import CAUSE_DEADLINE, POLICY_NAMES, EpochState, build_policy
 from .synopsis import DataVector
@@ -87,10 +87,7 @@ class ExperimentConfig:
             _check_integer(name, getattr(self, name), 1, _ID_MAX)
         _check_integer("normalization window", self.window, 1)
         _check_integer("seed", self.seed, 0)
-        for name in ("theta", "alpha", "beta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+        _check_real("theta", self.theta)
         if not self.theta > 0.0:
             raise ConfigurationError(f"theta must be positive, got {self.theta}")
         _check_smoothing(self.alpha, self.beta)

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _check_real
 
 __all__ = [
     "TERM_LABELS",
@@ -80,14 +80,14 @@ class IntervalTerm:
     lower: tuple[float, float, float, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        a, b, c, d = self.upper
+        a, b, c, d = (_check_real(f"term {self.label!r}: upper corner", v) for v in self.upper)
         if not (0.0 <= a <= b <= c <= d <= 1.0):
             raise ConfigurationError(
                 f"term {self.label!r}: upper shape {self.upper} must satisfy 0 <= a <= b <= c <= d <= 1"
             )
-        if not 0.0 <= self.shrink < 1.0:
+        if not 0.0 <= _check_real(f"term {self.label!r}: shrink", self.shrink) < 1.0:
             raise ConfigurationError(f"term {self.label!r}: shrink must lie in [0, 1), got {self.shrink}")
-        if not 0.0 < self.height <= 1.0:
+        if not 0.0 < _check_real(f"term {self.label!r}: height", self.height) <= 1.0:
             raise ConfigurationError(
                 f"term {self.label!r}: lower-shape height must lie in (0, 1], got {self.height}"
             )
