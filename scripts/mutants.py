@@ -1,6 +1,6 @@
 """Mutation sweep: does tier-1 fail when the decision logic is wrong?
 
-    python3 scripts/mutants.py --commit HEAD --out MUTANTS_19.json
+    python3 scripts/mutants.py --commit HEAD --out MUTANTS_<pr>.json
 
 Each mutant is one source edit: a piece of anchor text in one file and the text
 that replaces it. For each mutant the script makes a fresh `git clone` of the
@@ -51,6 +51,7 @@ SIMULATOR = "src/qsim/simulator.py"
 T2FLS = "src/qsim/t2fls.py"
 FORECASTING = "src/qsim/forecasting.py"
 HARNESS = "src/qsim/harness.py"
+ERRORS = "src/qsim/errors.py"
 
 MUTANTS = [
     # The decision rules.
@@ -74,8 +75,10 @@ MUTANTS = [
     Mutant("no-deadline-stagger", SIMULATOR, "np.tile(np.where(offsets > 0, offsets, T), k * E)",
            "np.tile(np.full(n, T), k * E)"),
     # The fuzzy layer.
-    Mutant("rules-summed-pairwise-on-one-triple", T2FLS, "if weighted.shape[2] > 1",
-           "if weighted.shape[2] > 0"),
+    # A transposed view makes the rule axis the contiguous one, which reduce adds pairwise.
+    Mutant("rule-weights-transposed-view", T2FLS,
+           "np.array([[c, 1.0] for c in rule_centroids]).reshape(27, 2, 1)",
+           "np.array([rule_centroids, [1.0] * 27]).T.reshape(27, 2, 1)"),
     Mutant("right-foot-pulled-by-left-edge", T2FLS, "d - self.shrink * (d - c))",
            "d - self.shrink * (b - a))"),
     Mutant("centroid-summed-pairwise", T2FLS,
@@ -83,6 +86,15 @@ MUTANTS = [
            "num, den = np.sum([grid * mass, mass], axis=2)"),
     Mutant("spec-shrink-ignored", T2FLS, 'for key in ("shrink", "height") if key in entry}',
            'for key in ("height",) if key in entry}'),
+    # The one home of each argument rule.
+    Mutant("integer-accepts-bool", ERRORS,
+           "isinstance(value, bool) or not isinstance(value, (int, np.integer))",
+           "not isinstance(value, (int, np.integer))"),
+    Mutant("integer-low-exclusive", ERRORS, "if value < low or", "if value <= low or"),
+    Mutant("integer-high-exclusive", ERRORS, "value > high)", "value >= high)"),
+    Mutant("real-accepts-bool", ERRORS,
+           "isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))",
+           "not isinstance(value, (int, float, np.integer, np.floating))"),
     # The forecaster's one smoothing-factor check, shared by every caller.
     Mutant("smoothing-bound-inclusive", FORECASTING, "if not 0.0 < value < 1.0:",
            "if not 0.0 <= value < 1.0:"),
@@ -104,10 +116,6 @@ MUTANTS = [
     # huge configured window from being allocated.
     Mutant("window-not-capped-at-T", SIMULATOR, "min(config.window, T))", "config.window)"),
     # Equivalent: kept so that the reasoning is re-checked on every sweep.
-    Mutant("rules-always-accumulated", T2FLS, "if weighted.shape[2] > 1",
-           "if weighted.shape[2] > 10**9",
-           equivalent="np.add.reduce over the rule axis of a (2, 27, n) array with n > 1 adds the "
-                      "27 rules in order, as accumulate does; only the speed differs"),
     Mutant("geometric-mean-operands-swapped", POLICIES, "np.sqrt(pod_p * pod_f)",
            "np.sqrt(pod_f * pod_p)",
            equivalent="IEEE multiplication is commutative"),

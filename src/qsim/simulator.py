@@ -294,8 +294,8 @@ class _DecisionRecord:
         """The sends in report order, (experiment, step, node), experiments from `first_experiment`."""
         experiment, step, node = (i.astype(np.int32) for i in np.nonzero(self.sends.transpose(1, 0, 2)))
         sent = (step, experiment, node)
-        return EventColumns(experiment + np.int32(first_experiment), node + 1, step + 1, self.t_star[sent],
-                            self.triggered[sent], self.quantum[sent], self.score[sent],
+        return EventColumns(experiment + np.int32(first_experiment), node + 1, step + 1,
+                            self.t_star[sent], self.triggered[sent], self.quantum[sent], self.score[sent],
                             self.trigger_cause)
 
 
