@@ -44,5 +44,5 @@ def _check_real(name: str, value):
 
 
 def _check_choice(what: str, value, choices: tuple) -> None:
-    if value not in choices:
+    if not isinstance(value, str) or value not in choices:  # an array would compare elementwise
         raise ConfigurationError(f"unknown {what} {value!r}; expected one of {choices}")

@@ -82,6 +82,8 @@ def _integer_cases():
     *REAL_CASES,
     pytest.param(lambda: build_policy("XM"), re.escape("unknown policy 'XM'; expected one of"),
                  id="policy-name"),
+    pytest.param(lambda: ExperimentConfig(policy=np.array(["BM"])),
+                 re.escape("unknown policy array(['BM'], dtype='<U2'); expected one of"), id="policy-array"),
     pytest.param(lambda: generate_synthetic_stream(1, 3, profile="brown"),
                  re.escape("unknown stream profile 'brown'; expected one of"), id="stream-profile"),
 ])
