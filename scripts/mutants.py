@@ -96,8 +96,8 @@ MUTANTS = [
            "isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))",
            "not isinstance(value, (int, float, np.integer, np.floating))"),
     # The forecaster's one smoothing-factor check, shared by every caller.
-    Mutant("smoothing-bound-inclusive", FORECASTING, "if not 0.0 < value < 1.0:",
-           "if not 0.0 <= value < 1.0:"),
+    Mutant("smoothing-bound-inclusive", FORECASTING, "if not 0.0 < _check_real(name, value) < 1.0:",
+           "if not 0.0 <= _check_real(name, value) < 1.0:"),
     # Event tables and ingestion.
     Mutant("event-equality-by-value", SIMULATOR, "a.tobytes() == b.tobytes() for a, b",
            "np.array_equal(a, b, equal_nan=True) for a, b"),
