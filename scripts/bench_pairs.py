@@ -15,7 +15,15 @@ alternating the sides, twice per side: `run_grid` and `write_reports`
 seconds, the main process's peak resident set after each of them, the pool
 workers' peak, and a sha256 of the run's CSV files. It times the same way
 the theta sweeps (0.6, 0.75) of each policy at T = 1000, with E = 100 and
-E = 1000, at `workers` 2: grids of one (policy, T) group. Last it times one
+E = 1000, at `workers` 2: grids of one (policy, T) group. It times the lane
+kernel alone: one `simulator._simulate` pass (theta 0.6 and 0.75, seed 42,
+N = 1) per fresh interpreter, KERNEL_RUNS times per side, alternating the
+sides, on each of KERNEL_PASSES: UDDM, PM and BM at T = 1000, E = 20 on drift
+streams, UDDM at T = 1000, E = 24 on replay-walk's log, and UDDM and PM at
+T = 1000, E = 1000 on drift. A pass records the CPU seconds of the
+`_simulate` call alone (`time.process_time`; the streams are built before the
+clock starts) and a sha256 of its decision record arrays, so the file shows
+whether both sides decided the same, bit for bit. Last it times one
 `ingest_sensor_log` call per fresh interpreter, alternating the checkouts,
 INGEST_RUNS times per side, on four logs: replay-walk's (`qsim gen --profile
 random-walk --length 40000 --seed <first seed>`), the same log with a
@@ -31,8 +39,10 @@ The output holds the environment (each side's git sha, Python, numpy, nproc,
 the run length, `--pairs`, `--first-seed`, `PYTHONDONTWRITEBYTECODE` and
 whether each clone held a `__pycache__` before its first run and after its
 last), every run, per workload, metric and side the median, the quartiles and
-the number of pairs each side won, and whether both sides wrote the same
-CSV bytes for each grid. The run length and whether lower or higher is better
+the number of pairs each side won, whether both sides wrote the same CSV
+bytes for each grid, and per kernel pass each side's minimum, median and
+quartiles of CPU seconds, the change's minimum over the parent's, and whether
+every record digest is equal. The run length and whether lower or higher is better
 come from the parent's BENCHMARK.json. Nothing here changes the benchmark:
 both sides run their own unchanged `bench/run.py`.
 """
@@ -55,6 +65,16 @@ import numpy
 HERE = Path(__file__).resolve().parent.parent
 GRID_RUNS = 2  # runs per side of each timed grid
 INGEST_RUNS = 10  # ingestion timings per side and log
+KERNEL_RUNS = 7  # kernel passes per side
+
+# One `_simulate` pass each: the policy, T, E and whether it reads replay-walk's log.
+KERNEL_PASSES = {
+    **{f"{policy}_T1000_E20_drift": {"policy": policy, "T": 1000, "E": 20, "replay": False}
+       for policy in ("UDDM", "PM", "BM")},
+    "UDDM_T1000_E24_replay_walk": {"policy": "UDDM", "T": 1000, "E": 24, "replay": True},
+    **{f"{policy}_T1000_E1000_drift": {"policy": policy, "T": 1000, "E": 1000, "replay": False}
+       for policy in ("UDDM", "PM")},
+}
 
 GRID = {"policy": "UDDM,BM,PM", "t": "10,100,1000", "theta": "0.6,0.75", "e": "1000",
         "seed": "42"}
@@ -88,6 +108,27 @@ for path in sorted(pathlib.Path(config.out_dir).glob("*.csv")):
         while block := handle.read(1 << 20):
             csv_sha256.update(block)
 print(json.dumps({**timings, "csv_sha256": csv_sha256.hexdigest()}))
+"""
+
+
+# argv[1] the pass as JSON (policy, T, E), argv[2] a sensor log to replay, or
+# "" for drift streams; prints the CPU seconds of one `_simulate` pass and a
+# sha256 of its decision record arrays.
+KERNEL_CODE = """
+import hashlib, json, sys, time
+from qsim import simulator
+from qsim.harness import ingest_sensor_log
+source = {"source": sys.argv[2]} if sys.argv[2] else {"profile": "drift"}
+config = simulator.ExperimentConfig(**json.loads(sys.argv[1]), seed=42, **source)
+block = simulator._cell_streams(config, ingest_sensor_log(sys.argv[2]).rows if sys.argv[2] else None)
+start = time.process_time()
+records = simulator._simulate(config, (0.6, 0.75), block)
+cpu_s = time.process_time() - start
+digest = hashlib.sha256()
+for record in records:
+    for array in (record.sends, record.triggered, record.t_star, record.quantum, record.score):
+        digest.update(array.tobytes())
+print(json.dumps({"cpu_s": cpu_s, "records_sha256": digest.hexdigest()}))
 """
 
 
@@ -198,6 +239,16 @@ def ingest_run(checkout: Path, path: Path) -> float:
     return float(done.stdout.strip().splitlines()[-1])
 
 
+def kernel_run(checkout: Path, spec: dict, log: Path | None) -> dict:
+    """One timed `_simulate` pass of `spec` in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", KERNEL_CODE, json.dumps(spec), str(log) if log else ""],
+        env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    return last_json(done.stdout)
+
+
 def spread(values: list[float]) -> dict:
     quartiles = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": quartiles[0], "q3": quartiles[2],
@@ -266,9 +317,11 @@ def main(argv=None) -> int:
 
 def measure(sides: dict[str, Path], spec: dict, pair_counts: str, first_seed: int,
             work: Path) -> dict:
-    """The bench pairs, the criterion-10 grid and theta sweep runs, and the ingestion timings."""
+    """The bench pairs, the criterion-10 grid and theta sweep runs, the kernel passes and the
+    ingestion timings."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    report = {"workloads": {}, "criterion_10_grid": {}, "theta_sweeps": {}, "ingest_s": {}}
+    report = {"workloads": {}, "criterion_10_grid": {}, "theta_sweeps": {}, "kernel_cpu_s": {},
+              "ingest_s": {}}
     seed = first_seed
     for item in pair_counts.split(","):
         workload, count = item.split("=")
@@ -296,7 +349,24 @@ def measure(sides: dict[str, Path], spec: dict, pair_counts: str, first_seed: in
         report[kind][name] = {**runs, "csv_identical": len(digests) == 1}
     logs = work / "logs"
     logs.mkdir()
-    for name, path in ingest_logs(sides["change"], logs, first_seed).items():
+    paths = ingest_logs(sides["change"], logs, first_seed)
+    for name, spec in KERNEL_PASSES.items():
+        kernel = {key: spec[key] for key in ("policy", "T", "E")}
+        runs = {"parent": [], "change": []}
+        for i in range(KERNEL_RUNS):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                runs[side].append(kernel_run(sides[side], kernel, paths["clean"] if spec["replay"] else None))
+        times = {side: [run["cpu_s"] for run in side_runs] for side, side_runs in runs.items()}
+        digests = {run["records_sha256"] for side_runs in runs.values() for run in side_runs}
+        report["kernel_cpu_s"][name] = {
+            "runs": runs,
+            **{side: {"min": min(values), **spread(values)} for side, values in times.items()},
+            "change_min_over_parent_min": min(times["change"]) / min(times["parent"]),
+            "records_identical": len(digests) == 1,
+        }
+        log(f"kernel {name}: min {min(times['parent']):.4f} -> {min(times['change']):.4f} s, "
+            f"records identical: {len(digests) == 1}")
+    for name, path in paths.items():
         runs = {"parent": [], "change": []}
         for i in range(INGEST_RUNS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):

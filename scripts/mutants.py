@@ -58,8 +58,8 @@ MUTANTS = [
     Mutant("uddm-theta-inclusive", POLICIES, "return g > state.theta, g", "return g >= state.theta, g"),
     Mutant("pm-theta-inclusive", POLICIES, "return score > state.theta, score",
            "return score >= state.theta, score"),
-    Mutant("deadline-exclusive", POLICIES, "triggered | (t_star >= state.deadline)",
-           "triggered | (t_star > state.deadline)"),
+    Mutant("deadline-exclusive", POLICIES, "sends = t_star >= state.deadline",
+           "sends = t_star > state.deadline"),
     Mutant("holt-seeded-at-t3", POLICIES, "seed = state.t == 2", "seed = state.t == 3"),
     Mutant("uddm-scored-from-t2", POLICIES, "np.flatnonzero(state.t >= 3)",
            "np.flatnonzero(state.t >= 2)"),
@@ -72,6 +72,27 @@ MUTANTS = [
            "np.minimum(values / np.maximum(peak, _SCALE_FLOOR), 1.5)"),
     Mutant("alpha-beta-swapped", POLICIES, "quantum, self.alpha, self.beta)",
            "quantum, self.beta, self.alpha)"),
+    # The epoch resets and the forecaster's seeding, all written in place.
+    Mutant("round-counter-not-reset", POLICIES, "np.copyto(state.t, 1, where=sends)", "pass"),
+    Mutant("deadline-not-reset", POLICIES, "np.copyto(state.deadline, state.T, where=sends)", "pass"),
+    Mutant("holt-level-seeded-every-round", POLICIES, "np.copyto(state.level, previous, where=seed)",
+           "np.copyto(state.level, previous)"),
+    Mutant("holt-trend-seeded-every-round", POLICIES,
+           "np.subtract(quantum, previous, out=state.trend, where=seed)",
+           "np.subtract(quantum, previous, out=state.trend)"),
+    # The forecast clamp: fmax passes over NaN, and adding +0.0 turns the
+    # -0.0 that fmax may return into +0.0.
+    Mutant("forecast-clamp-keeps-negative-zero", POLICIES, "        forecast += 0.0\n", ""),
+    Mutant("forecast-clamp-keeps-nan", POLICIES, "np.fmax(forecast, 0.0, out=forecast)",
+           "np.maximum(forecast, 0.0, out=forecast)"),
+    Mutant("forecast-clamp-zero-first", POLICIES,
+           "np.fmax(forecast, 0.0, out=forecast)\n        forecast += 0.0",
+           "np.fmax(0.0, forecast, out=forecast)"),
+    # The scored lanes alone are normalised, each by its own peak.
+    Mutant("scored-peak-from-first-lanes", POLICIES, "[:, scored], scored)",
+           "[:, scored], np.arange(scored.size))"),
+    Mutant("forecasts-before-past-quanta", POLICIES, "np.concatenate((state.quanta, forecast))",
+           "np.concatenate((forecast, state.quanta))"),
     Mutant("no-deadline-stagger", SIMULATOR, "np.tile(np.where(offsets > 0, offsets, T), k * E)",
            "np.tile(np.full(n, T), k * E)"),
     # The fuzzy layer.
@@ -84,6 +105,11 @@ MUTANTS = [
     Mutant("centroid-summed-pairwise", T2FLS,
            "num, den = np.add.accumulate([grid * mass, mass], axis=2)[:, :, -1]",
            "num, den = np.sum([grid * mass, mass], axis=2)"),
+    # The rule sum starts from +0.0, so rules of zero mass add up to +0.0 and
+    # a zero total divides by 1.
+    Mutant("rule-sum-from-negative-zero", T2FLS, "axis=0, initial=0.0)", "axis=0, initial=-0.0)"),
+    Mutant("zero-mass-divides-by-zero", T2FLS, "den[den <= 0.0] = 1.0", "den[den < 0.0] = 1.0"),
+    Mutant("term-corner-count-unchecked", T2FLS, "if len(self.upper) != 4:", "if len(self.upper) > 4:"),
     Mutant("spec-shrink-ignored", T2FLS, 'for key in ("shrink", "height") if key in entry}',
            'for key in ("height",) if key in entry}'),
     # The one home of each argument rule.
@@ -92,6 +118,7 @@ MUTANTS = [
            "not isinstance(value, (int, np.integer))"),
     Mutant("integer-low-exclusive", ERRORS, "if value < low or", "if value <= low or"),
     Mutant("integer-high-exclusive", ERRORS, "value > high)", "value >= high)"),
+    Mutant("deadline-list-accepts-bool", POLICIES, "if bools or ", "if "),
     Mutant("real-accepts-bool", ERRORS,
            "isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))",
            "not isinstance(value, (int, float, np.integer, np.floating))"),
@@ -115,10 +142,18 @@ MUTANTS = [
     # A window of any size would hold the same maximum, but the cap keeps a
     # huge configured window from being allocated.
     Mutant("window-not-capped-at-T", SIMULATOR, "min(config.window, T))", "config.window)"),
+    # The running mean and the L1 quantum, written into buffers in place.
+    Mutant("running-mean-divides-by-s", SIMULATOR, "out=step), s + 1, out=step)", "out=step), s, out=step)"),
+    Mutant("quantum-without-abs", SIMULATOR, "np.abs(np.subtract(mean, last_sent, out=distance), out=distance)",
+           "np.subtract(mean, last_sent, out=distance)"),
+    Mutant("last-sent-always-the-mean", SIMULATOR, "np.copyto(last_sent, mean, where=sends_k[s - 1])",
+           "np.copyto(last_sent, mean)"),
     # Equivalent: kept so that the reasoning is re-checked on every sweep.
     Mutant("geometric-mean-operands-swapped", POLICIES, "np.sqrt(pod_p * pod_f)",
            "np.sqrt(pod_f * pod_p)",
            equivalent="IEEE multiplication is commutative"),
+    Mutant("rule-sum-default-start", T2FLS, "axis=0, initial=0.0)", "axis=0)",
+           equivalent="numpy's add.reduce starts from the identity of add, +0.0, when given no initial"),
 ]
 
 

@@ -98,8 +98,10 @@ class EpochState:
     def __init__(self, T: int, theta: float | np.ndarray, deadline=None, window: int = 50) -> None:
         _check_integer("epoch length T", T, 1)
         _check_integer("normalization window", window, 1)
+        # numpy reads a bool inside a list as 1, so the list is checked before it is converted.
+        bools = isinstance(deadline, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in deadline)
         deadline = np.array(T if deadline is None else deadline, ndmin=1)
-        if deadline.dtype.kind not in "iu" or not ((1 <= deadline) & (deadline <= T)).all():
+        if bools or deadline.dtype.kind not in "iu" or not ((1 <= deadline) & (deadline <= T)).all():
             raise ConfigurationError(f"epoch deadlines {deadline} must be integers in [1, T={T}]")
         lanes = len(deadline)
         if not isinstance(theta, np.ndarray):  # an array holds one threshold per lane
@@ -113,8 +115,7 @@ class EpochState:
         self.deadline = deadline.astype(np.int64)
         zeros = np.zeros(lanes)
         self.quanta = (zeros, zeros, zeros)
-        self.level = zeros
-        self.trend = zeros
+        self.level, self.trend = np.zeros((2, lanes))  # apart, as the forecaster seeds them in place
         self._window = np.zeros((window, lanes))
         self._observed = 0
 
@@ -124,9 +125,9 @@ class EpochState:
         self._window[self._observed % len(self._window)] = quantum
         self._observed += 1
 
-    def normalize(self, values) -> np.ndarray:
-        """Values >= 0 over the window maximum, cut at 1, lane by lane (last axis)."""
-        peak = self._window.max(axis=0)
+    def normalize(self, values, lanes=slice(None)) -> np.ndarray:
+        """Values >= 0 of the lanes `lanes` over their window maxima, cut at 1 (last axis)."""
+        peak = self._window.max(axis=0)[lanes]
         return np.minimum(values / np.maximum(peak, _SCALE_FLOOR), 1.0)
 
 
@@ -155,9 +156,11 @@ class _PolicyBase:
         state.observe(quantum)
         triggered, score = self._fires(state, quantum)
         t_star = state.t
-        sends = triggered | (t_star >= state.deadline)
-        state.t = np.where(sends, 1, t_star + 1)
-        state.deadline = np.where(sends, state.T, state.deadline)
+        sends = t_star >= state.deadline
+        sends |= triggered
+        state.t = t_star + 1
+        np.copyto(state.t, 1, where=sends)
+        np.copyto(state.deadline, state.T, where=sends)
         return t_star, sends, triggered, score
 
     def _fires(self, state: EpochState, quantum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,11 +183,14 @@ class _ForecastingPolicy(_PolicyBase):
         # again before it has a forecast).
         previous, quantum = state.quanta[1], state.quanta[2]
         seed = state.t == 2
-        level = np.where(seed, previous, state.level)
-        trend = np.where(seed, quantum - previous, state.trend)
-        state.level, state.trend = _holt_update(level, trend, quantum, self.alpha, self.beta)
+        np.copyto(state.level, previous, where=seed)
+        np.subtract(quantum, previous, out=state.trend, where=seed)
+        state.level, state.trend = _holt_update(state.level, state.trend, quantum, self.alpha, self.beta)
         forecast = state.level + _HORIZON * state.trend
-        return np.where(forecast > 0.0, forecast, 0.0)
+        # A forecast not above 0, NaN too, becomes +0.0: + 0.0 turns a -0.0 that fmax keeps.
+        np.fmax(forecast, 0.0, out=forecast)
+        forecast += 0.0
+        return forecast
 
 
 class UddmPolicy(_ForecastingPolicy):
@@ -202,13 +208,15 @@ class UddmPolicy(_ForecastingPolicy):
         self.engine = engine if engine is not None else default_engine()
 
     def _fires(self, state: EpochState, quantum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Rows: the three past quanta, then the three forecasts. Lanes are scored
-        # from t = 3 on; a score does not depend on the batch, so only they are sent.
-        views = state.normalize(np.vstack((*state.quanta, self._forecast(state))))
+        forecast = self._forecast(state)
         g = np.full(len(state.t), np.nan)
+        # Lanes are scored from t = 3 on; a score does not depend on the batch,
+        # so only they are normalised and sent.
         scored = np.flatnonzero(state.t >= 3)
         if scored.size:
-            triples = views[:, scored].reshape(2, 3, -1).transpose(1, 0, 2)
+            # Rows: the three past quanta, then the three forecasts.
+            views = state.normalize(np.concatenate((state.quanta, forecast))[:, scored], scored)
+            triples = views.reshape(2, 3, -1).transpose(1, 0, 2)
             g[scored] = combine_pods(*self.engine.evaluate_many(*triples))
         return g > state.theta, g
 

@@ -322,8 +322,10 @@ def _simulate(config: ExperimentConfig, thetas: Sequence[float], block: np.ndarr
     # A cell observes T quanta, all >= 0, so a window above T keeps the same maximum.
     epochs = EpochState(T, np.repeat(thetas, E * n), np.tile(np.where(offsets > 0, offsets, T), k * E),
                         min(config.window, T))
-    # The running mean of the bootstrap vector alone, taken as sent.
-    last_sent = mean = rounds[0]
+    # The running mean of the bootstrap vector alone, taken as sent; the rounds update them in place.
+    mean = rounds[0].copy()
+    last_sent = np.repeat(mean, k, axis=1)
+    step, distance = np.empty_like(mean), np.empty_like(last_sent)
     # Row s - 1 holds every lane's round s. A row is written once, so the
     # quanta the epoch state keeps stay valid.
     sends, triggered = np.empty((2, T, lanes), bool)
@@ -332,12 +334,13 @@ def _simulate(config: ExperimentConfig, thetas: Sequence[float], block: np.ndarr
     # The same rows as (k, E * N) arrays, which broadcast against the mean.
     sends_k, quantum_k = sends.reshape(T, k, E * n), quantum.reshape(T, k, E * n)
     for s in range(1, T + 1):
-        mean = mean + (rounds[s] - mean) / (s + 1)
+        mean += np.divide(np.subtract(rounds[s], mean, out=step), s + 1, out=step)
         # The L1 sum, dimension after dimension.
-        quantum_k[s - 1] = np.add.accumulate(np.abs(mean - last_sent), axis=0)[-1]
+        np.abs(np.subtract(mean, last_sent, out=distance), out=distance)
+        quantum_k[s - 1] = np.add.accumulate(distance, axis=0, out=distance)[-1]
         t_star[s - 1], sends[s - 1], triggered[s - 1], score[s - 1] = policy.step_lanes(
             epochs, quantum[s - 1])
-        last_sent = np.where(sends_k[s - 1], mean, last_sent)
+        np.copyto(last_sent, mean, where=sends_k[s - 1])
     record = [a.reshape(T, k, E, n) for a in (sends, triggered, t_star, quantum, score)]
     return tuple(_DecisionRecord(*(a[:, i] for a in record), policy.trigger_cause) for i in range(k))
 

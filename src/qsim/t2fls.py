@@ -9,7 +9,8 @@ Nie-Tan midpoint collapse; defuzzification is the firing-weighted average of
 consequent-term centroids, taken on a uniform grid of 101 points over [0, 1]
 that the engine grades with its input kernel (the scalar `trapezoid` and
 `IntervalTerm.membership` are the tests' reference). The output, the potential
-of dissemination, always lands in [0, 1]; zero total firing mass yields 0.
+of dissemination, always lands in [0, 1]; the rules' firing masses are summed
+in rule order from +0.0, so zero total firing mass yields +0.0.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ class IntervalTerm:
     lower: tuple[float, float, float, float] = field(init=False)
 
     def __post_init__(self) -> None:
+        if len(self.upper) != 4:
+            raise ConfigurationError(
+                f"term {self.label!r}: upper shape needs 4 corners, got {_echo(self.upper)}")
         a, b, c, d = (_check_real(f"term {self.label!r}: upper corner", v) for v in self.upper)
         if not (0.0 <= a <= b <= c <= d <= 1.0):
             raise ConfigurationError(
@@ -199,10 +203,10 @@ class InferenceEngine:
         self.rules = rules
         # One row per lower shape, then one per upper shape, as columns
         # broadcasting over (input, triple).
-        corners = np.array([t.lower for t in terms] + [t.upper for t in terms]).T.reshape(4, 6, 1, 1)
-        self._corners = tuple(corners)
-        self._rise = corners[1] - corners[0]
-        self._fall = corners[3] - corners[2]
+        a, b, c, d = np.array([t.lower for t in terms] + [t.upper for t in terms]).T.reshape(4, 6, 1, 1)
+        # Each edge's foot and run, the falling edge's run negated (-0.0 where it is flat).
+        self._feet = np.array([a, d])
+        self._runs = np.array([b - a, -(d - c)])
         self._scales = np.array([t.height for t in terms] + [1.0] * 3).reshape(6, 1, 1)
         grid = np.arange(_CENTROID_POINTS) / (_CENTROID_POINTS - 1)
         lo, hi = self._grade(grid[None]).reshape(2, 3, -1)
@@ -235,9 +239,11 @@ class InferenceEngine:
         The three arguments share one shape, which the result takes. Inputs
         outside [0, 1] are clamped with a warning; a NaN input is a
         ConfigurationError. Each rule's firing mass is the sum of its lower
-        and upper firing (twice the Nie-Tan midpoint; the factor cancels), or
-        +0.0 where the upper firing is 0, and the 27 rules are summed one
-        after another, so a triple's result does not depend on the batch.
+        and upper firing (twice the Nie-Tan midpoint; the factor cancels), a
+        zero of either sign where the rule does not fire, since a zero upper
+        firing forces a zero lower one. The 27 masses are summed one after
+        another from +0.0, so a triple's result does not depend on the batch
+        and a triple with no firing mass yields +0.0.
         """
         x = np.array((x1, x2, x3), dtype=float)
         shape = x.shape[1:]
@@ -253,20 +259,24 @@ class InferenceEngine:
         lo, hi = np.minimum(
             np.minimum(g[:, :, 0, None, None], g[:, None, :, 1, None]), g[:, None, None, :, 2]
         ).reshape(2, 27, -1)
-        weighted = np.where(hi > 0.0, lo + hi, 0.0)[:, None] * self._rule_weights
         # The rules lead, not as the contiguous axis, which reduce would add pairwise.
-        num, den = np.add.reduce(weighted, axis=0)
-        return np.minimum(num / np.where(den > 0.0, den, 1.0), 1.0).reshape(shape)
+        mass = lo + hi
+        num, den = np.add.reduce(mass[:, None] * self._rule_weights, axis=0, initial=0.0)
+        den[den <= 0.0] = 1.0  # where num is +0.0 too
+        return np.minimum(num / den, 1.0).reshape(shape)
 
     def _grade(self, x: np.ndarray) -> np.ndarray:
         """Each term's lower grades, then its upper ones, at (inputs, points) `x`: (6, inputs, points)."""
         # Each edge's ratio is at least 1 across the plateau, so the smaller
-        # one, cut to [0, 1], is `trapezoid`. A flat edge divides by zero:
-        # +-inf away from its corner, NaN on it, which fmin passes over.
-        a, b, c, d = self._corners
+        # one, cut to [0, 1], is `trapezoid`; (x - d) / -(d - c) is (d - x) / (d - c)
+        # but for the sign of a zero, which no output reads. A flat edge divides
+        # by zero: +-inf away from its foot, NaN on it, which fmin passes over.
+        ratio = x - self._feet
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            grade = np.fmin((x - a) / self._rise, (d - x) / self._fall)
-        grade = np.fmax(np.fmin(grade, 1.0), 0.0)
+            ratio /= self._runs
+        grade = np.fmin(ratio[0], ratio[1], out=ratio[0])
+        np.fmin(grade, 1.0, out=grade)
+        np.fmax(grade, 0.0, out=grade)
         grade *= self._scales
         return grade
 
@@ -311,13 +321,6 @@ def _spec_keys(entry: Mapping, allowed: tuple[str, ...], what: str) -> None:
         raise ConfigurationError(f"unknown keys in {what}: {_echo(sorted(unknown, key=str))}")
 
 
-def _spec_upper(entry: Mapping, label: str) -> tuple[float, float, float, float]:
-    corners = _spec_list(entry["upper"], f"term {label!r}: upper shape")
-    if len(corners) != 4:
-        raise ConfigurationError(f"term {label!r}: upper shape needs 4 corners, got {_echo(corners)}")
-    return tuple(_spec_number(v, f"term {label!r}: upper corner") for v in corners)
-
-
 def engine_from_config(spec: Mapping) -> InferenceEngine:
     """Build an engine from a parsed configuration mapping.
 
@@ -347,7 +350,8 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
         if not isinstance(entry, Mapping) or "upper" not in entry:
             raise ConfigurationError(f"term {label!r}: invalid or missing upper shape")
         _spec_keys(entry, ("upper", "shrink", "height"), f"term {label!r}")
-        upper = _spec_upper(entry, label)
+        upper = tuple(_spec_number(v, f"term {label!r}: upper corner")
+                      for v in _spec_list(entry["upper"], f"term {label!r}: upper shape"))
         shape = {key: _spec_number(entry[key], f"term {label!r}: {key}")
                  for key in ("shrink", "height") if key in entry}
         terms.append(IntervalTerm(label, upper, **shape))

@@ -75,11 +75,18 @@ def _integer_cases():
     for kind, value in NOT_INTEGERS.items():
         yield pytest.param(lambda value=value: EpochState(T=5, theta=0.5, deadline=value), DEADLINE,
                            id=f"epoch-deadline-{kind}")
+    # numpy would read a bool inside a list as the integer 1.
+    for kind, value in {"bool": True, "numpy-bool": np.True_}.items():
+        yield pytest.param(lambda value=value: EpochState(T=5, theta=0.5, deadline=[value, 2]), DEADLINE,
+                           id=f"epoch-deadline-list-{kind}")
 
 
 @pytest.mark.parametrize("call, message", [
     *_integer_cases(),
     *REAL_CASES,
+    pytest.param(lambda: IntervalTerm("low", (0, 0.2, 0.45)),
+                 re.escape("term 'low': upper shape needs 4 corners, got (0, 0.2, 0.45)"),
+                 id="term-three-corners"),
     pytest.param(lambda: build_policy("XM"), re.escape("unknown policy 'XM'; expected one of"),
                  id="policy-name"),
     pytest.param(lambda: ExperimentConfig(policy=np.array(["BM"])),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsim import policies
 from qsim.errors import ConfigurationError
 from qsim.policies import (
     CAUSE_ANY_CHANGE,
@@ -305,6 +306,14 @@ class TestEpochLifecycle:
     def test_fresh_state_normalizes_by_the_floor(self):
         assert make_state().normalize([0.0, 5e-10, 1.0]).tolist() == [0.0, pytest.approx(0.5), 1.0]
 
+    def test_the_callers_deadline_array_is_never_written(self):
+        deadline = np.array([1, 2])
+        state = EpochState(T=4, theta=0.5, deadline=deadline)
+        for _ in range(3):
+            BmPolicy().step_lanes(state, np.zeros(2))
+        assert deadline.tolist() == [1, 2]
+        assert state.deadline.tolist() == [4, 4]
+
     def test_build_policy(self):
         assert isinstance(build_policy("UDDM"), UddmPolicy)
         assert isinstance(build_policy("BM"), BmPolicy)
@@ -313,3 +322,25 @@ class TestEpochLifecycle:
             build_policy("GOSSIP")
         with pytest.raises(ConfigurationError):
             build_policy("PM", alpha=1.0)
+
+
+class TestForecastClamp:
+    """A forecast that is not positive, -0.0 and NaN included, is clamped to +0.0,
+    as `np.where(forecast > 0.0, forecast, 0.0)` clamps it, whatever the lane count."""
+
+    CASES = {
+        "negative-zero": ([-0.0], [-0.0]),
+        "mixed": ([-0.0, -1.5, np.nan, 2.0, 0.0, 0.5], [-0.0, 0.25, 1.0, -0.5, -0.0, -1.0]),
+    }
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 5, 17])
+    @pytest.mark.parametrize("case", CASES)
+    def test_nonpositive_and_nan_forecasts_become_positive_zero(self, monkeypatch, case, lanes):
+        level, trend = (np.resize(values, lanes) for values in self.CASES[case])
+        # The Holt step is replaced, so the forecasts are level + h * trend of the values above.
+        monkeypatch.setattr(policies, "_holt_update", lambda *_: (level.copy(), trend.copy()))
+        state = EpochState(T=10, theta=0.5, deadline=np.full(lanes, 10))
+        raw = level + np.array([[1.0], [2.0], [3.0]]) * trend
+        forecast = PmPolicy()._forecast(state)
+        assert forecast.tobytes() == np.where(raw > 0.0, raw, 0.0).tobytes()
+        assert not np.signbit(forecast).any()

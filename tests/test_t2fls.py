@@ -497,6 +497,40 @@ class TestRuleSum:
         assert got.tobytes() == want.tobytes()
 
 
+class TestZeroSigns:
+    """A triple with no firing mass evaluates to +0.0, never -0.0: the detail
+    files write the two zeros differently."""
+
+    # Every upper shape rises from 0, so a -0.0 input grades as a zero on every term.
+    SLOPED_FROM_ZERO = (make_term("low", 0.0, 0.1, 0.2, 0.3), make_term("medium", 0.0, 0.45, 0.55, 0.7),
+                        make_term("high", 0.0, 0.8, 1.0, 1.0))
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 9, 17])
+    def test_no_firing_mass_gives_positive_zero(self, lanes):
+        zeros = np.zeros(lanes).tobytes()
+        gappy = InferenceEngine(terms=GAPPY_TERMS)
+        assert gappy.evaluate_many(*np.full((3, lanes), 0.3)).tobytes() == zeros
+        assert gappy.evaluate_many(*np.repeat([[-0.0], [0.3], [0.7]], lanes, axis=1)).tobytes() == zeros
+        sloped = InferenceEngine(terms=self.SLOPED_FROM_ZERO)
+        assert sloped.evaluate_many(*np.full((3, lanes), -0.0)).tobytes() == zeros
+
+    def test_negative_zero_grades_still_give_positive_zero(self, monkeypatch):
+        """Of two zeros, fmax may return either, so a zero grade may carry
+        either sign; the result must not depend on it."""
+        engine = InferenceEngine(terms=GAPPY_TERMS)
+        grade = engine._grade
+
+        def negative_zeros(x):
+            g = grade(x)
+            g[g == 0.0] = -0.0
+            return g
+
+        monkeypatch.setattr(engine, "_grade", negative_zeros)
+        triples = corner_triples(engine, 300, seed=11) + [(0.3, 0.3, 0.3), (0.7, 0.3, 0.05)]
+        got = engine.evaluate_many(*np.array(triples).T)
+        assert got.tobytes() == np.array([scalar_evaluate(engine, *t) for t in triples]).tobytes()
+
+
 class TestEngineFromConfig:
     def test_term_and_rule_overrides(self):
         spec = {
