@@ -91,8 +91,8 @@ MUTANTS = [
     # The scored lanes alone are normalised, each by its own peak.
     Mutant("scored-peak-from-first-lanes", POLICIES, "[:, scored], scored)",
            "[:, scored], np.arange(scored.size))"),
-    Mutant("forecasts-before-past-quanta", POLICIES, "np.concatenate((state.quanta, forecast))",
-           "np.concatenate((forecast, state.quanta))"),
+    Mutant("triples-paired-across-rows", POLICIES, "views.reshape(2, 3, -1).transpose(1, 0, 2)",
+           "views.reshape(3, 2, -1)"),
     Mutant("no-deadline-stagger", SIMULATOR, "np.tile(np.where(offsets > 0, offsets, T), k * E)",
            "np.tile(np.full(n, T), k * E)"),
     # The fuzzy layer.
@@ -154,6 +154,9 @@ MUTANTS = [
            equivalent="IEEE multiplication is commutative"),
     Mutant("rule-sum-default-start", T2FLS, "axis=0, initial=0.0)", "axis=0)",
            equivalent="numpy's add.reduce starts from the identity of add, +0.0, when given no initial"),
+    Mutant("forecasts-before-past-quanta", POLICIES, "np.concatenate((state.quanta, forecast))",
+           "np.concatenate((forecast, state.quanta))",
+           equivalent="the two potentials swap places, and their geometric mean is symmetric"),
 ]
 
 
