@@ -42,8 +42,8 @@ last), every run, per workload, metric and side the median, the quartiles and
 the number of pairs each side won, whether both sides wrote the same CSV
 bytes for each grid, and per kernel pass each side's minimum, median and
 quartiles of CPU seconds, the change's minimum over the parent's, and whether
-every record digest is equal. The run length and whether lower or higher is better
-come from the parent's BENCHMARK.json. Nothing here changes the benchmark:
+every record digest is equal. The run length and whether lower or higher is
+better come from the parent's BENCHMARK.json. Nothing here changes the benchmark:
 both sides run their own unchanged `bench/run.py`.
 """
 
@@ -350,12 +350,13 @@ def measure(sides: dict[str, Path], spec: dict, pair_counts: str, first_seed: in
     logs = work / "logs"
     logs.mkdir()
     paths = ingest_logs(sides["change"], logs, first_seed)
-    for name, spec in KERNEL_PASSES.items():
-        kernel = {key: spec[key] for key in ("policy", "T", "E")}
+    for name, kernel_pass in KERNEL_PASSES.items():
+        kernel = {key: kernel_pass[key] for key in ("policy", "T", "E")}
+        log_path = paths["clean"] if kernel_pass["replay"] else None
         runs = {"parent": [], "change": []}
         for i in range(KERNEL_RUNS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[side].append(kernel_run(sides[side], kernel, paths["clean"] if spec["replay"] else None))
+                runs[side].append(kernel_run(sides[side], kernel, log_path))
         times = {side: [run["cpu_s"] for run in side_runs] for side, side_runs in runs.items()}
         digests = {run["records_sha256"] for side_runs in runs.values() for run in side_runs}
         report["kernel_cpu_s"][name] = {
