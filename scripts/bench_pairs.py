@@ -11,9 +11,11 @@ alternating pairs (the parent first in even pairs, the change first in odd
 ones), one seed per pair, and reads the JSON object each run prints last. It
 then times the criterion-10 grid (UDDM, BM, PM x T 10, 100, 1000 x theta 0.6,
 0.75, E = 1000, seed 42) in a fresh interpreter per run, at `workers` 1 and 2,
-alternating the sides, twice per side: `run_grid` and `write_reports`
-seconds, the main process's peak resident set after each of them, the pool
-workers' peak, and a sha256 of the run's CSV files. It times the same way
+alternating the sides, GRID_RUNS times per side: `run_grid` and
+`write_reports` seconds, the main process's peak resident set after each of
+them, the pool workers' peak, and a sha256 of the run's CSV files. Run i of
+each side makes pair i, and each grid is summarised as the workloads are. It
+times the same way
 the theta sweeps (0.6, 0.75) of each policy at T = 1000, with E = 100 and
 E = 1000, at `workers` 2: grids of one (policy, T) group. It times the lane
 kernel alone: one `simulator._simulate` pass (theta 0.6 and 0.75, seed 42,
@@ -38,9 +40,9 @@ a fresh interpreter that writes no bytecode.
 The output holds the environment (each side's git sha, Python, numpy, nproc,
 the run length, `--pairs`, `--first-seed`, `PYTHONDONTWRITEBYTECODE` and
 whether each clone held a `__pycache__` before its first run and after its
-last), every run, per workload, metric and side the median, the quartiles and
-the number of pairs each side won, whether both sides wrote the same CSV
-bytes for each grid, and per kernel pass each side's minimum, median and
+last), every run, per workload or grid, metric and side the median, the
+quartiles and the number of pairs each side won, whether both sides wrote the
+same CSV bytes for each grid, and per kernel pass each side's minimum, median and
 quartiles of CPU seconds, the change's minimum over the parent's, and whether
 every record digest is equal. The run length and whether lower or higher is
 better come from the parent's BENCHMARK.json. Nothing here changes the benchmark:
@@ -63,7 +65,10 @@ from pathlib import Path
 import numpy
 
 HERE = Path(__file__).resolve().parent.parent
-GRID_RUNS = 2  # runs per side of each timed grid
+GRID_RUNS = 5  # runs per side of each timed grid
+# The figures of a grid run, all better lower.
+GRID_METRICS = ("run_grid_s", "write_reports_s", "main_peak_mb_after_run_grid", "main_peak_mb",
+                "worker_peak_mb")
 INGEST_RUNS = 10  # ingestion timings per side and log
 KERNEL_RUNS = 7  # kernel passes per side
 
@@ -255,12 +260,12 @@ def spread(values: list[float]) -> dict:
             "n": len(values)}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs each side won."""
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+    """Per metric: each side's median and quartiles, and the pairs each side won,
+    from (parent, change) pairs of metric dicts."""
     summary = {}
     for name, direction in better.items():
-        rows = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
-                if "metrics" in p["parent"] and "metrics" in p["change"]]
+        rows = [(parent[name], change[name]) for parent, change in pairs]
         if not rows:
             continue
         sign = 1 if direction == "lower" else -1
@@ -335,7 +340,9 @@ def measure(sides: dict[str, Path], spec: dict, pair_counts: str, first_seed: in
                     f" correct={pair[side]['correct']}")
             pairs.append(pair)
             seed += 1
-        report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+        measured = [(p["parent"]["metrics"], p["change"]["metrics"]) for p in pairs
+                    if "metrics" in p["parent"] and "metrics" in p["change"]]
+        report["workloads"][workload] = {"pairs": pairs, "summary": summarize(measured, better)}
     grids = {("criterion_10_grid", f"workers_{workers}"): {**GRID, "workers": str(workers)}
              for workers in (1, 2)}
     grids.update({("theta_sweeps", name): overrides for name, overrides in SWEEPS.items()})
@@ -346,7 +353,9 @@ def measure(sides: dict[str, Path], spec: dict, pair_counts: str, first_seed: in
                 runs[side].append(grid_run(sides[side], overrides))
                 log(f"{kind} {name} {side}: {json.dumps(runs[side][-1])}")
         digests = {run["csv_sha256"] for side_runs in runs.values() for run in side_runs}
-        report[kind][name] = {**runs, "csv_identical": len(digests) == 1}
+        report[kind][name] = {**runs, "csv_identical": len(digests) == 1,
+                              "summary": summarize(list(zip(runs["parent"], runs["change"])),
+                                                   dict.fromkeys(GRID_METRICS, "lower"))}
     logs = work / "logs"
     logs.mkdir()
     paths = ingest_logs(sides["change"], logs, first_seed)

@@ -10,9 +10,9 @@ failure. The mutant is `killed` when the suite fails, `survived` when it
 passes, and `not applied` when its anchor is not in the file (or not once), so
 a stale entry shows instead of passing quietly.
 
-An equivalent mutant changes the code but not what it computes, so no test can
-kill it; it carries the reason. The script exits 1 when a mutant that is not
-equivalent survives or is not applied. The output holds the commit, Python and
+An equivalent mutant changes the code but not what it computes, so no test of
+the results can kill it; it carries the reason. The script exits 1 when a
+mutant that is not equivalent survives or is not applied. The output holds the commit, Python and
 numpy versions, and per mutant its edit, status, pytest's exit code, seconds
 and the first failing test. It takes minutes, so it runs outside tier-1.
 """
@@ -148,6 +148,13 @@ MUTANTS = [
            "np.subtract(mean, last_sent, out=distance)"),
     Mutant("last-sent-always-the-mean", SIMULATOR, "np.copyto(last_sent, mean, where=sends_k[s - 1])",
            "np.copyto(last_sent, mean)"),
+    # The pool: each T's streams built once for every group of that T, and the
+    # reports joined in grid order whatever order the tasks ran in.
+    Mutant("every-group-reads-the-first-block", HARNESS, "blocks = [streams[cells[0].T] for cells in groups]",
+           "blocks = [streams[groups[0][0].T] for cells in groups]"),
+    Mutant("reports-joined-in-submission-order", HARNESS,
+           "for i in range(len(groups)) for report in futures[i].result())",
+           "for future in futures.values() for report in future.result())"),
     # Equivalent: kept so that the reasoning is re-checked on every sweep.
     Mutant("geometric-mean-operands-swapped", POLICIES, "np.sqrt(pod_p * pod_f)",
            "np.sqrt(pod_f * pod_p)",
@@ -157,6 +164,9 @@ MUTANTS = [
     Mutant("forecasts-before-past-quanta", POLICIES, "np.concatenate((state.quanta, forecast))",
            "np.concatenate((forecast, state.quanta))",
            equivalent="the two potentials swap places, and their geometric mean is symmetric"),
+    Mutant("smallest-group-first", HARNESS, "key=lambda i: -sizes[i])", "key=lambda i: sizes[i])",
+           equivalent="the submission order changes only when each task runs, never a report; "
+                      "the test of that order kills it all the same"),
 ]
 
 

@@ -38,6 +38,7 @@ from .simulator import (
     EventColumns,
     ExperimentConfig,
     MetricsReport,
+    _cell_streams,
     _run_group,
     _synthetic_block,
 )
@@ -322,15 +323,28 @@ def _dataset_checksum(config: HarnessConfig) -> str:
     return hashlib.sha256(Path(config.source).read_bytes()).hexdigest()
 
 
-def _run_group_task(cells: Sequence[ExperimentConfig], dataset, engine) -> tuple[MetricsReport, ...]:
-    """Pool worker entry point: run one group of cells and format their detail
+# A pool worker's (groups, blocks, engine). Only `_init_worker` sets it, in the worker.
+_WORKER: tuple | None = None
+
+
+def _init_worker(groups, blocks, engine) -> None:
+    """Pool initializer: a forked worker inherits the grid's groups, stream
+    blocks and engine, any other start method unpickles them once per worker,
+    so a task carries only its group's index."""
+    global _WORKER
+    _WORKER = groups, blocks, engine
+
+
+def _run_group_task(index: int) -> tuple[MetricsReport, ...]:
+    """Pool worker entry point: run group `index` and format its detail
     rows here, so the workers share the formatting and it overlaps other runs.
     Cells sharing one event table share one text, so the result pickles it once."""
+    groups, blocks, engine = _WORKER
     details: dict[int, tuple[bytes, ...]] = {}  # by id of the table
     reports = []
     # Resolves `_run_group` in the worker, at call time: a pool pickles the submitted function
     # by name, so a wrapper set on this module's `_run_group` (a tracing hook) could not be.
-    for report in _run_group(cells, dataset, engine):
+    for report in _run_group(groups[index], blocks[index], engine):
         events = report.per_experiment
         if id(events) not in details:
             details[id(events)] = tuple(zlib.compress(b, 1) for b in _detail_blocks(events))
@@ -341,9 +355,11 @@ def _run_group_task(cells: Sequence[ExperimentConfig], dataset, engine) -> tuple
 def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
     """Execute every grid cell; report content is independent of worker count.
 
-    Cells sharing (policy, T) run as one kernel pass, one pool task per group in grid order.
-    Returns the reports and the manifest, the reproducibility record that
-    `write_reports` writes beside them as manifest.json.
+    Cells sharing (policy, T) run as one kernel pass over the streams of their
+    T, built here once per T before any group runs. A pool runs one task per
+    group, the largest first; the reports keep grid order. Returns the reports
+    and the manifest, the reproducibility record that `write_reports` writes
+    beside them as manifest.json.
     """
     started = time.perf_counter()
     groups = [tuple(group) for _, group in groupby(config.cells(), key=lambda c: (c.policy, c.T))]
@@ -367,12 +383,20 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise IngestionError(f"{config.fuzzy}: not a JSON text: {exc}") from exc
         engine = engine_from_config(spec)
+    # A cell's streams depend on its T, never on its policy or theta.
+    streams = {T: _cell_streams(cells[0], dataset) for T, cells in {g[0].T: g for g in groups}.items()}
+    blocks = [streams[cells[0].T] for cells in groups]
     if config.workers > 1 and len(groups) > 1:
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(groups))) as executor:
-            futures = [executor.submit(_run_group_task, group, dataset, engine) for group in groups]
-            reports = tuple(report for f in futures for report in f.result())
+        # Largest first, by cells x E x N x T; the sort is stable, so equal groups keep grid order.
+        sizes = [len(cells) * cells[0].E * cells[0].N * cells[0].T for cells in groups]
+        order = sorted(range(len(groups)), key=lambda i: -sizes[i])
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(groups)), initializer=_init_worker,
+                                 initargs=(groups, blocks, engine)) as executor:
+            futures = {i: executor.submit(_run_group_task, i) for i in order}
+            reports = tuple(report for i in range(len(groups)) for report in futures[i].result())
     else:
-        reports = tuple(report for group in groups for report in _run_group(group, dataset, engine))
+        reports = tuple(report for cells, block in zip(groups, blocks)
+                        for report in _run_group(cells, block, engine))
     manifest = {
         "tool": "qsim",
         "version": __version__,

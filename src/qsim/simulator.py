@@ -388,17 +388,18 @@ def run_cell(config: ExperimentConfig, dataset=None,
     Aggregation is ordered by experiment index, so results never depend on
     execution interleaving.
     """
-    return _run_group((config,), dataset, engine)[0]
+    return _run_group((config,), _cell_streams(config, dataset), engine)[0]
 
 
-def _run_group(cells: Sequence[ExperimentConfig], dataset=None,
+def _run_group(cells: Sequence[ExperimentConfig], block: np.ndarray,
                engine: InferenceEngine | None = None) -> tuple[MetricsReport, ...]:
-    """`run_cell` of each of `cells`, which differ in theta alone, from one kernel pass.
+    """`run_cell` of each of `cells`, which differ in theta alone, from one
+    kernel pass over `block`, their `_cell_streams`.
 
     A report whose events equal an earlier report's bit for bit takes that
     report's table, so the copies are formatted and written once downstream.
     """
-    records = _simulate(cells[0], [c.theta for c in cells], _cell_streams(cells[0], dataset), engine)
+    records = _simulate(cells[0], [c.theta for c in cells], block, engine)
     tables: dict[EventColumns, EventColumns] = {}  # each distinct table, keyed by itself
     return tuple(replace(r, per_experiment=tables.setdefault(r.per_experiment, r.per_experiment))
                  for r in map(_report, cells, records))

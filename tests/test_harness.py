@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsim import harness
+from qsim import harness, simulator
 from qsim.errors import ConfigurationError
 from qsim.harness import (
     DETAIL_COLUMNS,
@@ -248,6 +248,44 @@ def small_config(**overrides):
     return load_config(cli_overrides=base, environ={})
 
 
+class InlinePool:
+    """What the inline pool saw: each pool's size, and each task's arguments and cells."""
+
+    def __init__(self):
+        self.sizes, self.args, self.tasks = [], [], []
+
+    def clear(self):
+        del self.sizes[:], self.args[:], self.tasks[:]
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Runs the pool's initializer and each task in this process, at submission."""
+    seen = InlinePool()
+
+    class InlineExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            seen.sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            seen.args.append(args)
+            seen.tasks.append([(c.policy, c.T, c.theta) for c in harness._WORKER[0][args[0]]])
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "_WORKER", None)  # restored after the test
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+    return seen
+
+
 class TestGridAndReports:
     def test_reports_match_grid_order_and_schema(self, tmp_path):
         config = small_config()
@@ -318,53 +356,77 @@ class TestGridAndReports:
         assert len(payload["dataset_checksum"]) == 64
         assert payload["runtime_seconds"] >= 0.0
 
-    def test_pool_is_sized_to_the_grid(self, monkeypatch, tmp_path):
-        """One pool task per (policy, T) group, in grid order, on min(workers, groups)
-        workers; a grid of one group runs in-process at any worker count."""
-        sizes, tasks = [], []
-
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                tasks.append([(cell.policy, cell.T, cell.theta) for cell in args[0]])
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
-        reports, _ = run_grid(small_config(t="5,8", workers="4"))  # 8 cells in 4 groups
-        assert [(r.policy, r.T, r.theta) for r in reports] == [c for task in tasks for c in task]
-        assert sizes == [4]
-        assert tasks == [[(policy, T, 0.6), (policy, T, 0.75)]
-                         for policy in ("UDDM", "BM") for T in (5, 8)]
-        group_tasks = tasks[:]
-        del sizes[:], tasks[:]
+    def test_pool_is_sized_to_the_grid(self, inline_pool, tmp_path):
+        """One pool task per (policy, T) group, on min(workers, groups) workers, and a
+        task is its group's index alone; a grid of one group runs in-process at any
+        worker count."""
+        run_grid(small_config(t="5,8", workers="4"))  # 8 cells in 4 groups
+        assert inline_pool.sizes == [4]
+        assert sorted(inline_pool.args) == [(0,), (1,), (2,), (3,)]
+        assert sorted(len(task) for task in inline_pool.tasks) == [2, 2, 2, 2]  # whole groups
+        group_tasks = inline_pool.tasks[:]
+        inline_pool.clear()
         # More workers than groups: the pool is no larger than the groups, and they stay whole.
         run_grid(small_config(t="5,8", workers="8"))
-        assert sizes == [4]
-        assert tasks == group_tasks
-        del sizes[:], tasks[:]
+        assert inline_pool.sizes == [4]
+        assert inline_pool.tasks == group_tasks
+        inline_pool.clear()
         run_grid(small_config(policy="UDDM,BM,PM", theta="0.6", workers="2"))
-        assert sizes == [2]
-        del sizes[:], tasks[:]
+        assert inline_pool.sizes == [2]
+        inline_pool.clear()
         # One group, two cells: no pool.
         pooled = write_reports(*run_grid(small_config(policy="UDDM", workers="4")), tmp_path / "w4")
         serial = write_reports(*run_grid(small_config(policy="UDDM", workers="1")), tmp_path / "w1")
-        assert sizes == [] and tasks == []
+        assert inline_pool.sizes == [] and inline_pool.tasks == []
         names = sorted(p.name for p in serial.glob("*.csv"))
         assert len(names) == 3
         for name in names:
             assert (pooled / name).read_bytes() == (serial / name).read_bytes()
         run_grid(small_config(policy="UDDM", theta="0.6", workers="2"))
-        assert sizes == []
+        assert inline_pool.sizes == []
+
+    def test_tasks_go_largest_first_and_reports_keep_grid_order(self, inline_pool):
+        """Tasks are submitted by cells x E x N x T, largest first, equal groups in
+        grid order; the reports are joined in grid order all the same."""
+        reports, _ = run_grid(small_config(t="5,8", workers="2"))
+        assert inline_pool.tasks == [[(policy, T, 0.6), (policy, T, 0.75)]
+                                     for T in (8, 5) for policy in ("UDDM", "BM")]
+        grid = [(policy, T, theta) for policy in ("UDDM", "BM") for T in (5, 8) for theta in (0.6, 0.75)]
+        assert [(r.policy, r.T, r.theta) for r in reports] == grid
+        assert reports == run_grid(small_config(t="5,8", workers="1"))[0]
+
+    def test_replay_tasks_carry_only_an_index(self, inline_pool, tmp_path):
+        """A replayed grid ships its T blocks to the workers once, and no task
+        carries the dataset."""
+        log = tmp_path / "log.txt"
+        assert main(["gen", "--out", str(log), "--length", "400", "--seed", "6"]) == 0
+        overrides = {"policy": "UDDM,BM,PM", "t": "5,8", "theta": "0.6", "e": "4",
+                     "source": str(log), "workers": "2"}
+        reports, _ = run_grid(load_config(cli_overrides=overrides, environ={}))
+        assert len(inline_pool.args) == 6
+        assert all(len(pickle.dumps(args, pickle.HIGHEST_PROTOCOL)) <= 64 for args in inline_pool.args)
+        groups, blocks, engine = harness._WORKER
+        assert [block.shape for block in blocks] == [(4, 8, 4), (4, 11, 4)] * 3
+        assert len({id(block) for block in blocks}) == 2
+        serial = run_grid(load_config(cli_overrides={**overrides, "workers": "1"}, environ={}))[0]
+        assert reports == serial
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_streams_are_built_once_per_T(self, monkeypatch, workers):
+        """Every (policy, T) group of one T runs over the same streams, built once in
+        the calling process, which never sets the workers' inputs."""
+        lengths = []
+        build = simulator._synthetic_block
+
+        def counted(seeds, length, *args, **kwargs):
+            lengths.append(length)
+            return build(seeds, length, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_synthetic_block", counted)
+        reports, _ = run_grid(small_config(policy="UDDM,BM,PM", t="5,8,13", workers=workers))
+        assert len(reports) == 18
+        assert sorted(lengths) == [8, 11, 16]  # N x (T + 3) vectors per experiment
+        assert harness._WORKER is None
 
     def test_fuzzy_override_file(self, tmp_path):
         spec = {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0]}}}
@@ -431,14 +493,17 @@ class TestSharedDetail:
     OVERRIDES = {"policy": "BM", "t": "5,7", "theta": "0.6,0.75,0.9", "e": "40", "n": "2",
                  "seed": "5"}
 
-    def test_a_group_task_ships_one_table_and_one_text(self):
+    def test_a_group_task_ships_one_table_and_one_text(self, monkeypatch):
         cells = load_config(cli_overrides={**self.OVERRIDES, "t": "5"}, environ={}).cells()
-        shipped = pickle.dumps(harness._run_group_task(cells, None, None), pickle.HIGHEST_PROTOCOL)
+        block = simulator._cell_streams(cells[0], None)
+        # A worker's inputs, as the pool initializer sets them: the group, and its first cell alone.
+        monkeypatch.setattr(harness, "_WORKER", ((cells, cells[:1]), (block, block), None))
+        shipped = pickle.dumps(harness._run_group_task(0), pickle.HIGHEST_PROTOCOL)
         reports = pickle.loads(shipped)
         assert len(reports) == 3
         assert reports[0].per_experiment is reports[1].per_experiment is reports[2].per_experiment
         assert reports[0].detail is reports[1].detail is reports[2].detail
-        one_cell = pickle.dumps(harness._run_group_task(cells[:1], None, None), pickle.HIGHEST_PROTOCOL)
+        one_cell = pickle.dumps(harness._run_group_task(1), pickle.HIGHEST_PROTOCOL)
         assert len(shipped) <= 1.1 * len(one_cell)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -612,6 +677,26 @@ class TestCli:
         messages = [r.getMessage() for r in caplog.records]
         assert any("holds 0 vectors" in m for m in messages)
         assert not any("wrapping around" in m for m in messages)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_log_too_short_for_the_largest_T_exit_code(self, tmp_path, monkeypatch, caplog, workers):
+        """Every T's streams are built before any group runs, so a log too short
+        for the largest T ends the run at once, alike at every worker count."""
+        log = tmp_path / "log.txt"
+        assert main(["gen", "--out", str(log), "--length", "40", "--seed", "2"]) == 0
+
+        def no_group(*args, **kwargs):
+            raise AssertionError("a group ran")
+
+        monkeypatch.setattr(harness, "_run_group", no_group)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_group)
+        code = main(["run", "--source", str(log), "--policy", "UDDM,BM", "--T", "5,50", "--E", "2",
+                     "--workers", workers, "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error == ("I/O error: replay data holds 40 vectors but each experiment needs 53 "
+                         "(shortfall 13): 1 node(s) x (T=50 + 3)")
+        assert not (tmp_path / "out").exists()
 
     def test_io_error_exit_code(self, tmp_path):
         assert main(["validate", "--source", str(tmp_path / "absent.txt")]) == 2

@@ -503,7 +503,7 @@ class TestGroupedPass:
 
     def check(self, config, dataset=None, engine=None):
         cells = [replace(config, theta=theta) for theta in self.THETAS]
-        grouped = simulator._run_group(cells, dataset, engine)
+        grouped = simulator._run_group(cells, simulator._cell_streams(config, dataset), engine)
         separate = [run_cell(cell, dataset, engine) for cell in cells]
         assert list(grouped) == separate
         assert [r.per_experiment for r in grouped] == [r.per_experiment for r in separate]
@@ -559,8 +559,8 @@ class TestSharedTables:
     THETAS = (0.6, 0.75, 0.9)
 
     def group(self, policy, thetas=THETAS, **config):
-        return simulator._run_group([ExperimentConfig(policy=policy, theta=theta, **config)
-                                     for theta in thetas])
+        cells = [ExperimentConfig(policy=policy, theta=theta, **config) for theta in thetas]
+        return simulator._run_group(cells, simulator._cell_streams(cells[0], None))
 
     def test_bm_cells_share_one_table(self):
         reports = self.group("BM", T=20, E=6, N=2, seed=3, profile="random-walk")

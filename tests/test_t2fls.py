@@ -484,8 +484,9 @@ class TestEvaluateMany:
 
 class TestRuleSum:
     """Whatever the batch size, the 27 rules are summed in rule order, as the
-    scalar reference sums them: `evaluate_many` takes `np.add.reduce` over two
-    or more triples and `np.add.accumulate` over one, where reduce sums pairwise."""
+    scalar reference sums them: `evaluate_many` takes one `np.add.reduce` along
+    the rule axis, which is not the contiguous one, so reduce adds the rules one
+    after another rather than pairwise."""
 
     @pytest.mark.parametrize("lanes", [1, 2, 3, 1000])
     def test_batches_equal_the_sequential_scalar_sum(self, lanes):
