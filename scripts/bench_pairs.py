@@ -15,14 +15,13 @@ alternating the sides, GRID_RUNS times per side: `run_grid` and
 `write_reports` seconds, the main process's peak resident set after each of
 them, the pool workers' peak, and a sha256 of the run's CSV files. Run i of
 each side makes pair i, and each grid is summarised as the workloads are. It
-times the same way
-the theta sweeps (0.6, 0.75) of each policy at T = 1000, with E = 100 and
-E = 1000, at `workers` 2: grids of one (policy, T) group. It times the lane
-kernel alone: one `simulator._simulate` pass (theta 0.6 and 0.75, seed 42,
-N = 1) per fresh interpreter, KERNEL_RUNS times per side, alternating the
-sides, on each of KERNEL_PASSES: UDDM, PM and BM at T = 1000, E = 20 on drift
-streams, UDDM at T = 1000, E = 24 on replay-walk's log, and UDDM and PM at
-T = 1000, E = 1000 on drift. A pass records the CPU seconds of the
+times the same way the theta sweeps (0.6, 0.75) of each policy at T = 1000,
+with E = 100 and E = 1000, at `workers` 2: grids of one (policy, T) group.
+It times the lane kernel alone: one `simulator._simulate` pass (theta 0.6 and
+0.75, seed 42, N = 1) per fresh interpreter, KERNEL_RUNS times per side,
+alternating the sides, on each of KERNEL_PASSES: UDDM, PM and BM at T = 1000,
+E = 20 on drift streams, UDDM at T = 1000, E = 24 on replay-walk's log, and
+UDDM and PM at T = 1000, E = 1000 on drift. A pass records the CPU seconds of the
 `_simulate` call alone (`time.process_time`; the streams are built before the
 clock starts) and a sha256 of its decision record arrays, so the file shows
 whether both sides decided the same, bit for bit. Last it times one
@@ -42,8 +41,8 @@ the run length, `--pairs`, `--first-seed`, `PYTHONDONTWRITEBYTECODE` and
 whether each clone held a `__pycache__` before its first run and after its
 last), every run, per workload or grid, metric and side the median, the
 quartiles and the number of pairs each side won, whether both sides wrote the
-same CSV bytes for each grid, and per kernel pass each side's minimum, median and
-quartiles of CPU seconds, the change's minimum over the parent's, and whether
+same CSV bytes for each grid, and per kernel pass each side's minimum, median
+and quartiles of CPU seconds, the change's minimum over the parent's, and whether
 every record digest is equal. The run length and whether lower or higher is
 better come from the parent's BENCHMARK.json. Nothing here changes the benchmark:
 both sides run their own unchanged `bench/run.py`.

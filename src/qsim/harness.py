@@ -329,8 +329,8 @@ _WORKER: tuple | None = None
 
 def _init_worker(groups, blocks, engine) -> None:
     """Pool initializer: a forked worker inherits the grid's groups, stream
-    blocks and engine, any other start method unpickles them once per worker,
-    so a task carries only its group's index."""
+    blocks and engine, and any other start method unpickles them once per
+    worker, so a task carries only its group's index."""
     global _WORKER
     _WORKER = groups, blocks, engine
 
