@@ -1,51 +1,50 @@
 """Paired benchmark runs of two commits of this repository, written to one JSON file.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_<pr>.json \
-        --pairs grid-drift=10,replay-walk=10,baselines-multinode=4 --first-seed <pr>101
+        --runs 10 --first-seed <pr>101
 
 Each side runs from a fresh `git clone` of its commit in a temporary
 directory, never from a working tree, so both start from committed files and
-without a `__pycache__`. For each workload it runs the clones' own
-`bench/run.py --trace 0`, for the run length BENCHMARK.json sets, in
-alternating pairs (the parent first in even pairs, the change first in odd
-ones), one seed per pair, and reads the JSON object each run prints last. It
-then times the criterion-10 grid (UDDM, BM, PM x T 10, 100, 1000 x theta 0.6,
-0.75, E = 1000, seed 42) in a fresh interpreter per run, at `workers` 1 and 2,
-alternating the sides, GRID_RUNS times per side: `run_grid` and
-`write_reports` seconds, the main process's peak resident set after each of
-them, the pool workers' peak, and a sha256 of the run's CSV files. Run i of
-each side makes pair i, and each grid is summarised as the workloads are. It
-times the same way the theta sweeps (0.6, 0.75) of each policy at T = 1000,
-with E = 100 and E = 1000, at `workers` 2: grids of one (policy, T) group.
-It times the lane kernel alone: one `simulator._simulate` pass (theta 0.6 and
-0.75, seed 42, N = 1) per fresh interpreter, KERNEL_RUNS times per side,
-alternating the sides, on each of KERNEL_PASSES: UDDM, PM and BM at T = 1000,
-E = 20 on drift streams, UDDM at T = 1000, E = 24 on replay-walk's log, and
-UDDM and PM at T = 1000, E = 1000 on drift. A pass records the CPU seconds of the
-`_simulate` call alone (`time.process_time`; the streams are built before the
-clock starts) and a sha256 of its decision record arrays, so the file shows
-whether both sides decided the same, bit for bit. Last it times one
-`ingest_sensor_log` call per fresh interpreter, alternating the checkouts,
-INGEST_RUNS times per side, on four logs: replay-walk's (`qsim gen --profile
-random-walk --length 40000 --seed <first seed>`), the same log with a
-malformed row at the end of every 4,096-line block, the same with one at the
-end of every 512-line block (so every block the ingester reads is parsed
-twice), and the same log with a `nan` reading every 50 rows.
+without a `__pycache__`. Every figure is measured by one rule: `--runs`
+rounds, each running both sides once, the parent first in even rounds and the
+change first in odd ones (`alternate`). Round i makes pair i, and each figure
+is summarised by each side's median and quartiles and the pairs each side
+won, ties counting for neither (`summarize`).
+
+The figures:
+- each workload of the parent's BENCHMARK.json: the clones' own
+  `bench/run.py --trace 0`, for the run length BENCHMARK.json sets, one seed
+  per round, read from the JSON object each run prints last;
+- the criterion-10 grid (UDDM, BM, PM x T 10, 100, 1000 x theta 0.6, 0.75,
+  E = 1000, seed 42) at `workers` 1 and 2, and the theta sweeps (0.6, 0.75) of
+  each policy at T = 1000, E = 100 and E = 1000, `workers` 2: grids of one
+  (policy, T) group. A run times `run_grid` and `write_reports`, reads the main
+  process's peak resident set after each and the pool workers' peak, and
+  hashes the CSV files it wrote;
+- the lane kernel alone: the CPU seconds of one `simulator._simulate` pass
+  (theta 0.6 and 0.75, seed 42, N = 1; the streams are built before the clock
+  starts) on each of KERNEL_PASSES, with a sha256 of its decision record
+  arrays;
+- one `ingest_sensor_log` call on each of four logs: replay-walk's (`qsim gen
+  --profile random-walk --length 40000 --seed <first seed>`), the same log with
+  a malformed row at the end of every 4,096-line block, the same with one at
+  the end of every 512-line block (so every block the ingester reads is parsed
+  twice), and the same log with a `nan` reading every 50 rows.
+
+Grids, kernel passes and ingest logs each run one of three snippets in a fresh
+interpreter with the checkout's `src` on the path (`snippet_run`). Whether
+both sides wrote the same CSV bytes, or decided the same bit for bit, is
+recorded per figure as `csv_identical` or `records_identical`.
 
 For each side it also records the design's size: `src_lines`, the total of
 `wc -l src/qsim/*.py`, and `public_names`, the length of `qsim.__all__` read in
-a fresh interpreter that writes no bytecode.
-
-The output holds the environment (each side's git sha, Python, numpy, nproc,
-the run length, `--pairs`, `--first-seed`, `PYTHONDONTWRITEBYTECODE` and
-whether each clone held a `__pycache__` before its first run and after its
-last), every run, per workload or grid, metric and side the median, the
-quartiles and the number of pairs each side won, whether both sides wrote the
-same CSV bytes for each grid, and per kernel pass each side's minimum, median
-and quartiles of CPU seconds, the change's minimum over the parent's, and whether
-every record digest is equal. The run length and whether lower or higher is
-better come from the parent's BENCHMARK.json. Nothing here changes the benchmark:
-both sides run their own unchanged `bench/run.py`.
+a fresh interpreter that writes no bytecode. The environment holds each side's
+git sha, Python, numpy, nproc, the run length, `--runs`, `--first-seed`,
+`PYTHONDONTWRITEBYTECODE` and whether each clone held a `__pycache__` before
+its first run and after its last. Whether lower or higher is better for a
+workload metric comes from the parent's BENCHMARK.json; every snippet figure
+is better lower. Nothing here changes the benchmark: both sides run their own
+unchanged `bench/run.py`.
 """
 
 from __future__ import annotations
@@ -54,29 +53,24 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 import numpy
 
 HERE = Path(__file__).resolve().parent.parent
-GRID_RUNS = 5  # runs per side of each timed grid
-# The figures of a grid run, all better lower.
-GRID_METRICS = ("run_grid_s", "write_reports_s", "main_peak_mb_after_run_grid", "main_peak_mb",
-                "worker_peak_mb")
-INGEST_RUNS = 10  # ingestion timings per side and log
-KERNEL_RUNS = 7  # kernel passes per side
+SIDES = ("parent", "change")
 
-# One `_simulate` pass each: the policy, T, E and whether it reads replay-walk's log.
+# One `_simulate` pass each: the policy, T and E, and whether it reads replay-walk's log.
 KERNEL_PASSES = {
-    **{f"{policy}_T1000_E20_drift": {"policy": policy, "T": 1000, "E": 20, "replay": False}
+    **{f"{policy}_T1000_E20_drift": ({"policy": policy, "T": 1000, "E": 20}, False)
        for policy in ("UDDM", "PM", "BM")},
-    "UDDM_T1000_E24_replay_walk": {"policy": "UDDM", "T": 1000, "E": 24, "replay": True},
-    **{f"{policy}_T1000_E1000_drift": {"policy": policy, "T": 1000, "E": 1000, "replay": False}
+    "UDDM_T1000_E24_replay_walk": ({"policy": "UDDM", "T": 1000, "E": 24}, True),
+    **{f"{policy}_T1000_E1000_drift": ({"policy": policy, "T": 1000, "E": 1000}, False)
        for policy in ("UDDM", "PM")},
 }
 
@@ -86,38 +80,40 @@ SWEEPS = {f"{policy}_T1000_E{e}": {"policy": policy, "t": "1000", "theta": "0.6,
                                    "seed": "42", "workers": "2"}
           for policy in ("UDDM", "BM", "PM") for e in (100, 1000)}
 
-# Run in a fresh interpreter with the checkout's src on the path: argv[1] the
-# config overrides as JSON, argv[2] the output directory.
+# Each snippet prints one JSON object last: its figures, all better lower, and
+# any `*_sha256` digest of what the run computed.
+
+# argv[1] the config overrides as JSON. The run writes to a directory of its own
+# and removes it after the peaks are read and the CSV files hashed.
 GRID_CODE = """
-import hashlib, json, pathlib, resource, sys, time
+import hashlib, json, pathlib, resource, sys, tempfile, time
 from qsim.harness import load_config, run_grid, write_reports
 def peak(who):
     return resource.getrusage(who).ru_maxrss / 1024.0
-config = load_config(cli_overrides={**json.loads(sys.argv[1]), "out-dir": sys.argv[2]}, environ={})
-start = time.perf_counter()
-reports, manifest = run_grid(config)
-ran = time.perf_counter()
-main_after_run_grid = peak(resource.RUSAGE_SELF)
-write_reports(reports, manifest, config.out_dir)
-wrote = time.perf_counter()
-timings = {"run_grid_s": ran - start, "write_reports_s": wrote - ran,
-           "main_peak_mb_after_run_grid": main_after_run_grid,
-           "main_peak_mb": peak(resource.RUSAGE_SELF),
-           "worker_peak_mb": peak(resource.RUSAGE_CHILDREN)}
-# Hashed after the peaks are read, a block at a time.
-csv_sha256 = hashlib.sha256()
-for path in sorted(pathlib.Path(config.out_dir).glob("*.csv")):
-    csv_sha256.update(path.name.encode() + b"\\0")
-    with path.open("rb") as handle:
-        while block := handle.read(1 << 20):
-            csv_sha256.update(block)
+with tempfile.TemporaryDirectory(prefix="qsim-grid-") as out:
+    config = load_config(cli_overrides={**json.loads(sys.argv[1]), "out-dir": out + "/grid"}, environ={})
+    start = time.perf_counter()
+    reports, manifest = run_grid(config)
+    ran = time.perf_counter()
+    main_after_run_grid = peak(resource.RUSAGE_SELF)
+    write_reports(reports, manifest, config.out_dir)
+    wrote = time.perf_counter()
+    timings = {"run_grid_s": ran - start, "write_reports_s": wrote - ran,
+               "main_peak_mb_after_run_grid": main_after_run_grid,
+               "main_peak_mb": peak(resource.RUSAGE_SELF),
+               "worker_peak_mb": peak(resource.RUSAGE_CHILDREN)}
+    # Hashed after the peaks are read, a block at a time.
+    csv_sha256 = hashlib.sha256()
+    for path in sorted(pathlib.Path(config.out_dir).glob("*.csv")):
+        csv_sha256.update(path.name.encode() + b"\\0")
+        with path.open("rb") as handle:
+            while block := handle.read(1 << 20):
+                csv_sha256.update(block)
 print(json.dumps({**timings, "csv_sha256": csv_sha256.hexdigest()}))
 """
 
-
 # argv[1] the pass as JSON (policy, T, E), argv[2] a sensor log to replay, or
-# "" for drift streams; prints the CPU seconds of one `_simulate` pass and a
-# sha256 of its decision record arrays.
+# "" for drift streams.
 KERNEL_CODE = """
 import hashlib, json, sys, time
 from qsim import simulator
@@ -135,14 +131,13 @@ for record in records:
 print(json.dumps({"cpu_s": cpu_s, "records_sha256": digest.hexdigest()}))
 """
 
-
-# argv[1] the sensor log; prints the seconds one ingest_sensor_log call takes.
+# argv[1] the sensor log.
 INGEST_CODE = """
-import sys, time
+import json, sys, time
 from qsim.harness import ingest_sensor_log
 start = time.perf_counter()
 ingest_sensor_log(sys.argv[1])
-print(time.perf_counter() - start)
+print(json.dumps({"ingest_s": time.perf_counter() - start}))
 """
 
 
@@ -179,30 +174,26 @@ def last_json(stdout: str) -> dict:
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One `bench/run.py --trace 0` run: its checks and, when it ran, its metrics."""
     done = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     if done.returncode != 0:
-        return {"exit": done.returncode, "stderr": done.stderr[-2000:], "correct": False}
+        return {"seed": seed, "exit": done.returncode, "stderr": done.stderr[-2000:], "correct": False}
     result = last_json(done.stdout)
-    return {"exit": 0, "correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    return {"seed": seed, "exit": 0, "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def grid_run(checkout: Path, overrides: dict[str, str]) -> dict:
-    """One timed `run_grid` + `write_reports` of the grid `overrides` configure."""
-    out = Path(tempfile.mkdtemp(prefix="qsim-grid-"))
-    try:
-        done = subprocess.run(
-            [sys.executable, "-c", GRID_CODE, json.dumps(overrides), str(out / "grid")],
-            env={**os.environ, "PYTHONPATH": str(checkout / "src")},
-            capture_output=True, text=True, check=True,
-        )
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
+def snippet_run(checkout: Path, code: str, *args: str) -> dict:
+    """The JSON object `code` prints last, run in a fresh interpreter on the checkout's `src`."""
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        capture_output=True, text=True, check=True,
+    )
     return last_json(done.stdout)
 
 
@@ -234,23 +225,18 @@ def ingest_logs(checkout: Path, work: Path, seed: int) -> dict[str, Path]:
     return paths
 
 
-def ingest_run(checkout: Path, path: Path) -> float:
-    done = subprocess.run(
-        [sys.executable, "-c", INGEST_CODE, str(path)],
-        env={**os.environ, "PYTHONPATH": str(checkout / "src")},
-        capture_output=True, text=True, check=True,
-    )
-    return float(done.stdout.strip().splitlines()[-1])
-
-
-def kernel_run(checkout: Path, spec: dict, log: Path | None) -> dict:
-    """One timed `_simulate` pass of `spec` in a fresh interpreter."""
-    done = subprocess.run(
-        [sys.executable, "-c", KERNEL_CODE, json.dumps(spec), str(log) if log else ""],
-        env={**os.environ, "PYTHONPATH": str(checkout / "src")},
-        capture_output=True, text=True, check=True,
-    )
-    return last_json(done.stdout)
+def alternate(runs: int, run: Callable[[str, int], dict], label: str) -> list[dict]:
+    """`runs` pairs of `run(side, round)`, the parent first in even rounds and
+    the change first in odd ones."""
+    pairs = []
+    for i in range(runs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run(side, i)
+            log(f"{label} round {i} {side}: {json.dumps(pair[side])}")
+        pairs.append(pair)
+    return pairs
 
 
 def spread(values: list[float]) -> dict:
@@ -259,12 +245,14 @@ def spread(values: list[float]) -> dict:
             "n": len(values)}
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs each side won,
-    from (parent, change) pairs of metric dicts."""
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per figure named in `better`: each side's median and quartiles, and the
+    pairs each side won, ties counting for neither. A pair counts for a figure
+    only when both of its runs read it."""
     summary = {}
     for name, direction in better.items():
-        rows = [(parent[name], change[name]) for parent, change in pairs]
+        rows = [(pair["parent"][name], pair["change"][name]) for pair in pairs
+                if name in pair["parent"] and name in pair["change"]]
         if not rows:
             continue
         sign = 1 if direction == "lower" else -1
@@ -286,8 +274,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the parent commit, e.g. HEAD~1")
     parser.add_argument("--change", default="HEAD", help="the commit of the change")
-    parser.add_argument("--pairs", default="grid-drift=10,replay-walk=10,baselines-multinode=4",
-                        help="workload=pairs, comma-separated")
+    parser.add_argument("--runs", type=int, default=10, help="pairs of runs per figure")
     parser.add_argument("--first-seed", type=int, default=8001)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -304,12 +291,12 @@ def main(argv=None) -> int:
                 "numpy": numpy.__version__,
                 "nproc": os.cpu_count(),
                 "seconds": spec["run_seconds"],
-                "pairs": args.pairs,
+                "runs": args.runs,
                 "first_seed": args.first_seed,
                 "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             },
             "design": {side: design_size(path) for side, path in sides.items()},
-            **measure(sides, spec, args.pairs, args.first_seed, Path(work)),
+            **measure(sides, spec, args.runs, args.first_seed, Path(work)),
         }
         report["environment"]["pycache"] = {
             side: {"before_first_run": pycache_before[side], "after_last_run": has_pycache(path)}
@@ -319,73 +306,35 @@ def main(argv=None) -> int:
     return 0
 
 
-def measure(sides: dict[str, Path], spec: dict, pair_counts: str, first_seed: int,
-            work: Path) -> dict:
-    """The bench pairs, the criterion-10 grid and theta sweep runs, the kernel passes and the
-    ingestion timings."""
+def measure(sides: dict[str, Path], spec: dict, runs: int, first_seed: int, work: Path) -> dict:
+    """Every workload, grid, theta sweep, kernel pass and ingest log, `runs` pairs each."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     report = {"workloads": {}, "criterion_10_grid": {}, "theta_sweeps": {}, "kernel_cpu_s": {},
               "ingest_s": {}}
-    seed = first_seed
-    for item in pair_counts.split(","):
-        workload, count = item.split("=")
-        pairs = []
-        for i in range(int(count)):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = bench_run(sides[side], workload, seed, spec["run_seconds"])
-                log(f"{workload} seed {seed} {side}: {json.dumps(pair[side].get('metrics'))}"
-                    f" correct={pair[side]['correct']}")
-            pairs.append(pair)
-            seed += 1
-        measured = [(p["parent"]["metrics"], p["change"]["metrics"]) for p in pairs
-                    if "metrics" in p["parent"] and "metrics" in p["change"]]
-        report["workloads"][workload] = {"pairs": pairs, "summary": summarize(measured, better)}
-    grids = {("criterion_10_grid", f"workers_{workers}"): {**GRID, "workers": str(workers)}
-             for workers in (1, 2)}
-    grids.update({("theta_sweeps", name): overrides for name, overrides in SWEEPS.items()})
-    for (kind, name), overrides in grids.items():
-        runs = {"parent": [], "change": []}
-        for i in range(GRID_RUNS):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[side].append(grid_run(sides[side], overrides))
-                log(f"{kind} {name} {side}: {json.dumps(runs[side][-1])}")
-        digests = {run["csv_sha256"] for side_runs in runs.values() for run in side_runs}
-        report[kind][name] = {**runs, "csv_identical": len(digests) == 1,
-                              "summary": summarize(list(zip(runs["parent"], runs["change"])),
-                                                   dict.fromkeys(GRID_METRICS, "lower"))}
+    for w, workload in enumerate(m["name"] for m in spec["workloads"]):
+        pairs = alternate(runs, lambda side, i: bench_run(sides[side], workload, first_seed + w * runs + i,
+                                                          spec["run_seconds"]), workload)
+        report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
     logs = work / "logs"
     logs.mkdir()
     paths = ingest_logs(sides["change"], logs, first_seed)
-    for name, kernel_pass in KERNEL_PASSES.items():
-        kernel = {key: kernel_pass[key] for key in ("policy", "T", "E")}
-        log_path = paths["clean"] if kernel_pass["replay"] else None
-        runs = {"parent": [], "change": []}
-        for i in range(KERNEL_RUNS):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[side].append(kernel_run(sides[side], kernel, log_path))
-        times = {side: [run["cpu_s"] for run in side_runs] for side, side_runs in runs.items()}
-        digests = {run["records_sha256"] for side_runs in runs.values() for run in side_runs}
-        report["kernel_cpu_s"][name] = {
-            "runs": runs,
-            **{side: {"min": min(values), **spread(values)} for side, values in times.items()},
-            "change_min_over_parent_min": min(times["change"]) / min(times["parent"]),
-            "records_identical": len(digests) == 1,
+    snippets = {("criterion_10_grid", f"workers_{workers}"):
+                (GRID_CODE, json.dumps({**GRID, "workers": str(workers)})) for workers in (1, 2)}
+    snippets.update({("theta_sweeps", name): (GRID_CODE, json.dumps(overrides))
+                     for name, overrides in SWEEPS.items()})
+    snippets.update({("kernel_cpu_s", name): (KERNEL_CODE, json.dumps(kernel),
+                                              str(paths["clean"]) if replay else "")
+                     for name, (kernel, replay) in KERNEL_PASSES.items()})
+    snippets.update({("ingest_s", name): (INGEST_CODE, str(path)) for name, path in paths.items()})
+    for (kind, name), (code, *args) in snippets.items():
+        pairs = alternate(runs, lambda side, _: snippet_run(sides[side], code, *args), f"{kind} {name}")
+        digests = [key for key in pairs[0]["parent"] if key.endswith("_sha256")]
+        report[kind][name] = {
+            "pairs": pairs,
+            **{key.removesuffix("_sha256") + "_identical":
+               len({pair[side][key] for pair in pairs for side in SIDES}) == 1 for key in digests},
+            "summary": summarize(pairs, {key: "lower" for key in pairs[0]["parent"] if key not in digests}),
         }
-        log(f"kernel {name}: min {min(times['parent']):.4f} -> {min(times['change']):.4f} s, "
-            f"records identical: {len(digests) == 1}")
-    for name, path in paths.items():
-        runs = {"parent": [], "change": []}
-        for i in range(INGEST_RUNS):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[side].append(ingest_run(sides[side], path))
-        medians = {side: statistics.median(times) for side, times in runs.items()}
-        report["ingest_s"][name] = {
-            "runs": runs, **{side: spread(times) for side, times in runs.items()},
-            "parent_over_change": medians["parent"] / medians["change"],
-        }
-        log(f"ingest {name}: {json.dumps(medians)}")
     return report
 
 

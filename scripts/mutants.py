@@ -155,6 +155,45 @@ MUTANTS = [
     Mutant("reports-joined-in-submission-order", HARNESS,
            "for i in range(len(groups)) for report in futures[i].result())",
            "for future in futures.values() for report in future.result())"),
+    Mutant("reports-joined-in-reverse-grid-order", HARNESS,
+           "for i in range(len(groups)) for report in futures[i].result())",
+           "for i in reversed(range(len(groups))) for report in futures[i].result())"),
+    # A block is freed after the last kernel pass that reads it, before the reports are built.
+    Mutant("group-keeps-its-block", SIMULATOR, "    del block\n", ""),
+    Mutant("serial-grid-keeps-every-block", HARNESS, "streams.pop(cells[0].T) if", "streams[cells[0].T] if"),
+    # The cell metrics.
+    Mutant("phi-divides-by-T-plus-1", SIMULATOR, "(first_t_star / T)", "(first_t_star / (T + 1))"),
+    Mutant("psi-averaged-over-messages", SIMULATOR, "/ counts.size,", "/ len(events),"),
+    Mutant("first-t-star-off-by-one", SIMULATOR, "record.sends.argmax(axis=0) + 1",
+           "record.sends.argmax(axis=0)"),
+    Mutant("silent-node-only-when-all-silent", SIMULATOR, "(counts == 0).any(axis=1)",
+           "(counts == 0).all(axis=1)"),
+    Mutant("delta-by-plain-sum", SIMULATOR, "delta=math.fsum(events.magnitude.tolist())",
+           "delta=sum(events.magnitude.tolist())"),
+    # The event table: experiment-major, then step, then node, numbered from the first experiment.
+    Mutant("events-node-before-step", SIMULATOR,
+           "experiment, step, node = (i.astype(np.int32) for i in np.nonzero(self.sends.transpose(1, 0, 2)))",
+           "experiment, node, step = (i.astype(np.int32) for i in np.nonzero(self.sends.transpose(1, 2, 0)))"),
+    Mutant("events-without-experiment-offset", SIMULATOR, "experiment + np.int32(first_experiment)",
+           "experiment"),
+    # The kernel's running mean, last-sent synopsis and deadline stagger.
+    Mutant("running-mean-reads-the-previous-round", SIMULATOR, "np.subtract(rounds[s], mean, out=step)",
+           "np.subtract(rounds[s - 1], mean, out=step)"),
+    Mutant("last-sent-never-updated", SIMULATOR, "np.copyto(last_sent, mean, where=sends_k[s - 1])",
+           "pass"),
+    Mutant("deadline-stagger-shifted", SIMULATOR, "offsets = np.arange(n) % T",
+           "offsets = np.arange(1, n + 1) % T"),
+    # The policies' triggers, resets, forecast clamp and normaliser window.
+    Mutant("deadline-reset-one-short", POLICIES, "np.copyto(state.deadline, state.T, where=sends)",
+           "np.copyto(state.deadline, state.T - 1, where=sends)"),
+    Mutant("forecast-not-clamped", POLICIES, "np.fmax(forecast, 0.0, out=forecast)\n        forecast += 0.0",
+           "pass"),
+    Mutant("bm-fires-on-zero-quantum", POLICIES, "return quantum > 0.0,", "return quantum >= 0.0,"),
+    Mutant("pm-scores-the-last-forecast", POLICIES, "np.where(state.t >= 2, (a + b + c) / 3.0, np.nan)",
+           "np.where(state.t >= 2, c, np.nan)"),
+    Mutant("normaliser-window-stops-rolling", POLICIES,
+           "self._window[self._observed % len(self._window)] = quantum",
+           "self._window[min(self._observed, len(self._window) - 1)] = quantum"),
     # Equivalent: kept so that the reasoning is re-checked on every sweep.
     Mutant("geometric-mean-operands-swapped", POLICIES, "np.sqrt(pod_p * pod_f)",
            "np.sqrt(pod_f * pod_p)",

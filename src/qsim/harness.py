@@ -385,8 +385,8 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
         engine = engine_from_config(spec)
     # A cell's streams depend on its T, never on its policy or theta.
     streams = {T: _cell_streams(cells[0], dataset) for T, cells in {g[0].T: g for g in groups}.items()}
-    blocks = [streams[cells[0].T] for cells in groups]
     if config.workers > 1 and len(groups) > 1:
+        blocks = [streams[cells[0].T] for cells in groups]
         # Largest first, by cells x E x N x T; the sort is stable, so equal groups keep grid order.
         sizes = [len(cells) * cells[0].E * cells[0].N * cells[0].T for cells in groups]
         order = sorted(range(len(groups)), key=lambda i: -sizes[i])
@@ -395,8 +395,11 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
             futures = {i: executor.submit(_run_group_task, i) for i in order}
             reports = tuple(report for i in range(len(groups)) for report in futures[i].result())
     else:
-        reports = tuple(report for cells, block in zip(groups, blocks)
-                        for report in _run_group(cells, block, engine))
+        # The last group of each T takes its block out of `streams`, so the
+        # block is freed after that group's kernel pass, before its reports.
+        last = {cells[0].T: i for i, cells in enumerate(groups)}
+        reports = tuple(report for i, cells in enumerate(groups) for report in _run_group(
+            cells, streams.pop(cells[0].T) if last[cells[0].T] == i else streams[cells[0].T], engine))
     manifest = {
         "tool": "qsim",
         "version": __version__,

@@ -400,6 +400,8 @@ def _run_group(cells: Sequence[ExperimentConfig], block: np.ndarray,
     report's table, so the copies are formatted and written once downstream.
     """
     records = _simulate(cells[0], [c.theta for c in cells], block, engine)
+    # A caller that hands over its last reference gets the block freed before the reports are built.
+    del block
     tables: dict[EventColumns, EventColumns] = {}  # each distinct table, keyed by itself
     return tuple(replace(r, per_experiment=tables.setdefault(r.per_experiment, r.per_experiment))
                  for r in map(_report, cells, records))

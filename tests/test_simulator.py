@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import statistics
+import weakref
 from dataclasses import replace
 from itertools import zip_longest
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim import simulator
+from qsim import harness, simulator
 from qsim.errors import ConfigurationError, IngestionError, InvariantViolation, StreamTruncationError
 from qsim.harness import load_config, main, run_grid, write_reports
 from qsim.policies import BmPolicy, EpochState, build_policy
@@ -597,6 +598,42 @@ class TestSharedTables:
         name = {"quantum": "magnitude", "score": "g"}[column]
         assert [repr(getattr(r.per_experiment, name)[0].item()) for r in (first, second)] == [
             "0.0", "-0.0"]
+
+
+class TestBlockLifetime:
+    """The stream block of a one-group run is freed after its kernel pass,
+    before the reports are built: the caller hands `_run_group` its last
+    reference, and `_run_group` drops it."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Weak references to every block built, each checked dead when a report is built."""
+        refs, build, report = [], simulator._cell_streams, simulator._report
+
+        def tracked(config, dataset):
+            block = build(config, dataset)
+            refs.append(weakref.ref(block))
+            return block
+
+        def checked(config, record):
+            assert refs and all(ref() is None for ref in refs), "a stream block outlived its pass"
+            return report(config, record)
+
+        monkeypatch.setattr(simulator, "_cell_streams", tracked)
+        monkeypatch.setattr(harness, "_cell_streams", tracked)
+        monkeypatch.setattr(simulator, "_report", checked)
+        return refs
+
+    def test_run_cell(self, blocks):
+        run_cell(ExperimentConfig(policy="PM", T=10, E=3, seed=4))
+        assert len(blocks) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_group_run_grid(self, blocks, workers):
+        reports, _ = run_grid(load_config(cli_overrides={
+            "policy": "BM", "t": "10", "theta": "0.6,0.75", "e": "3", "workers": str(workers)},
+            environ={}))
+        assert len(reports) == 2 and len(blocks) == 1
 
 
 class TestReportDigests:
