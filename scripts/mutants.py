@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy
 
 HERE = Path(__file__).resolve().parent.parent
-# Less the guard that every anchor occurs once in the unmutated tree: a mutant
-# removes its own anchor, so the guard would fail on every one of them.
+# Tier-1 without the guard that each anchor occurs once in the unmutated tree:
+# applying a mutant removes its anchor, so the guard would kill every mutant.
 TIER_1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
           "--continue-on-collection-errors",
           "--deselect", "tests/test_scripts.py::test_mutant_anchor_occurs_once"]
