@@ -115,6 +115,14 @@ MUTANTS = [
     Mutant("term-corner-count-unchecked", T2FLS, "if len(self.upper) != 4:", "if len(self.upper) > 4:"),
     Mutant("spec-shrink-ignored", T2FLS, 'for key in ("shrink", "height") if key in entry}',
            'for key in ("height",) if key in entry}'),
+    # A spec term must be an object with an upper shape; a `null` term is no exception.
+    Mutant("spec-term-not-checked-as-object", T2FLS,
+           'if not isinstance(entry, Mapping) or "upper" not in entry:', 'if "upper" not in entry:'),
+    Mutant("spec-term-upper-not-required", T2FLS,
+           'if not isinstance(entry, Mapping) or "upper" not in entry:',
+           "if not isinstance(entry, Mapping):"),
+    Mutant("spec-null-term-keeps-the-default", T2FLS, "if label not in term_spec:",
+           "if term_spec.get(label) is None:"),
     # The one home of each argument rule.
     Mutant("integer-accepts-bool", ERRORS,
            "isinstance(value, bool) or not isinstance(value, (int, np.integer))",
@@ -125,6 +133,11 @@ MUTANTS = [
     Mutant("real-accepts-bool", ERRORS,
            "isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))",
            "not isinstance(value, (int, float, np.integer, np.floating))"),
+    # A bad value is shown cut short, a numpy integer as its Python int.
+    Mutant("bound-shows-the-numpy-repr", ERRORS, "got {_echo(int(value))}", "got {_echo(value)}"),
+    Mutant("choice-shows-the-whole-value", ERRORS, "unknown {what} {_echo(value)};", "unknown {what} {value!r};"),
+    Mutant("config-bad-line-shown-whole", HARNESS, "expected 'key = value', got {_echo(raw)}",
+           "expected 'key = value', got {raw!r}"),
     # The forecaster's one smoothing-factor check, shared by every caller.
     Mutant("smoothing-bound-inclusive", FORECASTING, "if not 0.0 < _check_real(name, value) < 1.0:",
            "if not 0.0 <= _check_real(name, value) < 1.0:"),
@@ -134,6 +147,8 @@ MUTANTS = [
     Mutant("fast-path-keeps-non-finite", HARNESS, 'keep = np.isfinite(table["readings"]).all(axis=1)',
            "keep = np.ones(len(table), bool)"),
     Mutant("fast-path-ignores-mote", HARNESS, 'keep &= table["mote"] == mote', "pass"),
+    Mutant("rejected-block-counts-blank-lines", HARNESS,
+           "if not parts:\n                        continue", "if False:\n                        continue"),
     # The one replay slicer behind run_cell and run_experiment.
     Mutant("replay-wrap-clamped", SIMULATOR, "% total]", ".clip(max=total - 1)]"),
     Mutant("replay-truncation-inclusive", SIMULATOR, "total < count", "total <= count"),
@@ -153,8 +168,8 @@ MUTANTS = [
            "np.copyto(last_sent, mean)"),
     # The pool: each T's streams built once for every group of that T, and the
     # reports joined in grid order whatever order the tasks ran in.
-    Mutant("every-group-reads-the-first-block", HARNESS, "blocks = [streams[cells[0].T] for cells in groups]",
-           "blocks = [streams[groups[0][0].T] for cells in groups]"),
+    Mutant("every-group-reads-the-first-block", HARNESS, "streams[groups[index][0].T]",
+           "streams[groups[0][0].T]"),
     Mutant("reports-joined-in-submission-order", HARNESS,
            "for i in range(len(groups)) for report in futures[i].result())",
            "for future in futures.values() for report in future.result())"),

@@ -4,7 +4,10 @@ The CLI maps these onto process exit codes: configuration errors exit 1,
 ingestion/IO errors exit 2, internal invariant violations exit 3. Each
 argument rule has one home here: integers and real numbers are Python or
 numpy numbers of that kind, never a `bool`; a choice is one of its names.
+A value from outside the program is shown in a message through `_echo`.
 """
+
+import reprlib
 
 import numpy as np
 
@@ -29,20 +32,32 @@ class InvariantViolation(QsimError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
+# A value shown in an error message: reprlib elides deep nesting, long containers and
+# strings, and the text is cut at _ECHO_MAX characters, so the message stays one short line.
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 3
+_ECHO_MAX = 40
+
+
+def _echo(value) -> str:
+    text = _REPR.repr(value)
+    return text if len(text) <= _ECHO_MAX else text[:_ECHO_MAX - 3] + "..."
+
+
 def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        raise ConfigurationError(f"{name} must be an integer, got {_echo(value)}")
     if value < low or (high is not None and value > high):
         bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
-        raise ConfigurationError(f"{name} must {bound}, got {value}")
+        raise ConfigurationError(f"{name} must {bound}, got {_echo(int(value))}")
 
 
 def _check_real(name: str, value):
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+        raise ConfigurationError(f"{name} must be a real number, got {_echo(value)}")
     return value
 
 
 def _check_choice(what: str, value, choices: tuple) -> None:
     if not isinstance(value, str) or value not in choices:  # an array would compare elementwise
-        raise ConfigurationError(f"unknown {what} {value!r}; expected one of {choices}")
+        raise ConfigurationError(f"unknown {what} {_echo(value)}; expected one of {choices}")

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, IngestionError, InvariantViolation, _check_integer
+from .errors import ConfigurationError, IngestionError, InvariantViolation, _check_integer, _echo
 from .simulator import (
     SYNTHETIC_SOURCE,
     EventColumns,
@@ -205,7 +205,7 @@ _AXES = ("policy", "T", "theta")
 def _canonical_key(raw: str) -> str:
     key = raw.strip().lower().replace("-", "_")
     if key not in map(str.lower, _KEYS):
-        raise ConfigurationError(f"unknown configuration key {raw!r}")
+        raise ConfigurationError(f"unknown configuration key {_echo(raw)}")
     return key
 
 
@@ -259,7 +259,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {_echo(raw)}")
         key, value = line.split("=", 1)
         values[_canonical_key(key)] = value.strip()
     return values
@@ -270,7 +270,7 @@ def _convert(key: str, kind: type, raw: str):
         return kind(raw)
     except ValueError as exc:
         expected = "an integer" if kind is int else "a number"
-        raise ConfigurationError(f"configuration key {key!r} expects {expected}, got {raw!r}") from exc
+        raise ConfigurationError(f"configuration key {key!r} expects {expected}, got {_echo(raw)}") from exc
 
 
 def _parse_value(key: str, raw: str):
@@ -283,7 +283,7 @@ def _parse_value(key: str, raw: str):
         raise ConfigurationError("grid axes policy / T / theta must each have at least one value")
     repeated = [value for i, value in enumerate(axis) if value in axis[:i]]
     if repeated:
-        raise ConfigurationError(f"grid axis {key} repeats the value {repeated[0]!r}")
+        raise ConfigurationError(f"grid axis {key} repeats the value {_echo(repeated[0])}")
     return axis
 
 
@@ -323,28 +323,28 @@ def _dataset_checksum(config: HarnessConfig) -> str:
     return hashlib.sha256(Path(config.source).read_bytes()).hexdigest()
 
 
-# A pool worker's (groups, blocks, engine). Only `_init_worker` sets it, in the worker.
+# A pool worker's (groups, streams, engine). Only `_init_worker` sets it, in the worker.
 _WORKER: tuple | None = None
 
 
-def _init_worker(groups, blocks, engine) -> None:
-    """Pool initializer: a forked worker inherits the grid's groups, stream
-    blocks and engine, and any other start method unpickles them once per
-    worker, so a task carries only its group's index."""
+def _init_worker(groups, streams, engine) -> None:
+    """Pool initializer: a forked worker inherits the grid's groups, the stream
+    block of each T and the engine, and any other start method unpickles them
+    once per worker, so a task carries only its group's index."""
     global _WORKER
-    _WORKER = groups, blocks, engine
+    _WORKER = groups, streams, engine
 
 
 def _run_group_task(index: int) -> tuple[MetricsReport, ...]:
     """Pool worker entry point: run group `index` and format its detail
     rows here, so the workers share the formatting and it overlaps other runs.
     Cells sharing one event table share one text, so the result pickles it once."""
-    groups, blocks, engine = _WORKER
+    groups, streams, engine = _WORKER
     details: dict[int, tuple[bytes, ...]] = {}  # by id of the table
     reports = []
     # Resolves `_run_group` in the worker, at call time: a pool pickles the submitted function
     # by name, so a wrapper set on this module's `_run_group` (a tracing hook) could not be.
-    for report in _run_group(groups[index], blocks[index], engine):
+    for report in _run_group(groups[index], streams[groups[index][0].T], engine):
         events = report.per_experiment
         if id(events) not in details:
             details[id(events)] = tuple(zlib.compress(b, 1) for b in _detail_blocks(events))
@@ -363,8 +363,7 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
     """
     started = time.perf_counter()
     groups = [tuple(group) for _, group in groupby(config.cells(), key=lambda c: (c.policy, c.T))]
-    dataset = None
-    ingest_info = None
+    dataset = ingest_info = None
     if config.source != SYNTHETIC_SOURCE:
         result = ingest_sensor_log(config.source, mote=config.mote)
         dataset = result.rows
@@ -385,13 +384,13 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
         engine = engine_from_config(spec)
     # A cell's streams depend on its T, never on its policy or theta.
     streams = {T: _cell_streams(cells[0], dataset) for T, cells in {g[0].T: g for g in groups}.items()}
-    if config.workers > 1 and len(groups) > 1:
-        blocks = [streams[cells[0].T] for cells in groups]
+    workers = min(config.workers, len(groups))  # a pool of one is the in-process path
+    if workers > 1:
         # Largest first, by cells x E x N x T; the sort is stable, so equal groups keep grid order.
         sizes = [len(cells) * cells[0].E * cells[0].N * cells[0].T for cells in groups]
         order = sorted(range(len(groups)), key=lambda i: -sizes[i])
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(groups)), initializer=_init_worker,
-                                 initargs=(groups, blocks, engine)) as executor:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(groups, streams, engine)) as executor:
             futures = {i: executor.submit(_run_group_task, i) for i in order}
             reports = tuple(report for i in range(len(groups)) for report in futures[i].result())
     else:

@@ -16,7 +16,6 @@ in rule order from +0.0, so zero total firing mass yields +0.0.
 from __future__ import annotations
 
 import logging
-import reprlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -25,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, _check_real
+from .errors import ConfigurationError, _check_real, _echo
 
 __all__ = [
     "TERM_LABELS",
@@ -286,19 +285,6 @@ def default_engine() -> InferenceEngine:
     return InferenceEngine()
 
 
-# A spec value echoed in an error message: reprlib elides deep nesting, long
-# containers and long strings, and the text is cut at _ECHO_MAX characters, so
-# the message stays one short line whatever the file holds.
-_REPR = reprlib.Repr()
-_REPR.maxlevel = 3
-_ECHO_MAX = 40
-
-
-def _echo(value) -> str:
-    text = _REPR.repr(value)
-    return text if len(text) <= _ECHO_MAX else text[:_ECHO_MAX - 3] + "..."
-
-
 def _spec_number(value, what: str) -> float:
     # A JSON number parses to int or float; bool is an int subclass, but not a number here.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -343,10 +329,10 @@ def engine_from_config(spec: Mapping) -> InferenceEngine:
         raise ConfigurationError(f"unknown term labels in engine overrides: {_echo(sorted(unknown))}")
     terms = []
     for label, default in zip(TERM_LABELS, default_terms()):
-        entry = term_spec.get(label)
-        if entry is None:
+        if label not in term_spec:  # a `null` entry is given, and malformed
             terms.append(default)
             continue
+        entry = term_spec[label]
         if not isinstance(entry, Mapping) or "upper" not in entry:
             raise ConfigurationError(f"term {label!r}: invalid or missing upper shape")
         _spec_keys(entry, ("upper", "shrink", "height"), f"term {label!r}")

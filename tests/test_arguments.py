@@ -87,6 +87,8 @@ def _integer_cases():
     pytest.param(lambda: IntervalTerm("low", (0, 0.2, 0.45)),
                  re.escape("term 'low': upper shape needs 4 corners, got (0, 0.2, 0.45)"),
                  id="term-three-corners"),
+    pytest.param(lambda: ExperimentConfig(policy="BM", E=np.int64(2**31)),
+                 re.escape("E must lie in [1, 2147483647], got 2147483648"), id="numpy-integer-bound"),
     pytest.param(lambda: build_policy("XM"), re.escape("unknown policy 'XM'; expected one of"),
                  id="policy-name"),
     pytest.param(lambda: ExperimentConfig(policy=np.array(["BM"])),

@@ -396,8 +396,8 @@ class TestGridAndReports:
         assert reports == run_grid(small_config(t="5,8", workers="1"))[0]
 
     def test_replay_tasks_carry_only_an_index(self, inline_pool, tmp_path):
-        """A replayed grid ships its T blocks to the workers once, and no task
-        carries the dataset."""
+        """A replayed grid ships the workers the one table of T blocks the serial
+        path reads, once, and no task carries the dataset."""
         log = tmp_path / "log.txt"
         assert main(["gen", "--out", str(log), "--length", "400", "--seed", "6"]) == 0
         overrides = {"policy": "UDDM,BM,PM", "t": "5,8", "theta": "0.6", "e": "4",
@@ -405,9 +405,9 @@ class TestGridAndReports:
         reports, _ = run_grid(load_config(cli_overrides=overrides, environ={}))
         assert len(inline_pool.args) == 6
         assert all(len(pickle.dumps(args, pickle.HIGHEST_PROTOCOL)) <= 64 for args in inline_pool.args)
-        groups, blocks, engine = harness._WORKER
-        assert [block.shape for block in blocks] == [(4, 8, 4), (4, 11, 4)] * 3
-        assert len({id(block) for block in blocks}) == 2
+        groups, streams, engine = harness._WORKER
+        assert len(groups) == 6 and engine is None
+        assert {T: block.shape for T, block in streams.items()} == {5: (4, 8, 4), 8: (4, 11, 4)}
         serial = run_grid(load_config(cli_overrides={**overrides, "workers": "1"}, environ={}))[0]
         assert reports == serial
 
@@ -497,7 +497,7 @@ class TestSharedDetail:
         cells = load_config(cli_overrides={**self.OVERRIDES, "t": "5"}, environ={}).cells()
         block = simulator._cell_streams(cells[0], None)
         # A worker's inputs, as the pool initializer sets them: the group, and its first cell alone.
-        monkeypatch.setattr(harness, "_WORKER", ((cells, cells[:1]), (block, block), None))
+        monkeypatch.setattr(harness, "_WORKER", ((cells, cells[:1]), {5: block}, None))
         shipped = pickle.dumps(harness._run_group_task(0), pickle.HIGHEST_PROTOCOL)
         reports = pickle.loads(shipped)
         assert len(reports) == 3
@@ -724,12 +724,16 @@ class TestCli:
             {"terms": {"high": {"upper": ["0.55", "0.8", "1", "1e0"]}}},
             {"terms": {"high": {"upper": [0.55, 0.8, 1, 1], "height": 10**400}}},
             {"terms": {"medium": {"upper": [0.501, 0.502, 0.503, 0.504]}}},
+            {"terms": {"high": 5}},
+            {"terms": {"high": {"height": 0.9}}},
+            {"terms": {"high": None}},
         ],
         ids=[
             "top-level-list", "removed-grid-points", "height-text", "shrink-text",
             "removed-lower", "rules-number", "terms-list", "antecedents-string",
             "unknown-top-level-key", "unknown-term-key", "unknown-rule-key",
             "height-true", "corner-text", "height-huge-int", "zero-mass-term",
+            "term-not-an-object", "term-without-upper", "term-null",
         ],
     )
     def test_malformed_fuzzy_spec_exit_code(self, tmp_path, caplog, request, spec):
@@ -797,6 +801,33 @@ class TestCli:
         assert message.startswith("configuration error: ")
         assert "\n" not in message and len(message) <= 200, message
         assert "Traceback" not in "".join(capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["--policy", "x" * 5000], None),
+            (["--E", "9" * 4000], None),
+            (["--policy", ",".join(["y" * 3000] * 2)], None),
+            (["--T", "z" * 5000], None),
+            ([], "w" * 5000 + "\n"),
+            ([], "k" * 5000 + " = 1\n"),
+            ([], "policy = " + "x" * 5000 + "\n"),
+            ([], "E = " + "9" * 4000 + "\n"),
+        ],
+        ids=["cli-policy", "cli-E-out-of-bounds", "cli-repeated-policy", "cli-T-not-an-integer",
+             "file-bad-line", "file-unknown-key", "file-policy", "file-E-out-of-bounds"],
+    )
+    def test_long_config_value_error_echoes_a_short_value(self, tmp_path, capsys, caplog, argv, config):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config, encoding="utf-8")
+            argv = ["--config", str(path), *argv]
+        assert main(["run", *argv, "--out-dir", str(tmp_path / "out")]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error.startswith("configuration error: ")
+        assert "\n" not in error and len(error) <= 200, error
+        assert "Traceback" not in "".join(capsys.readouterr())
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("module", ["qsim", "qsim.harness"])
     def test_python_dash_m_runs_the_cli(self, tmp_path, module):

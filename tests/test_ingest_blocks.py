@@ -184,6 +184,15 @@ class TestBlockEdges:
         result = assert_matches_reference(self.write(tmp_path, lines))
         assert result.dropped == 1 and len(result) == 2 * BLOCK - 1
 
+    def test_a_blank_line_in_a_rejected_block_is_no_row(self, tmp_path):
+        """A 7-field row sends its block row by row, where a blank line is skipped, not counted."""
+        lines = clean_lines(2 * BLOCK, 8)
+        lines[BLOCK + 3] = b" \t\n"
+        lines[BLOCK + 9] = b"2004-02-28 01:00:00 5 1 1.0 2.0 3.0\n"
+        result = assert_matches_reference(self.write(tmp_path, lines))
+        assert result.total_rows == 2 * BLOCK - 1
+        assert result.dropped_by_reason == {"field_count": 1, "unparsable": 0, "non_finite": 0}
+
     def test_non_finite_rows_after_blank_lines_keep_their_line_numbers(self, tmp_path):
         lines = clean_lines(2 * BLOCK, 7)
         lines[10:13] = [b"\n", b" \t\n", "\u2028\n".encode()]
