@@ -34,8 +34,9 @@ import numpy
 HERE = Path(__file__).resolve().parent.parent
 # Tier-1 without the guard that each anchor occurs once in the unmutated tree:
 # applying a mutant removes its anchor, so the guard would kill every mutant.
+# A failure's captured log is not shown, since its ERROR lines would read as the failing test.
 TIER_1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-          "--continue-on-collection-errors",
+          "--continue-on-collection-errors", "--show-capture=no",
           "--deselect", "tests/test_scripts.py::test_mutant_anchor_occurs_once"]
 TIMEOUT_S = 900
 
