@@ -84,13 +84,14 @@ MUTANTS = [
     Mutant("holt-trend-seeded-every-round", POLICIES,
            "np.subtract(quantum, previous, out=state.trend, where=seed)",
            "np.subtract(quantum, previous, out=state.trend)"),
-    # The forecast clamp: fmax passes over NaN, and adding +0.0 turns the
-    # -0.0 that fmax may return into +0.0.
-    Mutant("forecast-clamp-keeps-negative-zero", POLICIES, "        forecast += 0.0\n", ""),
-    Mutant("forecast-clamp-keeps-nan", POLICIES, "np.fmax(forecast, 0.0, out=forecast)",
+    # The forecast clamp, in the one projection behind the lanes and
+    # holt_forecast: fmax passes over NaN, and adding +0.0 turns the -0.0
+    # that fmax may return into +0.0.
+    Mutant("forecast-clamp-keeps-negative-zero", FORECASTING, "    forecast += 0.0\n", ""),
+    Mutant("forecast-clamp-keeps-nan", FORECASTING, "np.fmax(forecast, 0.0, out=forecast)",
            "np.maximum(forecast, 0.0, out=forecast)"),
-    Mutant("forecast-clamp-zero-first", POLICIES,
-           "np.fmax(forecast, 0.0, out=forecast)\n        forecast += 0.0",
+    Mutant("forecast-clamp-zero-first", FORECASTING,
+           "np.fmax(forecast, 0.0, out=forecast)\n    forecast += 0.0",
            "np.fmax(0.0, forecast, out=forecast)"),
     # The scored lanes alone are normalised, each by its own peak.
     Mutant("scored-peak-from-first-lanes", POLICIES, "[:, scored], scored)",
@@ -139,6 +140,12 @@ MUTANTS = [
     Mutant("choice-shows-the-whole-value", ERRORS, "unknown {what} {_echo(value)};", "unknown {what} {value!r};"),
     Mutant("config-bad-line-shown-whole", HARNESS, "expected 'key = value', got {_echo(raw)}",
            "expected 'key = value', got {raw!r}"),
+    Mutant("error-line-not-cut", HARNESS,
+           'log.error("%s", _cut(line, _ERROR_LINE_MAX - len(f"ERROR {log.name}: ")))',
+           'log.error("%s", line)'),
+    # holt_forecast floors overflowed projections silently, as Python floats did.
+    Mutant("holt-forecast-warns-on-overflow", FORECASTING,
+           'with np.errstate(over="ignore", invalid="ignore"):', "with np.errstate():"),
     # The forecaster's one smoothing-factor check, shared by every caller.
     Mutant("smoothing-bound-inclusive", FORECASTING, "if not 0.0 < _check_real(name, value) < 1.0:",
            "if not 0.0 <= _check_real(name, value) < 1.0:"),
@@ -205,7 +212,7 @@ MUTANTS = [
     # The policies' triggers, resets, forecast clamp and normaliser window.
     Mutant("deadline-reset-one-short", POLICIES, "np.copyto(state.deadline, state.T, where=sends)",
            "np.copyto(state.deadline, state.T - 1, where=sends)"),
-    Mutant("forecast-not-clamped", POLICIES, "np.fmax(forecast, 0.0, out=forecast)\n        forecast += 0.0",
+    Mutant("forecast-not-clamped", FORECASTING, "np.fmax(forecast, 0.0, out=forecast)\n    forecast += 0.0",
            "pass"),
     Mutant("bm-fires-on-zero-quantum", POLICIES, "return quantum > 0.0,", "return quantum >= 0.0,"),
     Mutant("pm-scores-the-last-forecast", POLICIES, "np.where(state.t >= 2, (a + b + c) / 3.0, np.nan)",

@@ -39,9 +39,13 @@ _REPR.maxlevel = 3
 _ECHO_MAX = 40
 
 
+def _cut(text: str, limit: int) -> str:
+    """`text`, or its first characters and "..." when it is longer than `limit`."""
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 def _echo(value) -> str:
-    text = _REPR.repr(value)
-    return text if len(text) <= _ECHO_MAX else text[:_ECHO_MAX - 3] + "..."
+    return _cut(_REPR.repr(value), _ECHO_MAX)
 
 
 def _check_integer(name: str, value, low: int, high: int | None = None) -> None:

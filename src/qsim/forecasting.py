@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError, IngestionError, InvariantViolation, _check_integer, _check_real
 
 __all__ = ["HoltState", "Forecast", "holt_init", "holt_step", "holt_forecast"]
@@ -59,6 +61,15 @@ def _holt_update(level, trend, e, alpha, beta):
     return fresh, beta * (fresh - level) + (1.0 - beta) * trend
 
 
+def _holt_project(level, trend, steps) -> np.ndarray:
+    """level + steps * trend for an array of steps ahead, floored at +0.0; broadcasts over lanes."""
+    forecast = level + steps * trend
+    # A forecast not above 0, NaN too, becomes +0.0: + 0.0 turns a -0.0 that fmax keeps.
+    np.fmax(forecast, 0.0, out=forecast)
+    forecast += 0.0
+    return forecast
+
+
 def holt_init(e1: float, e2: float, alpha: float = 0.5, beta: float = 0.5) -> HoltState:
     """Seed the forecaster from the first two quanta of an epoch.
 
@@ -83,9 +94,11 @@ def holt_step(state: HoltState, e: float) -> HoltState:
 
 
 def holt_forecast(state: HoltState, k: int) -> Forecast:
-    """Project the next k quanta as level + i * trend, floored at zero."""
+    """Project the next k quanta as level + i * trend, floored at zero, as the lanes project them."""
     if state.observations < 2:
         raise InvariantViolation("forecaster not initialized: the first two quanta are required")
     _check_integer("forecast horizon", k, 1)
-    values = tuple(max(0.0, state.level + (i + 1) * state.trend) for i in range(k))
-    return Forecast(values)
+    # Python floats overflow to inf silently; numpy would warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _holt_project(state.level, state.trend, np.arange(1.0, k + 1))
+    return Forecast(tuple(values.tolist()))

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, IngestionError, InvariantViolation, _check_integer, _echo
+from .errors import ConfigurationError, IngestionError, InvariantViolation, _check_integer, _cut, _echo
 from .simulator import (
     SYNTHETIC_SOURCE,
     EventColumns,
@@ -474,6 +474,10 @@ def write_reports(reports: Sequence[MetricsReport], manifest: dict, out_dir: str
 # --------------------------------------------------------------------------- #
 # CLI
 
+# Characters in one logged error line, the logging format's "ERROR <logger>: " included.
+_ERROR_LINE_MAX = 200
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises a usage error as a ConfigurationError, so it ends in one line and exit 1."""
 
@@ -552,17 +556,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_gen(args)
         return _cmd_validate(args)
     except ConfigurationError as exc:
-        log.error("configuration error: %s", exc)
-        return 1
+        code, line = 1, f"configuration error: {exc}"
     except MemoryError as exc:
-        log.error("out of memory: %s", str(exc) or "the configured grid does not fit")
-        return 1
+        code, line = 1, f"out of memory: {str(exc) or 'the configured grid does not fit'}"
     except (IngestionError, OSError) as exc:
-        log.error("I/O error: %s", exc)
-        return 2
+        code, line = 2, f"I/O error: {exc}"
     except InvariantViolation as exc:
-        log.error("internal invariant violated: %s", exc)
-        return 3
+        code, line = 3, f"internal invariant violated: {exc}"
+    # One cut for every kind: a flag or path repeated in the message cannot make the line long.
+    log.error("%s", _cut(line, _ERROR_LINE_MAX - len(f"ERROR {log.name}: ")))
+    return code
 
 
 def cli() -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, _check_choice, _check_integer, _check_real
-from .forecasting import _check_smoothing, _holt_update
+from .forecasting import _check_smoothing, _holt_project, _holt_update
 from .t2fls import InferenceEngine, default_engine
 
 __all__ = [
@@ -186,11 +186,7 @@ class _ForecastingPolicy(_PolicyBase):
         np.copyto(state.level, previous, where=seed)
         np.subtract(quantum, previous, out=state.trend, where=seed)
         state.level, state.trend = _holt_update(state.level, state.trend, quantum, self.alpha, self.beta)
-        forecast = state.level + _HORIZON * state.trend
-        # A forecast not above 0, NaN too, becomes +0.0: + 0.0 turns a -0.0 that fmax keeps.
-        np.fmax(forecast, 0.0, out=forecast)
-        forecast += 0.0
-        return forecast
+        return _holt_project(state.level, state.trend, _HORIZON)
 
 
 class UddmPolicy(_ForecastingPolicy):

@@ -1,12 +1,16 @@
 """Holt smoothing: worked recurrences, fixed points, and the direct-evaluation oracle."""
 
 import random
+import warnings
+from itertools import product
 
+import numpy as np
 import pytest
 
+from qsim import policies
 from qsim.errors import ConfigurationError, IngestionError, InvariantViolation
 from qsim.forecasting import Forecast, HoltState, holt_forecast, holt_init, holt_step
-from qsim.policies import PmPolicy
+from qsim.policies import EpochState, PmPolicy
 from qsim.simulator import ExperimentConfig
 
 
@@ -165,3 +169,28 @@ class TestProperties:
             forecast = holt_forecast(state, 3)
             for i, value in enumerate(forecast.values):
                 assert value == pytest.approx(max(0.0, level + (i + 1) * trend), abs=1e-9)
+
+
+class TestOneProjection:
+    """`holt_forecast` projects as the lanes do, bit for bit, and as the Python floats
+    `max(0.0, level + i * trend)` do, without a warning: signed zeros, subnormals,
+    overflow near 1e308, NaN and a trend that floors to +0.0 (1.0 - 2 * 0.5) included."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -0.5, 1e308, -1e308,
+             1.7976931348623157e308, float("inf"), float("-inf"), float("nan")]
+
+    def test_holt_forecast_equals_the_lanes_projection(self, monkeypatch):
+        # Random bit patterns give every exponent, NaNs and infinities among them.
+        bits = np.random.default_rng(26).integers(0, 2**64, size=(4000, 2), dtype=np.uint64)
+        states = list(product(self.EDGES, repeat=2)) + [tuple(p) for p in bits.view(np.float64).tolist()]
+        level, trend = np.array(states).T
+        # The lanes' three forecasts for these level/trend pairs, the Holt step replaced.
+        monkeypatch.setattr(policies, "_holt_update", lambda *_: (level, trend))
+        with np.errstate(all="ignore"):
+            lanes = PmPolicy()._forecast(EpochState(T=10, theta=0.5, deadline=np.full(len(states), 10)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = np.array([holt_forecast(HoltState(v, b, 0.5, 0.5, 2), 3).values for v, b in states])
+        python = np.array([[max(0.0, v + i * b) for i in (1, 2, 3)] for v, b in states])
+        assert scalar.T.tobytes() == lanes.tobytes()
+        assert scalar.tobytes() == python.tobytes()

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import statistics
 import subprocess
 import sys
@@ -47,6 +48,11 @@ KEY_VALUES = {
     "mote": ("4", 4),
     "fuzzy": ("spec.json", "spec.json"),
 }
+
+
+def longest_run(text):
+    """The length of the longest run of one character repeated in `text`."""
+    return max(len(run.group()) for run in re.finditer(r"(.)\1*", text))
 
 
 def write_log(path, lines):
@@ -800,6 +806,7 @@ class TestCli:
         message = error.getMessage()
         assert message.startswith("configuration error: ")
         assert "\n" not in message and len(message) <= 200, message
+        assert longest_run(message) <= 40, message  # the value itself is echoed cut short
         assert "Traceback" not in "".join(capsys.readouterr())
 
     @pytest.mark.parametrize(
@@ -826,8 +833,29 @@ class TestCli:
         (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert error.startswith("configuration error: ")
         assert "\n" not in error and len(error) <= 200, error
+        assert longest_run(error) <= 40, error  # the value itself is echoed cut short
         assert "Traceback" not in "".join(capsys.readouterr())
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, code, start",
+        [
+            (["run", "--" + "v" * 5000], 1, "configuration error: qsim: unrecognized arguments: --vvv"),
+            (["run", "--source", "s" * 3000], 2, "I/O error: [Errno 36] File name too long: "),
+        ],
+        ids=["unknown-long-flag", "long-source-path"],
+    )
+    def test_every_error_line_is_cut_to_200_characters(self, tmp_path, argv, code, start):
+        # The whole stderr line, the logging format's prefix included.
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "qsim", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code
+        (line,) = done.stderr.splitlines()
+        assert line.startswith(f"ERROR qsim.harness: {start}"), line
+        assert len(line) == 200 and line.endswith("..."), len(line)
 
     @pytest.mark.parametrize("module", ["qsim", "qsim.harness"])
     def test_python_dash_m_runs_the_cli(self, tmp_path, module):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from qsim import harness, simulator
 from qsim.errors import ConfigurationError, IngestionError, InvariantViolation, StreamTruncationError
 from qsim.harness import load_config, main, run_grid, write_reports
-from qsim.policies import BmPolicy, EpochState, build_policy
+from qsim.policies import CAUSE_DEADLINE, CAUSE_THRESHOLD, BmPolicy, EpochState, build_policy
 from qsim.simulator import (
     STREAM_PROFILES,
     DisseminationEvent,
@@ -28,7 +28,7 @@ from qsim.simulator import (
     run_experiment,
 )
 from qsim.synopsis import DataVector
-from qsim.t2fls import InferenceEngine, engine_from_config
+from qsim.t2fls import InferenceEngine, default_engine, engine_from_config
 
 from reference_sim import reference_trace
 from scalar_synopsis import Synopsis, update_quantum, update_synopsis
@@ -815,3 +815,38 @@ class TestMetamorphic:
             return [(e.experiment, e.node, e.step, e.cause) for e in report.per_experiment]
 
         assert decisions(moved) == decisions(stream)
+
+    @pytest.mark.parametrize("profile", STREAM_PROFILES)
+    @pytest.mark.parametrize("policy", ["UDDM", "BM", "PM"])
+    def test_power_of_two_scale_is_exact(self, policy, profile):
+        # A scale of 2**k rounds nothing anew: every magnitude moves by exactly 2**k,
+        # and the scores g are the same floats.
+        config = ExperimentConfig(policy=policy, T=100, theta=0.6, E=20, N=3, source="replay")
+        stream = generate_synthetic_stream(0, config.E * config.vectors_per_experiment, profile=profile)
+        base = run_cell(config, dataset=stream).per_experiment
+        for k in (-20, -3, 5, 30):
+            scale = 2.0**k
+            moved = run_cell(config, dataset=[DataVector(tuple(scale * v for v in x.values))
+                                              for x in stream]).per_experiment
+            for column in ("experiment", "node", "step", "t_star", "triggered", "g"):
+                assert getattr(moved, column).tobytes() == getattr(base, column).tobytes(), (k, column)
+            assert moved.magnitude.tobytes() == (base.magnitude * scale).tobytes(), k
+
+
+class TestUnreachableTheta:
+    """Above the engine's largest centroid, UDDM's g never exceeds theta, and above 1
+    PM's mean forecast never does: both send only at the deadline. At the largest
+    centroid itself UDDM still fires, since the centroid-weighted average rounds one
+    ulp above that centroid. Each held on random-walk seeds 0-19 at E 200."""
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_deadline_only_above_the_largest_centroid(self, seed):
+        def events(policy, theta):
+            return run_cell(ExperimentConfig(policy=policy, T=100, theta=theta, E=200, seed=seed,
+                                             profile="random-walk")).per_experiment
+
+        for policy, theta in (("UDDM", 0.85), ("PM", 1.0)):
+            assert {e.cause for e in events(policy, theta)} == {CAUSE_DEADLINE}
+        top = max(default_engine()._centroids)
+        fired = [e.g for e in events("UDDM", top) if e.cause == CAUSE_THRESHOLD]
+        assert fired and set(fired) == {np.nextafter(top, 1.0)}

@@ -324,6 +324,20 @@ class TestRuleBase:
             RuleBase(table)
 
 
+class TestFootprint:
+    """The default footprint changes no output: each lower grade is 0.9 x its upper one,
+    so a rule's Nie-Tan mass is 1.9 x its upper firing, and the factor cancels in the
+    centroid ratio. A shrunk lower shape does not cancel."""
+
+    def test_default_engine_equals_type_1_and_a_shrunk_one_does_not(self):
+        x = np.random.default_rng(16).random((3, 20_000))
+        default = default_engine().evaluate_many(*x)
+        for shape, agrees in (({"height": 1.0}, True), ({"shrink": 0.5}, False)):
+            engine = InferenceEngine([IntervalTerm(t.label, t.upper, **shape) for t in default_terms()])
+            gap = np.abs(engine.evaluate_many(*x) - default).max()
+            assert (gap <= 1e-15) == agrees, (shape, gap)
+
+
 class TestEvaluate:
     def test_all_low_inputs_hit_the_low_centroid(self):
         engine = default_engine()
