@@ -325,9 +325,9 @@ class TestRuleBase:
 
 
 class TestFootprint:
-    """The default footprint changes no output: each lower grade is 0.9 x its upper one,
-    so a rule's Nie-Tan mass is 1.9 x its upper firing, and the factor cancels in the
-    centroid ratio. A shrunk lower shape does not cancel."""
+    """The default footprint changes no output beyond rounding: each lower grade is
+    0.9 x its upper one, so a rule's Nie-Tan mass is 1.9 x its upper firing, and the
+    factor cancels in the centroid ratio. A shrunk lower shape does not cancel."""
 
     def test_default_engine_equals_type_1_and_a_shrunk_one_does_not(self):
         x = np.random.default_rng(16).random((3, 20_000))
