@@ -25,16 +25,21 @@ The figures:
   (theta 0.6 and 0.75, seed 42, N = 1; the streams are built before the clock
   starts) on each of KERNEL_PASSES, with a sha256 of its decision record
   arrays;
+- the detail formatter alone: the CPU seconds of one `harness._detail_blocks`
+  pass over the event table of the first report of a grid (seed 42, theta
+  0.6; the table is built before the clock starts) on each of FORMAT_TABLES,
+  with a sha256 of the text it wrote;
 - one `ingest_sensor_log` call on each of four logs: replay-walk's (`qsim gen
   --profile random-walk --length 40000 --seed <first seed>`), the same log with
   a malformed row at the end of every 4,096-line block, the same with one at
   the end of every 512-line block (so every block the ingester reads is parsed
   twice), and the same log with a `nan` reading every 50 rows.
 
-Grids, kernel passes and ingest logs each run one of three snippets in a fresh
-interpreter with the checkout's `src` on the path (`snippet_run`). Whether
-both sides wrote the same CSV bytes, or decided the same bit for bit, is
-recorded per figure as `csv_identical` or `records_identical`.
+Grids, kernel passes, formatter passes and ingest logs each run one of four
+snippets in a fresh interpreter with the checkout's `src` on the path
+(`snippet_run`). Whether both sides wrote the same CSV bytes, decided the same
+bit for bit, or formatted the same text, is recorded per figure as
+`csv_identical`, `records_identical` or `text_identical`.
 
 For each side it also records the design's size: `src_lines`, the total of
 `wc -l src/qsim/*.py`, and `public_names`, the length of `qsim.__all__` read in
@@ -72,6 +77,17 @@ KERNEL_PASSES = {
     "UDDM_T1000_E24_replay_walk": ({"policy": "UDDM", "T": 1000, "E": 24}, True),
     **{f"{policy}_T1000_E1000_drift": ({"policy": policy, "T": 1000, "E": 1000}, False)
        for policy in ("UDDM", "PM")},
+}
+
+# One `_detail_blocks` pass each: the grid's overrides, and whether it reads replay-walk's log.
+# BM at T 1 sends once per experiment, so no row of its table shares a prefix.
+FORMAT_TABLES = {
+    **{f"{policy}_T100_E40_N8_piecewise_constant":
+       ({"policy": policy, "t": "100", "e": "40", "n": "8", "profile": "piecewise-constant"}, False)
+       for policy in ("BM", "PM")},
+    "BM_T1000_E1000_drift": ({"policy": "BM", "t": "1000", "e": "1000", "profile": "drift"}, False),
+    "UDDM_T1000_E24_replay_walk": ({"policy": "UDDM", "t": "1000", "e": "24"}, True),
+    "BM_T1_E200000_drift": ({"policy": "BM", "t": "1", "e": "200000", "profile": "drift"}, False),
 }
 
 GRID = {"policy": "UDDM,BM,PM", "t": "10,100,1000", "theta": "0.6,0.75", "e": "1000",
@@ -129,6 +145,24 @@ for record in records:
     for array in (record.sends, record.triggered, record.t_star, record.quantum, record.score):
         digest.update(array.tobytes())
 print(json.dumps({"cpu_s": cpu_s, "records_sha256": digest.hexdigest()}))
+"""
+
+# argv[1] the grid's config overrides as JSON, argv[2] a sensor log to replay, or "".
+FORMAT_CODE = """
+import hashlib, json, sys, time
+from qsim.harness import _detail_blocks, load_config, run_grid
+overrides = {**json.loads(sys.argv[1]), "theta": "0.6", "seed": "42"}
+if sys.argv[2]:
+    overrides["source"] = sys.argv[2]
+reports, _ = run_grid(load_config(cli_overrides=overrides, environ={}))
+events = reports[0].per_experiment
+start = time.process_time()
+blocks = list(_detail_blocks(events))
+cpu_s = time.process_time() - start
+text_sha256 = hashlib.sha256()
+for block in blocks:
+    text_sha256.update(block)
+print(json.dumps({"cpu_s": cpu_s, "text_sha256": text_sha256.hexdigest()}))
 """
 
 # argv[1] the sensor log.
@@ -307,10 +341,10 @@ def main(argv=None) -> int:
 
 
 def measure(sides: dict[str, Path], spec: dict, runs: int, first_seed: int, work: Path) -> dict:
-    """Every workload, grid, theta sweep, kernel pass and ingest log, `runs` pairs each."""
+    """Every workload, grid, theta sweep, kernel pass, formatter pass and ingest log, `runs` pairs each."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     report = {"workloads": {}, "criterion_10_grid": {}, "theta_sweeps": {}, "kernel_cpu_s": {},
-              "ingest_s": {}}
+              "format_cpu_s": {}, "ingest_s": {}}
     for w, workload in enumerate(m["name"] for m in spec["workloads"]):
         pairs = alternate(runs, lambda side, i: bench_run(sides[side], workload, first_seed + w * runs + i,
                                                           spec["run_seconds"]), workload)
@@ -325,6 +359,9 @@ def measure(sides: dict[str, Path], spec: dict, runs: int, first_seed: int, work
     snippets.update({("kernel_cpu_s", name): (KERNEL_CODE, json.dumps(kernel),
                                               str(paths["clean"]) if replay else "")
                      for name, (kernel, replay) in KERNEL_PASSES.items()})
+    snippets.update({("format_cpu_s", name): (FORMAT_CODE, json.dumps(overrides),
+                                              str(paths["clean"]) if replay else "")
+                     for name, (overrides, replay) in FORMAT_TABLES.items()})
     snippets.update({("ingest_s", name): (INGEST_CODE, str(path)) for name, path in paths.items()})
     for (kind, name), (code, *args) in snippets.items():
         pairs = alternate(runs, lambda side, _: snippet_run(sides[side], code, *args), f"{kind} {name}")

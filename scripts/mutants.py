@@ -157,6 +157,12 @@ MUTANTS = [
     Mutant("fast-path-ignores-mote", HARNESS, 'keep &= table["mote"] == mote', "pass"),
     Mutant("rejected-block-counts-blank-lines", HARNESS,
            "if not parts:\n                        continue", "if False:\n                        continue"),
+    # The detail formatter's prefix key: one key per (experiment, t*, cause) of a block.
+    Mutant("detail-key-drops-the-cause", HARNESS,
+           "+ 2 * t_star.astype(np.int64) + events.triggered[block], return_inverse=True)",
+           "+ 2 * t_star.astype(np.int64), return_inverse=True)"),
+    Mutant("detail-key-span-one-t-star-short", HARNESS, "span = 2 * (int(t_star.max()) + 1)",
+           "span = 2 * int(t_star.max())"),
     # The one replay slicer behind run_cell and run_experiment.
     Mutant("replay-wrap-clamped", SIMULATOR, "% total]", ".clip(max=total - 1)]"),
     Mutant("replay-truncation-inclusive", SIMULATOR, "total < count", "total <= count"),

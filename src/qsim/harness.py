@@ -421,16 +421,29 @@ _DETAIL_BLOCK = 4096
 
 
 def _detail_blocks(events: EventColumns):
-    """The detail rows of a cell as UTF-8 CSV text, one block of rows at a time."""
+    """The detail rows of a cell as UTF-8 CSV text, one block of rows at a time.
+
+    A block formats each distinct (experiment, t*, cause) prefix once: a row
+    is its prefix, its magnitude and its g. The ids are non-negative int32, so
+    the int64 key experiment * span + 2 * t* + triggered, with span twice one
+    past the block's largest t*, is one per prefix and below 2**63.
+    """
     causes = events.causes
-    columns = (events.experiment, events.t_star, events.triggered, events.magnitude, events.g)
     for start in range(0, len(events), _DETAIL_BLOCK):
         block = slice(start, start + _DETAIL_BLOCK)
+        t_star = events.t_star[block]
+        span = 2 * (int(t_star.max()) + 1)
+        keys, rows = np.unique(events.experiment[block].astype(np.int64) * span
+                               + 2 * t_star.astype(np.int64) + events.triggered[block], return_inverse=True)
+        heads = [f"{key // span},{key % span // 2},{causes[key % 2]}," for key in keys.tolist()]
+        magnitudes, g = events.magnitude[block].tolist(), events.g[block]
         # NaN g: the policy gives no score, written as an empty field.
-        yield "".join(
-            f"{experiment},{t_star},{causes[fired]},{magnitude!r},{'' if g != g else repr(g)}\n"
-            for experiment, t_star, fired, magnitude, g in zip(*(c[block].tolist() for c in columns))
-        ).encode("utf-8")
+        if np.isnan(g).all():
+            text = "".join(f"{heads[i]}{magnitude!r},\n" for i, magnitude in zip(rows.tolist(), magnitudes))
+        else:
+            text = "".join(f"{heads[i]}{magnitude!r},{'' if x != x else repr(x)}\n"
+                           for i, magnitude, x in zip(rows.tolist(), magnitudes, g.tolist()))
+        yield text.encode("utf-8")
 
 
 def write_reports(reports: Sequence[MetricsReport], manifest: dict, out_dir: str | Path) -> Path:

@@ -444,6 +444,98 @@ class TestGridAndReports:
         assert reports[0] != baseline[0]
 
 
+def row_by_row(events):
+    """The detail rows as one f-string per row: the reference `_detail_blocks` must match."""
+    causes = events.causes
+    columns = (events.experiment, events.t_star, events.triggered, events.magnitude, events.g)
+    return "".join(
+        f"{experiment},{t_star},{causes[fired]},{magnitude!r},{'' if g != g else repr(g)}\n"
+        for experiment, t_star, fired, magnitude, g in zip(*(c.tolist() for c in columns))
+    ).encode("utf-8")
+
+
+class TestDetailFormatter:
+    """`_detail_blocks`, which formats each distinct (experiment, t*, cause)
+    prefix of a block once, against the row-by-row reference on hand-built
+    tables: block edges, the int64 key's edge, all-distinct prefixes, every
+    kind of g column, and magnitudes at which `repr` switches notation."""
+
+    BLOCK = harness._DETAIL_BLOCK
+    ID_MAX = 2**31 - 1
+    # repr switches to exponent notation below 1e-4 and from 1e16 on.
+    MAGNITUDES = (-0.0, 0.0, 5e-324, 1e-5, 1e-4, 1e16, 9999999999999998.0, 0.1, 2.5, 1.7976931348623157e308)
+
+    @staticmethod
+    def table(experiment, t_star, triggered, magnitude, g, cause="threshold"):
+        n = len(experiment)
+        ones = np.ones(n, np.int32)
+        return simulator.EventColumns(
+            np.asarray(experiment, np.int32), ones, ones, np.asarray(t_star, np.int32),
+            np.asarray(triggered, bool), np.asarray(magnitude, float), np.asarray(g, float), cause)
+
+    @classmethod
+    def random_table(cls, n, seed, g="mixed"):
+        rng = np.random.default_rng(seed)
+        experiment = np.sort(rng.integers(0, max(1, n // 50), n))
+        t_star = rng.integers(1, 6, n)
+        magnitude = np.where(rng.random(n) < 0.2, rng.choice(cls.MAGNITUDES, n), rng.exponential(3.0, n))
+        scores = {"nan": np.full(n, np.nan), "finite": rng.random(n),
+                  "mixed": rng.choice([np.nan, 0.0, -0.0, 0.5, 0.8320869184469154], n)}[g]
+        return cls.table(experiment, t_star, rng.random(n) < 0.5, magnitude, scores)
+
+    def check(self, events):
+        blocks = list(harness._detail_blocks(events))
+        assert b"".join(blocks) == row_by_row(events)
+        assert [block.count(b"\n") for block in blocks] == [
+            min(self.BLOCK, len(events) - start) for start in range(0, len(events), self.BLOCK)]
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 2 * 4096 + 1])
+    def test_block_edges(self, n):
+        assert self.BLOCK == 4096
+        self.check(self.random_table(n, seed=n))
+
+    @pytest.mark.parametrize("g", ["nan", "finite", "mixed"])
+    def test_every_kind_of_g_column(self, g):
+        events = self.random_table(3 * self.BLOCK, seed=7, g=g)
+        self.check(events)
+        if g == "mixed":
+            assert {0.0, -0.0} <= set(events.g.tolist()) and np.isnan(events.g).any()
+
+    def test_largest_ids_at_the_key_edge(self):
+        """Experiment and t* at 2**31 - 2 and 2**31 - 1 make keys up to 2**63 - 1,
+        beside small ids in the same block, so the span is 2**32."""
+        big = (self.ID_MAX - 1, self.ID_MAX)
+        ids = [(e, t, fired) for e in (0, 1, *big) for t in (0, 1, *big) for fired in (False, True)]
+        experiment, t_star, triggered = zip(*ids)
+        n = len(ids)
+        events = self.table(experiment, t_star, triggered, np.resize(self.MAGNITUDES, n),
+                            np.resize([np.nan, 0.25, -0.0], n))
+        self.check(events)
+        text = b"".join(harness._detail_blocks(events))
+        assert f"{self.ID_MAX},{self.ID_MAX},threshold,".encode() in text
+        assert f"{self.ID_MAX},0,deadline,".encode() in text
+
+    def test_every_prefix_distinct(self):
+        """Each row its own experiment, as BM writes at T 1: no prefix repeats."""
+        n = 2 * self.BLOCK + 3
+        rng = np.random.default_rng(3)
+        events = self.table(np.arange(n), np.ones(n), np.ones(n, bool), rng.exponential(1.0, n),
+                            np.full(n, np.nan), cause="any-change")
+        self.check(events)
+
+    def test_one_prefix_for_a_whole_block(self):
+        n = self.BLOCK + 1
+        self.check(self.table(np.full(n, 9), np.full(n, 3), np.zeros(n, bool),
+                              np.resize(self.MAGNITUDES, n), np.full(n, np.nan)))
+
+    def test_notation_switches(self):
+        n = len(self.MAGNITUDES)
+        events = self.table(np.zeros(n), np.ones(n), np.zeros(n, bool), self.MAGNITUDES, self.MAGNITUDES)
+        self.check(events)
+        rows = b"".join(harness._detail_blocks(events)).decode().splitlines()
+        assert [row.split(",")[3] for row in rows[:6]] == ["-0.0", "0.0", "5e-324", "1e-05", "0.0001", "1e+16"]
+
+
 class TestPooledDetail:
     """Detail rows formatted in the pool workers, on cells of several blocks:
     BM (g always empty) and UDDM with staggered nodes (g both empty and set)."""
