@@ -461,7 +461,7 @@ class TestDetailFormatter:
     kind of g column, and magnitudes at which `repr` switches notation."""
 
     BLOCK = harness._DETAIL_BLOCK
-    ID_MAX = 2**31 - 1
+    ID_MAX = simulator._ID_MAX
     # repr switches to exponent notation below 1e-4 and from 1e16 on.
     MAGNITUDES = (-0.0, 0.0, 5e-324, 1e-5, 1e-4, 1e16, 9999999999999998.0, 0.1, 2.5, 1.7976931348623157e308)
 
