@@ -129,7 +129,7 @@ MUTANTS = [
     Mutant("integer-accepts-bool", ERRORS,
            "isinstance(value, bool) or not isinstance(value, (int, np.integer))",
            "not isinstance(value, (int, np.integer))"),
-    Mutant("integer-low-exclusive", ERRORS, "if value < low or", "if value <= low or"),
+    Mutant("integer-low-exclusive", ERRORS, "(value < low or", "(value <= low or"),
     Mutant("integer-high-exclusive", ERRORS, "value > high)", "value >= high)"),
     Mutant("deadline-list-accepts-bool", POLICIES, "if bools or ", "if "),
     Mutant("real-accepts-bool", ERRORS,
@@ -235,7 +235,7 @@ MUTANTS = [
     Mutant("forecasts-before-past-quanta", POLICIES, "np.concatenate((state.quanta, forecast))",
            "np.concatenate((forecast, state.quanta))",
            equivalent="the two potentials swap places, and their geometric mean is symmetric"),
-    Mutant("smallest-group-first", HARNESS, "key=lambda i: -sizes[i])", "key=lambda i: sizes[i])",
+    Mutant("smallest-group-first", HARNESS, "key=lambda i: -groups[i][0].T)", "key=lambda i: groups[i][0].T)",
            equivalent="the submission order changes only when each task runs, never a report; "
                       "the test of that order kills it all the same"),
 ]

@@ -48,10 +48,10 @@ def _echo(value) -> str:
     return _cut(_REPR.repr(value), _ECHO_MAX)
 
 
-def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
+def _check_integer(name: str, value, low: int | None = None, high: int | None = None) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{name} must be an integer, got {_echo(value)}")
-    if value < low or (high is not None and value > high):
+    if low is not None and (value < low or (high is not None and value > high)):
         bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
         raise ConfigurationError(f"{name} must {bound}, got {_echo(int(value))}")
 

@@ -78,7 +78,7 @@ def holt_init(e1: float, e2: float, alpha: float = 0.5, beta: float = 0.5) -> Ho
     """
     _check_smoothing(alpha, beta)
     for value in (e1, e2):
-        if not math.isfinite(value):
+        if not math.isfinite(_check_real("quantum", value)):
             raise IngestionError(f"non-finite quantum {value!r} fed to forecaster")
     return HoltState(*_holt_update(e1, e2 - e1, e2, alpha, beta), alpha, beta, observations=2)
 
@@ -87,7 +87,7 @@ def holt_step(state: HoltState, e: float) -> HoltState:
     """Advance an initialized forecaster with one more quantum."""
     if state.observations < 2:
         raise InvariantViolation("forecaster not initialized: the first two quanta are required")
-    if not math.isfinite(e):
+    if not math.isfinite(_check_real("quantum", e)):
         raise IngestionError(f"non-finite quantum {e!r} fed to forecaster")
     return HoltState(*_holt_update(state.level, state.trend, e, state.alpha, state.beta),
                      state.alpha, state.beta, state.observations + 1)

@@ -126,6 +126,8 @@ def ingest_sensor_log(path: str | Path, mote: int | None = None) -> IngestResult
     and reads each number it accepts as `int` or `float` would. Only a block it
     rejects goes through `_parse_sensor_row` row by row.
     """
+    if mote is not None:
+        _check_integer("mote", mote)
     path = Path(path)
     epochs: list[int] = []
     motes: list[int] = []
@@ -386,9 +388,8 @@ def run_grid(config: HarnessConfig) -> tuple[tuple[MetricsReport, ...], dict]:
     streams = {T: _cell_streams(cells[0], dataset) for T, cells in {g[0].T: g for g in groups}.items()}
     workers = min(config.workers, len(groups))  # a pool of one is the in-process path
     if workers > 1:
-        # Largest first, by cells x E x N x T; the sort is stable, so equal groups keep grid order.
-        sizes = [len(cells) * cells[0].E * cells[0].N * cells[0].T for cells in groups]
-        order = sorted(range(len(groups)), key=lambda i: -sizes[i])
+        # Largest first: groups share E, N and every theta, so T sets the size; ties keep grid order.
+        order = sorted(range(len(groups)), key=lambda i: -groups[i][0].T)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(groups, streams, engine)) as executor:
             futures = {i: executor.submit(_run_group_task, i) for i in order}

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigurationError, IngestionError, InvariantViolation, StreamTruncationError,
-                     _check_choice, _check_integer, _check_real)
+                     _check_choice, _check_integer, _check_real, _echo)
 from .forecasting import _check_smoothing
 from .policies import CAUSE_DEADLINE, POLICY_NAMES, EpochState, build_policy
 from .synopsis import DataVector
@@ -216,6 +216,8 @@ def _synthetic_block(seeds, length: int, dims: int = 4, profile: str = "drift",
     _check_integer("stream length", length, 1)
     _check_integer("stream dims", dims, 1)
     _check_choice("stream profile", profile, STREAM_PROFILES)
+    if not 0.0 <= _check_real("jump_prob", jump_prob) <= 1.0:  # NaN fails too
+        raise ConfigurationError(f"jump_prob must lie in [0, 1], got {_echo(jump_prob)}")
     increments = np.zeros((len(seeds), length, dims))
     for stream, seed in zip(increments, seeds):
         # A cell's seed is a list; None would draw OS entropy, and a bool would read as 0 or 1.
@@ -228,8 +230,7 @@ def _synthetic_block(seeds, length: int, dims: int = 4, profile: str = "drift",
             stream[:] = 1.0 + rng.normal(0.0, 0.25, size=(length, dims))
         else:
             jumps = rng.random(length) < jump_prob
-            if jumps.any():
-                stream[jumps] = rng.normal(0.0, 5.0, size=(int(jumps.sum()), dims))
+            stream[jumps] = rng.normal(0.0, 5.0, size=(int(jumps.sum()), dims))
     return np.cumsum(increments, axis=1, out=increments)
 
 

@@ -229,8 +229,8 @@ class InferenceEngine:
         return self._centroids[TERM_LABELS.index(label)]
 
     def evaluate(self, x1: float, x2: float, x3: float) -> float:
-        """Potential of dissemination for one normalized input triple."""
-        return float(self.evaluate_many(x1, x2, x3))
+        """Potential of dissemination for one normalized input triple of real numbers."""
+        return float(self.evaluate_many(*map(_check_real, ("x1", "x2", "x3"), (x1, x2, x3))))
 
     def evaluate_many(self, x1, x2, x3) -> np.ndarray:
         """Potential of dissemination for arrays of normalized input triples.
@@ -286,11 +286,8 @@ def default_engine() -> InferenceEngine:
 
 
 def _spec_number(value, what: str) -> float:
-    # A JSON number parses to int or float; bool is an int subclass, but not a number here.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{what} must be a number, got {_echo(value)}")
     try:
-        return float(value)
+        return float(_check_real(what, value))
     except OverflowError as exc:
         raise ConfigurationError(f"{what} is too large for a float, got {_echo(value)}") from exc
 

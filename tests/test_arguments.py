@@ -7,18 +7,36 @@ message it must raise.
 """
 
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsim.errors import ConfigurationError
-from qsim.forecasting import holt_forecast, holt_init
+from qsim.forecasting import holt_forecast, holt_init, holt_step
+from qsim.harness import ingest_sensor_log
 from qsim.policies import BmPolicy, EpochState, UddmPolicy, build_policy
 from qsim.simulator import ExperimentConfig, generate_synthetic_stream, run_experiment
-from qsim.t2fls import IntervalTerm, make_term
+from qsim.t2fls import IntervalTerm, default_engine, make_term
 
 CONFIG = ExperimentConfig(policy="BM", T=4, E=1, N=2, seed=5)
 STREAM = generate_synthetic_stream(5, CONFIG.vectors_per_experiment)
+# Rows of motes 1, 2 and -1, which the --mote flag accepts too.
+SENSOR_LOG = "".join(f"2004-02-28 01:06:{epoch:02d} {epoch} {mote} 19.9 37.1 45.1 2.69\n"
+                     for epoch in range(6) for mote in (1, 2, -1))
+
+
+def ingest(mote):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.txt"
+        log.write_text(SENSOR_LOG, encoding="utf-8")
+        return ingest_sensor_log(log, mote=mote)
+
+
+def jumping_stream(jump_prob):
+    return generate_synthetic_stream(1, 6, profile="piecewise-constant", jump_prob=jump_prob)
+
 
 # Each integer argument: the call that passes it `value`, and the name its messages give it.
 INTEGER_ARGUMENTS = {
@@ -37,6 +55,7 @@ INTEGER_ARGUMENTS = {
     "experiment-index": (lambda value: run_experiment(CONFIG, STREAM, experiment=value),
                          "experiment index"),
     "forecast-horizon": (lambda value: holt_forecast(holt_init(1.0, 2.0), value), "forecast horizon"),
+    "ingest-mote": (ingest, "mote"),
 }
 NOT_INTEGERS = {"fraction": 2.5, "bool": True, "text": "3", "numpy-float": np.float64(2.0)}
 
@@ -62,6 +81,17 @@ REAL_CASES = [
     pytest.param(lambda: UddmPolicy(beta="0.5"), "beta must be a real number, got '0.5'",
                  id="policy-beta-text"),
 ]
+# Each real-number argument that takes no other rule: the call that passes it `value`, and its name.
+REAL_ARGUMENTS = {
+    "holt-init-quantum": (lambda value: holt_init(value, 2.0), "quantum"),
+    "holt-init-second-quantum": (lambda value: holt_init(1.0, value), "quantum"),
+    "holt-step-quantum": (lambda value: holt_step(holt_init(1.0, 2.0), value), "quantum"),
+    "stream-jump-prob": (jumping_stream, "jump_prob"),
+    "evaluate-x1": (lambda value: default_engine().evaluate(value, 0.2, 0.3), "x1"),
+    "evaluate-x2": (lambda value: default_engine().evaluate(0.1, value, 0.3), "x2"),
+    "evaluate-x3": (lambda value: default_engine().evaluate(0.1, 0.2, value), "x3"),
+}
+NOT_REALS = {"bool": True, "text": "0.1"}
 
 DEADLINE = r"epoch deadlines \[.+\] must be integers in \[1, T=5\]"
 
@@ -81,9 +111,26 @@ def _integer_cases():
                            id=f"epoch-deadline-list-{kind}")
 
 
+def _real_cases():
+    for argument, (call, name) in REAL_ARGUMENTS.items():
+        for kind, value in NOT_REALS.items():
+            yield pytest.param(lambda call=call, value=value: call(value),
+                               re.escape(f"{name} must be a real number, got {value!r}"),
+                               id=f"{argument}-{kind}")
+    for value in (float("nan"), -0.1, 1.1):
+        yield pytest.param(lambda value=value: jumping_stream(value),
+                           re.escape(f"jump_prob must lie in [0, 1], got {value!r}"),
+                           id=f"stream-jump-prob-{value!r}")
+    # A fraction or text equals no mote id, so it would keep no rows in silence.
+    for value in (1.5, "1"):
+        yield pytest.param(lambda value=value: ingest(value),
+                           re.escape(f"mote must be an integer, got {value!r}"), id=f"ingest-mote-{value!r}")
+
+
 @pytest.mark.parametrize("call, message", [
     *_integer_cases(),
     *REAL_CASES,
+    *_real_cases(),
     pytest.param(lambda: IntervalTerm("low", (0, 0.2, 0.45)),
                  re.escape("term 'low': upper shape needs 4 corners, got (0, 0.2, 0.45)"),
                  id="term-three-corners"),
@@ -114,3 +161,15 @@ def test_numpy_experiment_index_keeps_the_int32_column():
     trace = run_experiment(CONFIG, STREAM, experiment=np.int64(2))
     assert trace.events.experiment.dtype == np.int32
     assert trace.events == run_experiment(CONFIG, STREAM, experiment=2).events
+
+
+def test_jump_prob_bounds_accepted():
+    assert {x.values for x in jumping_stream(0.0)} == {(0.0,) * 4}
+    assert len({x.values for x in jumping_stream(1.0)}) == 6
+
+
+def test_any_integer_mote_accepted():
+    for mote in (1, -1, np.int64(2)):
+        result = ingest(mote)
+        assert len(result) == 6 and result.mote == mote
+    assert len(ingest(None)) == 18

@@ -392,8 +392,9 @@ class TestGridAndReports:
         assert inline_pool.sizes == []
 
     def test_tasks_go_largest_first_and_reports_keep_grid_order(self, inline_pool):
-        """Tasks are submitted by cells x E x N x T, largest first, equal groups in
-        grid order; the reports are joined in grid order all the same."""
+        """Tasks are submitted by T, largest first, equal groups in grid order: every
+        group holds all of theta and shares E and N, so T orders them as
+        cells x E x N x T would. The reports are joined in grid order all the same."""
         reports, _ = run_grid(small_config(t="5,8", workers="2"))
         assert inline_pool.tasks == [[(policy, T, 0.6), (policy, T, 0.75)]
                                      for T in (8, 5) for policy in ("UDDM", "BM")]

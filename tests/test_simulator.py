@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from qsim import harness, simulator
 from qsim.errors import ConfigurationError, IngestionError, InvariantViolation, StreamTruncationError
 from qsim.harness import load_config, main, run_grid, write_reports
-from qsim.policies import CAUSE_DEADLINE, CAUSE_THRESHOLD, BmPolicy, EpochState, build_policy
+from qsim.policies import CAUSE_DEADLINE, CAUSE_THRESHOLD, BmPolicy, EpochState, build_policy, combine_pods
 from qsim.simulator import (
     STREAM_PROFILES,
     DisseminationEvent,
@@ -850,3 +850,51 @@ class TestUnreachableTheta:
         top = max(default_engine()._centroids)
         fired = [e.g for e in events("UDDM", top) if e.cause == CAUSE_THRESHOLD]
         assert fired and set(fired) == {np.nextafter(top, 1.0)}
+
+
+class TestDriftPeriod:
+    """On drift every policy is a fixed-period sender, and the engine alone gives UDDM's period.
+
+    Within an epoch the drift's quantum rises about linearly, and the window
+    maximum is the last epoch's peak. So at round k >= 3 UDDM's past triple reads
+    ((k-2)/k, (k-1)/k, 1) and its forecasts saturate at 1: UDDM first sends at the
+    smallest such k whose score clears theta. The oracle reads the engine and no
+    kernel code. Each pinned fact held on drift seeds 0-19 at T 10, 100 and 1000.
+    """
+
+    @staticmethod
+    def period(theta):
+        engine = default_engine()
+        saturated = engine.evaluate(1.0, 1.0, 1.0)
+        return next(k for k in range(3, 100)
+                    if combine_pods(engine.evaluate((k - 2) / k, (k - 1) / k, 1.0), saturated) > theta)
+
+    @staticmethod
+    def first_t_stars(report):
+        """Each lane's t* at its first send."""
+        events = report.per_experiment
+        lanes = events.experiment.astype(np.int64) * report.N + events.node
+        order = np.lexsort((events.step, lanes))
+        _, first = np.unique(lanes[order], return_index=True)
+        assert len(first) == report.E * report.N
+        return set(events.t_star[order][first].tolist())
+
+    def test_engine_periods(self):
+        assert (self.period(0.6), self.period(0.75)) == (3, 4)
+
+    @pytest.mark.parametrize("T", [10, 100, 1000])
+    def test_drift_cells_follow_the_period(self, T):
+        k = self.period(0.6)
+        # theta 0.75 sits just below the score at round 4, so an epoch's noise can hold one round more.
+        late = {self.period(0.75), self.period(0.75) + 1}
+        for seed in range(20):
+            for policy in ("UDDM", "BM", "PM"):
+                cells = [ExperimentConfig(policy=policy, T=T, theta=theta, E=20, seed=seed, profile="drift")
+                         for theta in (0.6, 0.75)]
+                low, high = simulator._run_group(cells, simulator._cell_streams(cells[0], None))
+                if policy == "UDDM":
+                    assert self.first_t_stars(low) == {k}, seed
+                    assert low.psi == T / (T // k), seed
+                    assert self.first_t_stars(high) <= late, seed
+                else:
+                    assert low.psi == high.psi == {"BM": 1.0, "PM": 2.0}[policy], seed
