@@ -126,15 +126,26 @@ MUTANTS = [
     Mutant("spec-null-term-keeps-the-default", T2FLS, "if label not in term_spec:",
            "if term_spec.get(label) is None:"),
     # The one home of each argument rule.
-    Mutant("integer-accepts-bool", ERRORS,
-           "isinstance(value, bool) or not isinstance(value, (int, np.integer))",
-           "not isinstance(value, (int, np.integer))"),
+    Mutant("integer-accepts-bool", ERRORS, 'elif _kind(value, many) not in "iu":',
+           'elif _kind(value, many) not in "iub":'),
     Mutant("integer-low-exclusive", ERRORS, "(value < low or", "(value <= low or"),
     Mutant("integer-high-exclusive", ERRORS, "value > high)", "value >= high)"),
-    Mutant("deadline-list-accepts-bool", POLICIES, "if bools or ", "if "),
-    Mutant("real-accepts-bool", ERRORS,
-           "isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))",
-           "not isinstance(value, (int, float, np.integer, np.floating))"),
+    Mutant("integer-array-range-skipped", ERRORS,
+           "_check_integer(name, [value.min(initial=low), value.max(initial=low)], low, high, many=True)",
+           "pass"),
+    Mutant("deadline-list-accepts-bool", ERRORS, "_check_integer(name, entry, low, high, many=True)",
+           "_check_integer(name, int(entry) if isinstance(entry, (bool, np.bool_)) else entry, low, high,"
+           " many=True)"),
+    Mutant("real-accepts-bool", ERRORS, 'elif _kind(value, many) not in "iuf":',
+           'elif _kind(value, many) not in "iufb":'),
+    Mutant("real-accepts-bool-dtype", ERRORS, "return value.dtype.kind if many",
+           'return value.dtype.kind.replace("b", "f") if many'),
+    Mutant("real-list-entries-unchecked", ERRORS, "if type(entry) is not float:", "if False:"),
+    # A threshold is finite, in a cell's config and in the epoch state.
+    Mutant("config-theta-may-be-infinite", SIMULATOR, 'if not 0.0 < _check_real("theta", self.theta) < math.inf:',
+           'if not 0.0 < _check_real("theta", self.theta):'),
+    Mutant("epoch-theta-may-be-infinite", POLICIES, "((0.0 < theta) & (theta < math.inf)).all()",
+           "(0.0 < theta).all()"),
     # A bad value is shown cut short, a numpy integer as its Python int.
     Mutant("bound-shows-the-numpy-repr", ERRORS, "got {_echo(int(value))}", "got {_echo(value)}"),
     Mutant("choice-shows-the-whole-value", ERRORS, "unknown {what} {_echo(value)};", "unknown {what} {value!r};"),

@@ -1,10 +1,10 @@
 """Exception types shared across the package, and the argument checks of every layer.
 
 The CLI maps these onto process exit codes: configuration errors exit 1,
-ingestion/IO errors exit 2, internal invariant violations exit 3. Each
-argument rule has one home here: integers and real numbers are Python or
-numpy numbers of that kind, never a `bool`; a choice is one of its names.
-A value from outside the program is shown in a message through `_echo`.
+ingestion/IO errors exit 2, internal invariant violations exit 3. Each argument
+rule has one home here: integers and real numbers are Python or numpy numbers of
+that kind, never a `bool`, and with `many` also lists, tuples and arrays of them; a
+choice is one of its names. A value from outside the program is shown through `_echo`.
 """
 
 import reprlib
@@ -48,16 +48,29 @@ def _echo(value) -> str:
     return _cut(_REPR.repr(value), _ECHO_MAX)
 
 
-def _check_integer(name: str, value, low: int | None = None, high: int | None = None) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+def _kind(value, many: bool) -> str:  # numpy's kind letter ("b" bool, "O" no number); an array's if many
+    return value.dtype.kind if many and isinstance(value, np.ndarray) else np.dtype(type(value)).kind
+
+
+def _check_integer(name: str, value, low: int | None = None, high: int | None = None, many=False):
+    if many and isinstance(value, (tuple, list)):  # numpy would read a bool inside as 1
+        for entry in value:
+            _check_integer(name, entry, low, high, many=True)
+    elif _kind(value, many) not in "iu":
         raise ConfigurationError(f"{name} must be an integer, got {_echo(value)}")
-    if low is not None and (value < low or (high is not None and value > high)):
+    elif isinstance(value, np.ndarray) and low is not None:  # by its least and greatest entries, if any
+        _check_integer(name, [value.min(initial=low), value.max(initial=low)], low, high, many=True)
+    elif low is not None and (value < low or (high is not None and value > high)):
         bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
         raise ConfigurationError(f"{name} must {bound}, got {_echo(int(value))}")
 
 
-def _check_real(name: str, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+def _check_real(name: str, value, many=False):
+    if many and isinstance(value, (tuple, list)):  # numpy would read a bool inside as 1.0
+        for entry in value:
+            if type(entry) is not float:  # the common entry costs no call
+                _check_real(name, entry, many=True)
+    elif _kind(value, many) not in "iuf":
         raise ConfigurationError(f"{name} must be a real number, got {_echo(value)}")
     return value
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, _check_choice, _check_integer, _check_real
+from .errors import ConfigurationError, _check_choice, _check_integer, _check_real, _echo
 from .forecasting import _check_smoothing, _holt_project, _holt_update
 from .t2fls import InferenceEngine, default_engine
 
@@ -79,11 +79,11 @@ class Decision:
 class EpochState:
     """Epoch bookkeeping of one node, or of many independent nodes, one array lane each.
 
-    An omitted or integer `deadline` gives one lane; an array gives one lane
-    per entry. A lane's deadline is the round at which the deadline rule fires
-    for its current epoch: shorter than T for a node's first epoch (staggered
-    phase offsets), back to T after every dissemination. A float `theta` is
-    every lane's threshold; an array gives one per lane.
+    An omitted or integer `deadline` gives one lane; an array or list gives
+    one lane per entry. A lane's deadline is the round at which the deadline
+    rule fires for its current epoch: shorter than T for a node's first epoch
+    (staggered phase offsets), back to T after every dissemination. A real
+    `theta`, positive and finite, is every lane's threshold; an array gives one per lane.
 
     Per lane: the round counter `t`, the `deadline`, the last three quanta
     (oldest first; `t` of them belong to the current epoch), the Holt `level`
@@ -96,23 +96,19 @@ class EpochState:
     """
 
     def __init__(self, T: int, theta: float | np.ndarray, deadline=None, window: int = 50) -> None:
-        _check_integer("epoch length T", T, 1)
+        _check_integer("epoch length T", T, 1, np.iinfo(np.int64).max)  # lanes count rounds in int64
         _check_integer("normalization window", window, 1)
-        # numpy reads a bool inside a list as 1, so the list is checked before it is converted.
-        bools = isinstance(deadline, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in deadline)
-        deadline = np.array(T if deadline is None else deadline, ndmin=1)
-        if bools or deadline.dtype.kind not in "iu" or not ((1 <= deadline) & (deadline <= T)).all():
-            raise ConfigurationError(f"epoch deadlines {deadline} must be integers in [1, T={T}]")
-        lanes = len(deadline)
-        if not isinstance(theta, np.ndarray):  # an array holds one threshold per lane
-            _check_real("theta", theta)
-        theta = np.asarray(theta, dtype=float)
-        if not (theta > 0.0).all() or theta.shape not in ((), (lanes,)):
-            raise ConfigurationError(f"thresholds must be positive, one or one per lane, got {theta}")
+        deadline = T if deadline is None else deadline
+        _check_integer("epoch deadline", deadline, 1, T, many=True)
+        self.deadline = np.array(deadline, dtype=np.int64, ndmin=1)
+        lanes = len(self.deadline)
+        theta = np.asarray(_check_real("theta", theta, many=True), dtype=float)
+        if not ((0.0 < theta) & (theta < math.inf)).all() or theta.shape not in ((), (lanes,)):
+            raise ConfigurationError(
+                f"thresholds must be positive and finite, one or one per lane, got {_echo(theta)}")
         self.T = T
         self.theta = theta
         self.t = np.ones(lanes, dtype=np.int64)
-        self.deadline = deadline.astype(np.int64)
         zeros = np.zeros(lanes)
         self.quanta = (zeros, zeros, zeros)
         self.level, self.trend = np.zeros((2, lanes))  # apart, as the forecaster seeds them in place

@@ -87,9 +87,8 @@ class ExperimentConfig:
             _check_integer(name, getattr(self, name), 1, _ID_MAX)
         _check_integer("normalization window", self.window, 1)
         _check_integer("seed", self.seed, 0)
-        _check_real("theta", self.theta)
-        if not self.theta > 0.0:
-            raise ConfigurationError(f"theta must be positive, got {self.theta}")
+        if not 0.0 < _check_real("theta", self.theta) < math.inf:
+            raise ConfigurationError(f"theta must be positive and finite, got {self.theta}")
         _check_smoothing(self.alpha, self.beta)
         if self.source == SYNTHETIC_SOURCE:
             _check_choice("stream profile", self.profile, STREAM_PROFILES)
@@ -218,11 +217,9 @@ def _synthetic_block(seeds, length: int, dims: int = 4, profile: str = "drift",
     _check_choice("stream profile", profile, STREAM_PROFILES)
     if not 0.0 <= _check_real("jump_prob", jump_prob) <= 1.0:  # NaN fails too
         raise ConfigurationError(f"jump_prob must lie in [0, 1], got {_echo(jump_prob)}")
+    _check_integer("seed", seeds, 0, many=True)  # a cell's seed is a list; None would draw OS entropy
     increments = np.zeros((len(seeds), length, dims))
     for stream, seed in zip(increments, seeds):
-        # A cell's seed is a list; None would draw OS entropy, and a bool would read as 0 or 1.
-        for part in seed if isinstance(seed, (list, tuple)) else [seed]:
-            _check_integer("seed", part, 0)
         rng = np.random.default_rng(seed)
         if profile == "random-walk":
             stream[:] = rng.normal(0.0, 1.0, size=(length, dims))
@@ -250,13 +247,13 @@ def generate_synthetic_stream(
     the stream is identically zero).
     """
     levels = _synthetic_block([seed], length, dims, profile, jump_prob)[0]
-    return [DataVector(values=tuple(row), timestamp=t) for t, row in enumerate(levels.tolist())]
+    return [DataVector(tuple(row), t) for t, row in enumerate(levels.tolist())]
 
 
 def _replay_slices(config: ExperimentConfig, vectors, E: int) -> np.ndarray:
-    """(E, vectors_per_experiment, dims) array of E disjoint contiguous slices
-    of `vectors`, DataVectors or a (rows, dims) float array, wrapping past the
-    end with a warning once the data is exhausted."""
+    """(E, vectors_per_experiment, dims) array of E disjoint contiguous slices of
+    `vectors`, DataVectors or a (rows, dims) array of an integer or floating dtype,
+    wrapping past the end with a warning once the data is exhausted."""
     count, total = config.vectors_per_experiment, len(vectors)
     if total < count:
         raise StreamTruncationError(
@@ -265,13 +262,13 @@ def _replay_slices(config: ExperimentConfig, vectors, E: int) -> np.ndarray:
     if E * count > total:
         log.warning("replay dataset (%d vectors) is shorter than the grid demands (%d); wrapping around",
                     total, E * count)
-    if isinstance(vectors, np.ndarray):
-        rows = vectors.astype(float, copy=False)
-    else:
-        try:
-            rows = np.array([v.values for v in vectors], dtype=float)
-        except ValueError as exc:
-            raise ConfigurationError(f"data vectors differ in dimension: {exc}") from exc
+    if not isinstance(vectors, np.ndarray):
+        if not all(isinstance(v, DataVector) for v in vectors):
+            raise ConfigurationError(f"replay data must be an array or DataVectors, got {_echo(vectors)}")
+        if len({len(v) for v in vectors}) > 1:
+            raise ConfigurationError("data vectors differ in dimension")
+        vectors = np.array([v.values for v in vectors], dtype=float)
+    rows = _check_real("replay data", vectors, many=True).astype(float, copy=False)
     if rows.ndim != 2 or rows.shape[1] < 1:
         raise ConfigurationError(f"data vectors must form a (rows, dims) array, got shape {rows.shape}")
     block = rows[np.arange(E * count).reshape(E, count) % total]

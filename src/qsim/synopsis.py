@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, IngestionError
+from .errors import ConfigurationError, IngestionError, _check_real
 
 __all__ = ["DataVector"]
 
@@ -26,11 +26,9 @@ class DataVector:
     def __post_init__(self) -> None:
         if not self.values:
             raise ConfigurationError("data vector needs at least one dimension")
-        for v in self.values:
+        for v in _check_real("data vector entry", self.values, many=True):
             if not math.isfinite(v):
-                raise IngestionError(
-                    f"non-finite entry {v!r} in data vector at step {self.timestamp}"
-                )
+                raise IngestionError(f"non-finite entry {v!r} in data vector at step {self.timestamp}")
 
     def __len__(self) -> int:
         return len(self.values)

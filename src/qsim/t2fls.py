@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, _check_real, _echo
+from .errors import ConfigurationError, _check_choice, _check_real, _echo
 
 __all__ = [
     "TERM_LABELS",
@@ -86,14 +86,12 @@ class IntervalTerm:
         a, b, c, d = (_check_real(f"term {self.label!r}: upper corner", v) for v in self.upper)
         if not (0.0 <= a <= b <= c <= d <= 1.0):
             raise ConfigurationError(
-                f"term {self.label!r}: upper shape {self.upper} must satisfy 0 <= a <= b <= c <= d <= 1"
-            )
+                f"term {self.label!r}: upper shape {self.upper} must satisfy 0 <= a <= b <= c <= d <= 1")
         if not 0.0 <= _check_real(f"term {self.label!r}: shrink", self.shrink) < 1.0:
             raise ConfigurationError(f"term {self.label!r}: shrink must lie in [0, 1), got {self.shrink}")
         if not 0.0 < _check_real(f"term {self.label!r}: height", self.height) <= 1.0:
             raise ConfigurationError(
-                f"term {self.label!r}: lower-shape height must lie in (0, 1], got {self.height}"
-            )
+                f"term {self.label!r}: lower-shape height must lie in (0, 1], got {self.height}")
         lower = (a + self.shrink * (b - a), b, c, d - self.shrink * (d - c))
         object.__setattr__(self, "lower", lower)
 
@@ -138,12 +136,10 @@ class RuleBase:
         rank = TERM_LABELS.index
         table = dict(table)
         for antecedents, consequent in table.items():
-            rule = f"{_echo(antecedents)} -> {_echo(consequent)}"
             if len(antecedents) != 3:
-                raise ConfigurationError(f"rule {rule} must have exactly 3 antecedents")
+                raise ConfigurationError(f"rule {_echo(antecedents)} must have exactly 3 antecedents")
             for label in (*antecedents, consequent):
-                if label not in TERM_LABELS:
-                    raise ConfigurationError(f"unknown term label {_echo(label)} in rule {rule}")
+                _check_choice("term label", label, TERM_LABELS)
         missing = [c for c in product(TERM_LABELS, repeat=3) if c not in table]
         if missing:
             raise ConfigurationError(f"rule base incomplete: {len(missing)} combinations missing")
@@ -224,27 +220,26 @@ class InferenceEngine:
         self._rule_weights = np.array([[c, 1.0] for c in rule_centroids]).reshape(27, 2, 1)
 
     def centroid(self, label: str) -> float:
-        if label not in TERM_LABELS:
-            raise ConfigurationError(f"unknown term label {label!r}")
+        _check_choice("term label", label, TERM_LABELS)
         return self._centroids[TERM_LABELS.index(label)]
 
     def evaluate(self, x1: float, x2: float, x3: float) -> float:
         """Potential of dissemination for one normalized input triple of real numbers."""
-        return float(self.evaluate_many(*map(_check_real, ("x1", "x2", "x3"), (x1, x2, x3))))
+        return float(self.evaluate_many(x1, x2, x3))
 
     def evaluate_many(self, x1, x2, x3) -> np.ndarray:
         """Potential of dissemination for arrays of normalized input triples.
 
-        The three arguments share one shape, which the result takes. Inputs
-        outside [0, 1] are clamped with a warning; a NaN input is a
-        ConfigurationError. Each rule's firing mass is the sum of its lower
-        and upper firing (twice the Nie-Tan midpoint; the factor cancels), a
-        zero of either sign where the rule does not fire, since a zero upper
-        firing forces a zero lower one. The 27 masses are summed one after
-        another from +0.0, so a triple's result does not depend on the batch
-        and a triple with no firing mass yields +0.0.
+        The three arguments, real numbers or arrays of an integer or floating dtype,
+        share one shape, which the result takes. Inputs outside [0, 1] are clamped
+        with a warning; a NaN input is a ConfigurationError. Each rule's firing mass
+        is the sum of its lower and upper firing (twice the Nie-Tan midpoint; the
+        factor cancels), a zero of either sign where the rule does not fire, since a
+        zero upper firing forces a zero lower one. The 27 masses are summed one after
+        another from +0.0, so a triple's result does not depend on the batch and a
+        triple with no firing mass yields +0.0.
         """
-        x = np.array((x1, x2, x3), dtype=float)
+        x = np.array([_check_real(f"x{i}", v, many=True) for i, v in enumerate((x1, x2, x3), 1)], float)
         shape = x.shape[1:]
         x = x.reshape(3, -1)
         if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):

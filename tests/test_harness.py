@@ -746,7 +746,17 @@ class TestCli:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 1
         (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert "theta must be positive, got nan" in error and "\n" not in error
+        assert "theta must be positive and finite, got nan" in error and "\n" not in error
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("theta", ["inf", "1e400"])
+    def test_infinite_theta_exit_code(self, tmp_path, caplog, theta):
+        """At an infinite threshold every send would be a deadline send; float reads 1e400 as inf."""
+        code = main(["run", "--theta", theta, "--E", "2", "--T", "5",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error == "configuration error: theta must be positive and finite, got inf"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

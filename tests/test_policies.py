@@ -278,7 +278,7 @@ class TestEpochLifecycle:
                                        [0.6, 0.7, 0.8], [[0.6, 0.7]]],
                              ids=["zero", "negative", "nan", "too-many", "two-dimensional"])
     def test_threshold_array_validation(self, theta):
-        with pytest.raises(ConfigurationError, match="thresholds must be positive, one or one per lane"):
+        with pytest.raises(ConfigurationError, match="thresholds must be positive and finite, one or one per lane"):
             EpochState(T=5, theta=np.array(theta), deadline=np.array([5, 5]))
 
     @pytest.mark.parametrize("policy_cls", [UddmPolicy, PmPolicy])
