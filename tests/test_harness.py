@@ -741,22 +741,14 @@ class TestCli:
         assert exit_info.value.code == 0
         assert "--out-dir" in capsys.readouterr().out
 
-    def test_nan_theta_exit_code(self, tmp_path, caplog):
-        code = main(["run", "--theta", "nan", "--E", "2", "--T", "3",
-                     "--out-dir", str(tmp_path / "out")])
-        assert code == 1
-        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert "theta must be positive and finite, got nan" in error and "\n" not in error
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("theta", ["inf", "1e400"])
-    def test_infinite_theta_exit_code(self, tmp_path, caplog, theta):
+    @pytest.mark.parametrize("theta, shown", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf")])
+    def test_non_finite_theta_exit_code(self, tmp_path, caplog, theta, shown):
         """At an infinite threshold every send would be a deadline send; float reads 1e400 as inf."""
-        code = main(["run", "--theta", theta, "--E", "2", "--T", "5",
+        code = main(["run", "--theta", theta, "--E", "2", "--T", "3",
                      "--out-dir", str(tmp_path / "out")])
         assert code == 1
         (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert error == "configuration error: theta must be positive and finite, got inf"
+        assert error == f"configuration error: theta must be positive and finite, got {shown}"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
