@@ -229,6 +229,8 @@ MUTANTS = [
     # The policies' triggers, resets, forecast clamp and normaliser window.
     Mutant("deadline-reset-one-short", POLICIES, "np.copyto(state.deadline, state.T, where=sends)",
            "np.copyto(state.deadline, state.T - 1, where=sends)"),
+    # One lane per entry: a nested deadline list is refused, not spread over a lane's row.
+    Mutant("deadline-shape-unchecked", POLICIES, "if self.deadline.ndim != 1:", "if False:"),
     Mutant("forecast-not-clamped", FORECASTING, "np.fmax(forecast, 0.0, out=forecast)\n    forecast += 0.0",
            "pass"),
     Mutant("bm-fires-on-zero-quantum", POLICIES, "return quantum > 0.0,", "return quantum >= 0.0,"),

@@ -16,7 +16,7 @@ from .errors import (
     QsimError,
     StreamTruncationError,
 )
-from .forecasting import Forecast, HoltState, holt_forecast, holt_init, holt_step
+from .forecasting import HoltState, holt_forecast, holt_init, holt_step
 from .policies import (
     BmPolicy,
     Decision,
@@ -29,13 +29,11 @@ from .policies import (
 from .simulator import (
     DisseminationEvent,
     ExperimentConfig,
-    ExperimentTrace,
     MetricsReport,
     generate_synthetic_stream,
     run_cell,
     run_experiment,
 )
-from .synopsis import DataVector
 from .t2fls import (
     InferenceEngine,
     IntervalTerm,
@@ -43,7 +41,6 @@ from .t2fls import (
     default_engine,
     default_rule_base,
     default_terms,
-    make_term,
 )
 
 __all__ = [
@@ -53,16 +50,13 @@ __all__ = [
     "IngestionError",
     "StreamTruncationError",
     "InvariantViolation",
-    "DataVector",
     "HoltState",
-    "Forecast",
     "holt_init",
     "holt_step",
     "holt_forecast",
     "IntervalTerm",
     "RuleBase",
     "InferenceEngine",
-    "make_term",
     "default_terms",
     "default_rule_base",
     "default_engine",
@@ -75,7 +69,6 @@ __all__ = [
     "build_policy",
     "ExperimentConfig",
     "DisseminationEvent",
-    "ExperimentTrace",
     "MetricsReport",
     "generate_synthetic_stream",
     "run_experiment",

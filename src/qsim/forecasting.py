@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IngestionError, InvariantViolation, _check_integer, _check_real
 
-__all__ = ["HoltState", "Forecast", "holt_init", "holt_step", "holt_forecast"]
+__all__ = ["HoltState", "holt_init", "holt_step", "holt_forecast"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,17 +33,6 @@ class HoltState:
     alpha: float
     beta: float
     observations: int
-
-
-@dataclass(frozen=True, slots=True)
-class Forecast:
-    """The next k quanta projected, clamped at zero; the horizon k is their count."""
-
-    values: tuple[float, ...]
-
-    @property
-    def horizon(self) -> int:
-        return len(self.values)
 
 
 def _check_smoothing(alpha: float, beta: float) -> None:
@@ -93,12 +82,12 @@ def holt_step(state: HoltState, e: float) -> HoltState:
                      state.alpha, state.beta, state.observations + 1)
 
 
-def holt_forecast(state: HoltState, k: int) -> Forecast:
-    """Project the next k quanta as level + i * trend, floored at zero, as the lanes project them."""
+def holt_forecast(state: HoltState, k: int) -> tuple[float, ...]:
+    """The next k quanta, level + i * trend floored at zero, as the lanes project them."""
     if state.observations < 2:
         raise InvariantViolation("forecaster not initialized: the first two quanta are required")
     _check_integer("forecast horizon", k, 1)
     # Python floats overflow to inf silently; numpy would warn.
     with np.errstate(over="ignore", invalid="ignore"):
         values = _holt_project(state.level, state.trend, np.arange(1.0, k + 1))
-    return Forecast(tuple(values.tolist()))
+    return tuple(values.tolist())

@@ -79,7 +79,7 @@ class Decision:
 class EpochState:
     """Epoch bookkeeping of one node, or of many independent nodes, one array lane each.
 
-    An omitted or integer `deadline` gives one lane; an array or list gives
+    An omitted or integer `deadline` gives one lane; a flat array or list gives
     one lane per entry. A lane's deadline is the round at which the deadline
     rule fires for its current epoch: shorter than T for a node's first epoch
     (staggered phase offsets), back to T after every dissemination. A real
@@ -101,6 +101,9 @@ class EpochState:
         deadline = T if deadline is None else deadline
         _check_integer("epoch deadline", deadline, 1, T, many=True)
         self.deadline = np.array(deadline, dtype=np.int64, ndmin=1)
+        if self.deadline.ndim != 1:
+            raise ConfigurationError(
+                f"epoch deadline must be an integer or a flat list of them, got {_echo(deadline)}")
         lanes = len(self.deadline)
         theta = np.asarray(_check_real("theta", theta, many=True), dtype=float)
         if not ((0.0 < theta) & (theta < math.inf)).all() or theta.shape not in ((), (lanes,)):

@@ -38,7 +38,6 @@ from .errors import (ConfigurationError, IngestionError, InvariantViolation, Str
                      _check_choice, _check_integer, _check_real, _echo)
 from .forecasting import _check_smoothing
 from .policies import CAUSE_DEADLINE, POLICY_NAMES, EpochState, build_policy
-from .synopsis import DataVector
 from .t2fls import InferenceEngine
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "ExperimentConfig",
     "DisseminationEvent",
     "EventColumns",
-    "ExperimentTrace",
     "MetricsReport",
     "generate_synthetic_stream",
     "run_experiment",
@@ -176,14 +174,6 @@ class EventColumns:
 
 
 @dataclass(frozen=True, slots=True)
-class ExperimentTrace:
-    """Events of one experiment, in step order."""
-
-    experiment: int
-    events: EventColumns
-
-
-@dataclass(frozen=True, slots=True)
 class MetricsReport:
     """Aggregates of one (policy, T, theta) cell across E experiments.
 
@@ -237,8 +227,9 @@ def generate_synthetic_stream(
     dims: int = 4,
     profile: str = "drift",
     jump_prob: float = 0.05,
-) -> list[DataVector]:
-    """Deterministic synthetic data stream; the seed, a non-negative integer, fixes the output.
+) -> np.ndarray:
+    """Deterministic synthetic data stream, a (length, dims) float64 array; the seed, a
+    non-negative integer, fixes the output.
 
     Profiles: "random-walk" (standard Gaussian increments), "drift" (increments
     of 1 plus Gaussian noise of deviation 0.25, so successive differences
@@ -246,34 +237,30 @@ def generate_synthetic_stream(
     Gaussian of deviation 5 with probability jump_prob per step; with no jumps
     the stream is identically zero).
     """
-    levels = _synthetic_block([seed], length, dims, profile, jump_prob)[0]
-    return [DataVector(tuple(row), t) for t, row in enumerate(levels.tolist())]
+    return _synthetic_block([seed], length, dims, profile, jump_prob)[0]
 
 
-def _replay_slices(config: ExperimentConfig, vectors, E: int) -> np.ndarray:
+def _replay_slices(config: ExperimentConfig, rows, E: int) -> np.ndarray:
     """(E, vectors_per_experiment, dims) array of E disjoint contiguous slices of
-    `vectors`, DataVectors or a (rows, dims) array of an integer or floating dtype,
-    wrapping past the end with a warning once the data is exhausted."""
-    count, total = config.vectors_per_experiment, len(vectors)
+    `rows`, a (rows, dims) array of an integer or floating dtype, wrapping past
+    the end with a warning once the data is exhausted."""
+    count, total = config.vectors_per_experiment, len(rows)
     if total < count:
         raise StreamTruncationError(
             f"replay data holds {total} vectors but each experiment needs {count} "
             f"(shortfall {count - total}): {config.N} node(s) x (T={config.T} + {_SLACK})")
-    if E * count > total:
-        log.warning("replay dataset (%d vectors) is shorter than the grid demands (%d); wrapping around",
-                    total, E * count)
-    if not isinstance(vectors, np.ndarray):
-        if not all(isinstance(v, DataVector) for v in vectors):
-            raise ConfigurationError(f"replay data must be an array or DataVectors, got {_echo(vectors)}")
-        if len({len(v) for v in vectors}) > 1:
-            raise ConfigurationError("data vectors differ in dimension")
-        vectors = np.array([v.values for v in vectors], dtype=float)
-    rows = _check_real("replay data", vectors, many=True).astype(float, copy=False)
+    if not isinstance(rows, np.ndarray):
+        raise ConfigurationError(f"replay data must be a (rows, dims) array, got {_echo(rows)}")
+    rows = _check_real("replay data", rows, many=True).astype(float, copy=False)
     if rows.ndim != 2 or rows.shape[1] < 1:
         raise ConfigurationError(f"data vectors must form a (rows, dims) array, got shape {rows.shape}")
     block = rows[np.arange(E * count).reshape(E, count) % total]
     if not np.isfinite(block).all():
         raise IngestionError("non-finite entry in the experiment streams")
+    # Last, so a refused dataset logs nothing.
+    if E * count > total:
+        log.warning("replay dataset (%d vectors) is shorter than the grid demands (%d); wrapping around",
+                    total, E * count)
     return block
 
 
@@ -345,20 +332,19 @@ def _simulate(config: ExperimentConfig, thetas: Sequence[float], block: np.ndarr
 
 def run_experiment(
     config: ExperimentConfig,
-    stream: Sequence[DataVector],
+    stream: np.ndarray,
     experiment: int = 0,
-) -> ExperimentTrace:
-    """Drive one experiment window over an explicit stream slice.
+) -> EventColumns:
+    """Drive one experiment window over an explicit stream slice, a (rows, dims) array.
 
-    The slice must hold T + 3 vectors per node; vectors are consumed round-robin
+    The slice must hold T + 3 rows per node; rows are consumed round-robin
     (node j takes position s * N + j - 1 at round s, after one bootstrap vector
     apiece). The stream is cut, shape-checked, checked finite and checked for
-    truncation by `run_cell`'s replay slicer, with E = 1. The trace is a pure
-    function of (config, stream).
+    truncation by `run_cell`'s replay slicer, with E = 1. The events, whose
+    `experiment` column holds `experiment`, are a pure function of (config, stream).
     """
     _check_integer("experiment index", experiment, 0, _ID_MAX - 1)
-    events = _simulate(config, (config.theta,), _replay_slices(config, stream, 1))[0].events(experiment)
-    return ExperimentTrace(experiment=experiment, events=events)
+    return _simulate(config, (config.theta,), _replay_slices(config, stream, 1))[0].events(experiment)
 
 
 def _cell_streams(config: ExperimentConfig, dataset) -> np.ndarray:
@@ -379,7 +365,7 @@ def run_cell(config: ExperimentConfig, dataset=None,
              engine: InferenceEngine | None = None) -> MetricsReport:
     """Run E experiments for one grid cell and aggregate the metrics.
 
-    A replay `dataset` is a sequence of DataVectors or a (rows, dims) array.
+    A replay `dataset` is a (rows, dims) array.
     Experiments consume disjoint contiguous dataset slices (wrapping with a
     warning once the replay data is exhausted); one slicer holds these slices
     and the shape, finiteness and truncation checks, for `run_experiment` too.

@@ -32,7 +32,6 @@ __all__ = [
     "RuleBase",
     "InferenceEngine",
     "trapezoid",
-    "make_term",
     "default_terms",
     "default_rule_base",
     "default_engine",
@@ -99,11 +98,6 @@ class IntervalTerm:
         return (self.height * trapezoid(x, *self.lower), trapezoid(x, *self.upper))
 
 
-def make_term(label: str, a: float, b: float, c: float, d: float, **shape: float) -> IntervalTerm:
-    """The `IntervalTerm` with upper trapezoid (a, b, c, d); `shrink` and `height` pass through."""
-    return IntervalTerm(label, (a, b, c, d), **shape)
-
-
 @lru_cache(maxsize=1)
 def default_terms() -> tuple[IntervalTerm, IntervalTerm, IntervalTerm]:
     """Three interval terms uniformly covering [0, 1].
@@ -117,9 +111,9 @@ def default_terms() -> tuple[IntervalTerm, IntervalTerm, IntervalTerm]:
     supports visibly break it.
     """
     return (
-        make_term("low", 0.0, 0.0, 0.2, 0.45),
-        make_term("medium", 0.2, 0.45, 0.55, 0.8),
-        make_term("high", 0.55, 0.8, 1.0, 1.0),
+        IntervalTerm("low", (0.0, 0.0, 0.2, 0.45)),
+        IntervalTerm("medium", (0.2, 0.45, 0.55, 0.8)),
+        IntervalTerm("high", (0.55, 0.8, 1.0, 1.0)),
     )
 
 

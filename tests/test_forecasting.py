@@ -9,7 +9,7 @@ import pytest
 
 from qsim import policies
 from qsim.errors import ConfigurationError, IngestionError, InvariantViolation
-from qsim.forecasting import Forecast, HoltState, holt_forecast, holt_init, holt_step
+from qsim.forecasting import HoltState, holt_forecast, holt_init, holt_step
 from qsim.policies import EpochState, PmPolicy
 from qsim.simulator import ExperimentConfig
 
@@ -112,32 +112,27 @@ class TestForecast:
     def test_worked_forecast(self):
         state = chain([1.0, 2.0, 4.0])
         forecast = holt_forecast(state, 3)
-        assert forecast.values == pytest.approx((4.75, 6.0, 7.25), abs=1e-12)
-        assert forecast.horizon == 3
+        assert type(forecast) is tuple
+        assert forecast == pytest.approx((4.75, 6.0, 7.25), abs=1e-12)
 
     def test_zero_trend_is_flat(self):
         state = HoltState(level=7.5, trend=0.0, alpha=0.5, beta=0.5, observations=4)
-        assert holt_forecast(state, 5).values == (7.5,) * 5
+        assert holt_forecast(state, 5) == (7.5,) * 5
 
     def test_negative_projection_clamped_to_zero(self):
         state = HoltState(level=1.0, trend=-2.0, alpha=0.5, beta=0.5, observations=4)
-        assert holt_forecast(state, 1).values == (0.0,)
+        assert holt_forecast(state, 1) == (0.0,)
 
     def test_horizon_must_be_positive(self):
         state = holt_init(1.0, 2.0)
         with pytest.raises(ConfigurationError):
             holt_forecast(state, 0)
 
-    def test_horizon_is_the_number_of_values(self):
-        assert Forecast((1.0, 0.0)).horizon == 2
-        with pytest.raises(TypeError):
-            Forecast(horizon=2, values=(1.0,))  # the horizon is not settable
-
     def test_successive_values_differ_by_trend_before_clamping(self):
         state = chain([3.0, 5.0, 6.0, 9.0], 0.4, 0.6)
         forecast = holt_forecast(state, 6)
-        assert all(v >= 0 for v in forecast.values)
-        for a, b in zip(forecast.values, forecast.values[1:]):
+        assert all(v >= 0 for v in forecast)
+        for a, b in zip(forecast, forecast[1:]):
             assert b - a == pytest.approx(state.trend, abs=1e-9)
 
 
@@ -167,7 +162,7 @@ class TestProperties:
             assert state.level == pytest.approx(level, abs=1e-9)
             assert state.trend == pytest.approx(trend, abs=1e-9)
             forecast = holt_forecast(state, 3)
-            for i, value in enumerate(forecast.values):
+            for i, value in enumerate(forecast):
                 assert value == pytest.approx(max(0.0, level + (i + 1) * trend), abs=1e-9)
 
 
@@ -190,7 +185,7 @@ class TestOneProjection:
             lanes = PmPolicy()._forecast(EpochState(T=10, theta=0.5, deadline=np.full(len(states), 10)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scalar = np.array([holt_forecast(HoltState(v, b, 0.5, 0.5, 2), 3).values for v, b in states])
+            scalar = np.array([holt_forecast(HoltState(v, b, 0.5, 0.5, 2), 3) for v, b in states])
         python = np.array([[max(0.0, v + i * b) for i in (1, 2, 3)] for v, b in states])
         assert scalar.T.tobytes() == lanes.tobytes()
         assert scalar.tobytes() == python.tobytes()

@@ -703,7 +703,7 @@ class TestCli:
         main(["gen", "--out", str(log), "--length", "32", "--seed", "8"])
         replayed = ingest_sensor_log(log).rows
         direct = generate_synthetic_stream(8, 32, dims=4, profile="drift")
-        assert replayed.tolist() == [list(v.values) for v in direct]
+        assert replayed.tobytes() == direct.tobytes()
 
     def test_configuration_error_exit_code(self):
         assert main(["run", "--policy", "NOPE"]) == 1

@@ -21,8 +21,7 @@ from qsim.policies import (
     build_policy,
     combine_pods,
 )
-from qsim.synopsis import DataVector
-from qsim.t2fls import InferenceEngine, default_engine, make_term
+from qsim.t2fls import InferenceEngine, IntervalTerm, default_engine
 
 from scalar_synopsis import Synopsis, update_quantum, update_synopsis
 
@@ -106,9 +105,9 @@ class TestUddm:
         # Terms with a coverage gap: inputs in the gap fire no rule at all, so
         # the potential and the fused score annihilate to exactly zero.
         gappy = (
-            make_term("low", 0.0, 0.0, 0.1, 0.2),
-            make_term("medium", 0.4, 0.45, 0.55, 0.6),
-            make_term("high", 0.8, 0.9, 1.0, 1.0),
+            IntervalTerm("low", (0.0, 0.0, 0.1, 0.2)),
+            IntervalTerm("medium", (0.4, 0.45, 0.55, 0.6)),
+            IntervalTerm("high", (0.8, 0.9, 1.0, 1.0)),
         )
         policy = UddmPolicy(engine=InferenceEngine(terms=gappy))
         state = make_state(T=50, theta=0.01)
@@ -194,9 +193,7 @@ class TestEpochLifecycle:
         synopsis = Synopsis.empty(2)
         state = EpochState(T=6, theta=0.6)
         for step in range(1, 30):
-            synopsis = update_synopsis(
-                synopsis, DataVector((rng.uniform(0, 5), rng.uniform(0, 5)), timestamp=step)
-            )
+            synopsis = update_synopsis(synopsis, (rng.uniform(0, 5), rng.uniform(0, 5)))
             if step == 1:
                 last_sent = synopsis
                 continue

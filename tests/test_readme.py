@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import qsim
 from qsim.harness import _KEYS, _build_parser, load_config
 from qsim.t2fls import engine_from_config
 
@@ -58,3 +59,11 @@ def test_qsim_line_parses(line):
     args = _build_parser().parse_args(shlex.split(line)[1:])
     if args.command == "run":
         load_config(cli_overrides={key: getattr(args, key) for key in _KEYS}, environ={})
+
+
+def test_every_public_name_is_documented():
+    """Each name the package exports appears in an inline code span of the README."""
+    spans = re.findall(r"`([^`]+)`", FENCE.sub("", README.read_text(encoding="utf-8")))
+    missing = [name for name in qsim.__all__ if name != "__version__"
+               and not any(re.search(rf"\b{name}\b", span) for span in spans)]
+    assert not missing

@@ -27,7 +27,6 @@ from qsim.simulator import (
     run_cell,
     run_experiment,
 )
-from qsim.synopsis import DataVector
 from qsim.t2fls import InferenceEngine, default_engine, engine_from_config
 
 from reference_sim import reference_trace
@@ -43,9 +42,9 @@ def replay_cell(experiments, T):
     dataset = []
     for values in experiments:
         assert len(values) == T + 1
-        dataset.extend(DataVector((float(v),)) for v in values + [0.0, 0.0])  # 2 unread slack
+        dataset.extend([float(v)] for v in values + [0.0, 0.0])  # 2 unread slack
     config = ExperimentConfig(policy="BM", T=T, theta=0.6, E=len(experiments), source="replay")
-    return run_cell(config, dataset=dataset)
+    return run_cell(config, dataset=np.array(dataset))
 
 
 # Means 0, 1, 2, 3, 4 reached at rounds 2, 5, 7 and 9: x = m + (m' - m) * count.
@@ -88,25 +87,26 @@ class TestSyntheticStreams:
     def test_same_seed_identical(self):
         a = generate_synthetic_stream(5, 100, dims=3, profile="random-walk")
         b = generate_synthetic_stream(5, 100, dims=3, profile="random-walk")
-        assert a == b
+        assert a.shape == (100, 3) and a.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
 
     def test_distinct_seeds_differ(self):
         a = generate_synthetic_stream(5, 50, dims=2)
         b = generate_synthetic_stream(6, 50, dims=2)
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_drift_mean_increment_matches_slope(self):
-        stream = generate_synthetic_stream(1, 10001, dims=2, profile="drift")
+        stream = generate_synthetic_stream(1, 10001, dims=2, profile="drift").tolist()
         for dim in range(2):
             diffs = [
-                stream[i + 1].values[dim] - stream[i].values[dim]
+                stream[i + 1][dim] - stream[i][dim]
                 for i in range(len(stream) - 1)
             ]
             assert statistics.fmean(diffs) == pytest.approx(1.0, rel=0.05)
 
     def test_piecewise_constant_without_jumps_is_identically_zero(self):
         stream = generate_synthetic_stream(3, 200, dims=2, profile="piecewise-constant", jump_prob=0.0)
-        assert all(v.values == (0.0, 0.0) for v in stream)
+        assert stream.shape == (200, 2) and not stream.any()
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -131,17 +131,17 @@ class TestRunExperiment:
             config = ExperimentConfig(policy=policy, T=8, theta=1.01, E=1, seed=2,
                                       profile="random-walk")
             stream = generate_synthetic_stream(9, config.vectors_per_experiment, profile="random-walk")
-            trace = run_experiment(config, stream)
-            assert [e.step for e in trace.events] == [8]
-            assert all(e.cause == "deadline" and e.t_star == 8 for e in trace.events)
+            events = run_experiment(config, stream)
+            assert [e.step for e in events] == [8]
+            assert all(e.cause == "deadline" and e.t_star == 8 for e in events)
 
     def test_constant_stream_only_deadline_causes(self):
         stream = generate_synthetic_stream(3, 100, profile="piecewise-constant", jump_prob=0.0)
         for policy in ("UDDM", "BM", "PM"):
             config = ExperimentConfig(policy=policy, T=6, theta=0.6, E=1)
-            trace = run_experiment(config, stream)
-            assert {e.cause for e in trace.events} == {"deadline"}
-            assert all(e.magnitude == 0.0 for e in trace.events)
+            events = run_experiment(config, stream)
+            assert {e.cause for e in events} == {"deadline"}
+            assert all(e.magnitude == 0.0 for e in events)
 
     def test_determinism_bit_identical_traces(self):
         config = ExperimentConfig(policy="UDDM", T=20, theta=0.6, E=1, seed=11)
@@ -151,8 +151,8 @@ class TestRunExperiment:
     def test_experiment_index_must_fit_an_int32_column(self):
         config = ExperimentConfig(policy="BM", T=4, E=1, N=2, seed=5)
         stream = generate_synthetic_stream(5, config.vectors_per_experiment)
-        trace = run_experiment(config, stream, experiment=2**31 - 2)
-        assert {e.experiment for e in trace.events} == {2**31 - 2}
+        events = run_experiment(config, stream, experiment=2**31 - 2)
+        assert {e.experiment for e in events} == {2**31 - 2}
         for experiment in (-1, 2**31 - 1, 2**40):
             with pytest.raises(ConfigurationError, match="experiment index"):
                 run_experiment(config, stream, experiment=experiment)
@@ -168,15 +168,15 @@ class TestRunExperiment:
                                   profile="piecewise-constant")
         stream = generate_synthetic_stream(3, config.vectors_per_experiment,
                                            profile="piecewise-constant", jump_prob=0.0)
-        trace = run_experiment(config, stream)
+        events = run_experiment(config, stream)
         by_step: dict[int, set[int]] = {}
-        for event in trace.events:
+        for event in events:
             assert event.cause == "deadline"
             by_step.setdefault(event.step, set()).add(event.node)
         assert by_step, "deadline events must exist"
         assert all(len(nodes) < 4 for nodes in by_step.values())
         # node i's deadlines all fall in the congruence class (i - 1) mod T
-        for event in trace.events:
+        for event in events:
             assert event.step % 5 == (event.node - 1) % 5
 
     def test_first_epoch_offsets_differ_across_nodes(self):
@@ -184,9 +184,9 @@ class TestRunExperiment:
                                   profile="piecewise-constant")
         stream = generate_synthetic_stream(3, config.vectors_per_experiment,
                                            profile="piecewise-constant", jump_prob=0.0)
-        trace = run_experiment(config, stream)
+        events = run_experiment(config, stream)
         first = {}
-        for event in trace.events:
+        for event in events:
             first.setdefault(event.node, event.step)
         assert len(set(first.values())) == 3
 
@@ -365,6 +365,7 @@ class TestEventColumns:
 def scalar_experiment(config, stream, experiment, policy):
     """One experiment through the scalar API, one node and one round at a time."""
     n = config.N
+    stream = [tuple(row) for row in stream.tolist()]
     synopses = [update_synopsis(Synopsis.empty(len(stream[0])), stream[j]) for j in range(n)]
     last_sent = list(synopses)
     epochs = [
@@ -425,8 +426,8 @@ class TestKernelMatchesScalarPath:
         assert report.delta == statistics.fmean(e.magnitude for e in report.per_experiment)
         assert report.psi == statistics.fmean(config.T / c for c in counts)
         if engine is None:
-            trace = run_experiment(config, streams[1], experiment=1)
-            assert list(trace.events) == expected[1]
+            events = run_experiment(config, streams[1], experiment=1)
+            assert list(events) == expected[1]
 
     @pytest.mark.parametrize("profile", STREAM_PROFILES)
     @pytest.mark.parametrize("policy", ["UDDM", "BM", "PM"])
@@ -456,28 +457,24 @@ class TestKernelMatchesScalarPath:
                 config = ExperimentConfig(policy=policy, T=T, theta=0.6, E=1, N=N)
                 scalar_policy = build_policy(policy)
                 for experiment in range(20):
-                    stream = [DataVector(tuple(rng.choice(values) for _ in range(2)))
-                              for _ in range(config.vectors_per_experiment)]
-                    events = list(run_experiment(config, stream, experiment).events)
+                    stream = np.array([[rng.choice(values) for _ in range(2)]
+                                       for _ in range(config.vectors_per_experiment)])
+                    events = list(run_experiment(config, stream, experiment))
                     expected = scalar_experiment(config, stream, experiment, scalar_policy)
                     assert events == expected
                     assert list(map(repr, events)) == list(map(repr, expected))
 
-    def test_replay_array_equals_data_vectors(self):
-        config = ExperimentConfig(policy="PM", T=10, theta=0.6, E=5, N=2, source="replay")
-        vectors = generate_synthetic_stream(4, 70, profile="random-walk")
-        rows = np.array([v.values for v in vectors])
-        assert run_cell(config, dataset=rows) == run_cell(config, dataset=vectors)
-
     @pytest.mark.parametrize("dataset, message", [
-        ([DataVector((1.0, 2.0))] * 4 + [DataVector((1.0,))], "differ in dimension"),
+        (np.zeros((5, 0)), r"must form a \(rows, dims\) array, got shape \(5, 0\)"),
         (np.zeros(10), r"must form a \(rows, dims\) array, got shape \(10,\)"),
-    ], ids=["ragged", "one-dimensional"])
+    ], ids=["no-dims", "one-dimensional"])
     @pytest.mark.parametrize("entry", REPLAY_ENTRY_POINTS)
-    def test_malformed_dataset_rejected(self, entry, dataset, message):
-        config = ExperimentConfig(policy="BM", T=2, E=1, source="replay")
+    def test_malformed_dataset_rejected(self, entry, dataset, message, caplog):
+        # E = 3 demands 15 rows, more than either dataset holds; a refused one logs no wrap.
+        config = ExperimentConfig(policy="BM", T=2, E=3, source="replay")
         with pytest.raises(ConfigurationError, match=message):
             entry(config, dataset)
+        assert not [r for r in caplog.records if "wrapping around" in r.getMessage()]
 
     @pytest.mark.parametrize("entry", REPLAY_ENTRY_POINTS)
     def test_non_finite_array_rejected(self, entry):
@@ -723,12 +720,12 @@ class TestBruteForceOracle:
     def test_single_node_traces_match(self, policy, T, profile, seed):
         config = ExperimentConfig(policy=policy, T=T, theta=0.6, E=1, seed=seed, profile=profile)
         stream = generate_synthetic_stream(seed, 20 + 3, profile=profile)
-        trace = run_experiment(config, stream[: config.vectors_per_experiment])
+        events = run_experiment(config, stream[: config.vectors_per_experiment])
         expected = reference_trace(
-            [v.values for v in stream], policy, T=T, theta=0.6
+            stream.tolist(), policy, T=T, theta=0.6
         )
-        assert len(trace.events) == len(expected)
-        for got, want in zip(trace.events, expected):
+        assert len(events) == len(expected)
+        for got, want in zip(events, expected):
             assert (got.node, got.step, got.t_star, got.cause) == (
                 want["node"], want["step"], want["t_star"], want["cause"])
             assert got.magnitude == pytest.approx(want["magnitude"], abs=1e-9)
@@ -740,9 +737,9 @@ class TestBruteForceOracle:
     def test_multi_node_trace_matches(self):
         config = ExperimentConfig(policy="UDDM", T=4, theta=0.5, E=1, N=3, seed=77)
         stream = generate_synthetic_stream(77, config.vectors_per_experiment)
-        trace = run_experiment(config, stream)
-        expected = reference_trace([v.values for v in stream], "UDDM", T=4, theta=0.5, N=3)
-        assert [(e.node, e.step, e.t_star, e.cause) for e in trace.events] == [
+        events = run_experiment(config, stream)
+        expected = reference_trace(stream.tolist(), "UDDM", T=4, theta=0.5, N=3)
+        assert [(e.node, e.step, e.t_star, e.cause) for e in events] == [
             (w["node"], w["step"], w["t_star"], w["cause"]) for w in expected
         ]
 
@@ -778,9 +775,8 @@ class TestBruteForceOracle:
         report = run_cell(config, dataset=dataset)
         assert {e.experiment for e in report.per_experiment} == set(range(E))
         for i in range(E):
-            slice_ = [v.values for v in dataset[i * size:(i + 1) * size]]
-            expected = reference_trace(slice_, policy, T=T, theta=theta, alpha=alpha, beta=beta,
-                                       window=window, N=N)
+            expected = reference_trace(dataset[i * size:(i + 1) * size].tolist(), policy, T=T, theta=theta,
+                                       alpha=alpha, beta=beta, window=window, N=N)
             got = [e for e in report.per_experiment if e.experiment == i]
             for ours, want in zip_longest(got, expected):
                 if ours is None or want is None or not oracle_agrees(ours, want):
@@ -805,10 +801,7 @@ class TestMetamorphic:
     def test_scale_and_offset_leave_decisions_unchanged(self, policy, profile, T, theta, transform):
         config = ExperimentConfig(policy=policy, T=T, theta=theta, E=10, N=2, source="replay")
         stream = generate_synthetic_stream(0, config.E * config.vectors_per_experiment, profile=profile)
-        if transform == "scale-7":
-            moved = [DataVector(tuple(7.0 * v for v in x.values)) for x in stream]
-        else:
-            moved = [DataVector(tuple(v + 1e3 for v in x.values)) for x in stream]
+        moved = 7.0 * stream if transform == "scale-7" else stream + 1e3
 
         def decisions(dataset):
             report = run_cell(config, dataset=dataset)
@@ -826,8 +819,7 @@ class TestMetamorphic:
         base = run_cell(config, dataset=stream).per_experiment
         for k in (-20, -3, 5, 30):
             scale = 2.0**k
-            moved = run_cell(config, dataset=[DataVector(tuple(scale * v for v in x.values))
-                                              for x in stream]).per_experiment
+            moved = run_cell(config, dataset=scale * stream).per_experiment
             for column in ("experiment", "node", "step", "t_star", "triggered", "g"):
                 assert getattr(moved, column).tobytes() == getattr(base, column).tobytes(), (k, column)
             assert moved.magnitude.tobytes() == (base.magnitude * scale).tobytes(), k

@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.errors import ConfigurationError, IngestionError
+from qsim.errors import ConfigurationError
 from qsim.policies import EpochState
-from qsim.synopsis import DataVector
 
 from scalar_synopsis import Synopsis, update_quantum, update_synopsis
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
-def vec(*values, timestamp=0):
-    return DataVector(values=tuple(float(v) for v in values), timestamp=timestamp)
+def vec(*values):
+    return tuple(float(v) for v in values)
 
 
 class TestUpdateSynopsis:
@@ -46,16 +45,6 @@ class TestUpdateSynopsis:
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
             update_synopsis(Synopsis.empty(2), vec(1.0))
-
-    def test_non_finite_rejected_at_ingestion_with_step(self):
-        with pytest.raises(IngestionError, match="step 17"):
-            DataVector(values=(1.0, float("nan")), timestamp=17)
-        with pytest.raises(IngestionError):
-            DataVector(values=(float("inf"),), timestamp=0)
-
-    def test_empty_vector_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DataVector(values=())
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.lists(finite_floats, min_size=3, max_size=3), min_size=1, max_size=12),

@@ -21,7 +21,6 @@ from qsim.t2fls import (
     default_rule_base,
     default_terms,
     engine_from_config,
-    make_term,
     trapezoid,
 )
 
@@ -64,15 +63,15 @@ def boundwise_min_firing(engine, inputs):
 
 
 GAPPY_TERMS = (
-    make_term("low", 0.0, 0.0, 0.1, 0.2),
-    make_term("medium", 0.4, 0.45, 0.55, 0.6),
-    make_term("high", 0.8, 0.9, 1.0, 1.0),
+    IntervalTerm("low", (0.0, 0.0, 0.1, 0.2)),
+    IntervalTerm("medium", (0.4, 0.45, 0.55, 0.6)),
+    IntervalTerm("high", (0.8, 0.9, 1.0, 1.0)),
 )
 
 # Shrunk lower supports: unlike the default terms, whose lower shapes are the
 # upper ones scaled by 0.9, the lower bound here does not cancel out of the
 # weighted average, so a defuzzifier that ignores it gives a different output.
-SHRUNK = InferenceEngine(terms=tuple(make_term(t.label, *t.upper, shrink=0.3) for t in default_terms()))
+SHRUNK = InferenceEngine(terms=tuple(IntervalTerm(t.label, t.upper, shrink=0.3) for t in default_terms()))
 
 
 def scalar_memberships(engine, x):
@@ -142,7 +141,7 @@ class TestTerms:
                 assert 0.0 <= lo <= hi <= 1.0
 
     def test_containment_holds_for_shrunk_lower_supports(self):
-        term = make_term("medium", 0.2, 0.45, 0.55, 0.8, shrink=0.2, height=0.8)
+        term = IntervalTerm("medium", (0.2, 0.45, 0.55, 0.8), shrink=0.2, height=0.8)
         for i in range(1001):
             x = i / 1000
             lo, hi = term.membership(x)
@@ -151,12 +150,6 @@ class TestTerms:
     def test_misordered_shape_rejected(self):
         with pytest.raises(ConfigurationError, match="upper shape"):
             IntervalTerm(label="bad", upper=(0.5, 0.4, 0.6, 0.8))
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(unit, min_size=4, max_size=4), st.floats(0.0, 0.999),
-           st.floats(0.001, 1.0))
-    def test_make_term_is_always_accepted(self, corners, shrink, height):
-        make_term("t", *sorted(corners), shrink=shrink, height=height)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(unit, min_size=4, max_size=4), st.floats(0.0, 1.0, exclude_max=True),
@@ -185,10 +178,9 @@ class TestTerms:
         assert pickle.loads(pickle.dumps(term)).lower == (0.25, 0.5, 0.75, 0.875)
         assert dataclasses.replace(term, shrink=0.25).lower == (0.125, 0.5, 0.75, 0.9375)
 
-    def test_make_term_is_the_same_term(self):
+    def test_shape_defaults(self):
         upper = (0.2, 0.45, 0.55, 0.8)
-        assert IntervalTerm("medium", upper) == make_term("medium", *upper)
-        assert make_term("medium", *upper) == IntervalTerm("medium", upper, shrink=0.0, height=0.9)
+        assert IntervalTerm("medium", upper) == IntervalTerm("medium", upper, shrink=0.0, height=0.9)
 
     def test_explicit_lower_is_not_accepted(self):
         upper = (0.2, 0.45, 0.55, 0.8)
@@ -202,14 +194,14 @@ class TestTerms:
 
     def test_invalid_height_and_shrink(self):
         with pytest.raises(ConfigurationError):
-            make_term("x", 0.0, 0.1, 0.2, 0.3, height=0.0)
+            IntervalTerm("x", (0.0, 0.1, 0.2, 0.3), height=0.0)
         with pytest.raises(ConfigurationError):
-            make_term("x", 0.0, 0.1, 0.2, 0.3, shrink=1.0)
+            IntervalTerm("x", (0.0, 0.1, 0.2, 0.3), shrink=1.0)
 
 
 class TestFuzzify:
     def test_plateau_with_explicit_height(self):
-        term = make_term("high", 0.55, 0.8, 1.0, 1.0, height=0.8)
+        term = IntervalTerm("high", (0.55, 0.8, 1.0, 1.0), height=0.8)
         assert term.membership(0.9) == (0.8, 1.0)
 
     def test_outside_support_is_zero_interval(self):
@@ -241,9 +233,9 @@ class TestFireRule:
 
     # Low and medium reach (1, 1) on their plateaus; high tops out at (0.5, 1).
     TERMS = (
-        make_term("low", 0.0, 0.0, 0.2, 0.45, shrink=0.3, height=1.0),
-        make_term("medium", 0.2, 0.45, 0.55, 0.8, shrink=0.3, height=1.0),
-        make_term("high", 0.55, 0.8, 1.0, 1.0, shrink=0.3, height=0.5),
+        IntervalTerm("low", (0.0, 0.0, 0.2, 0.45), shrink=0.3, height=1.0),
+        IntervalTerm("medium", (0.2, 0.45, 0.55, 0.8), shrink=0.3, height=1.0),
+        IntervalTerm("high", (0.55, 0.8, 1.0, 1.0), shrink=0.3, height=0.5),
     )
 
     def test_identity(self):
@@ -393,7 +385,7 @@ class TestEvaluate:
     def test_type1_degeneration_matches_single_membership_weighted_centroid(self):
         # Zero footprint: lower shape identical to the upper one.
         terms = tuple(
-            make_term(t.label, *t.upper, shrink=0.0, height=1.0) for t in default_terms()
+            IntervalTerm(t.label, t.upper, shrink=0.0, height=1.0) for t in default_terms()
         )
         engine = InferenceEngine(terms=terms)
         base = default_rule_base()
@@ -422,7 +414,7 @@ class TestEvaluate:
     def test_engine_validates_construction(self):
         with pytest.raises(ConfigurationError):
             InferenceEngine(terms=default_terms()[:2])
-        narrow = make_term("medium", 0.501, 0.502, 0.503, 0.504)  # between two grid points
+        narrow = IntervalTerm("medium", (0.501, 0.502, 0.503, 0.504))  # between two grid points
         with pytest.raises(ConfigurationError, match="term 'medium' has zero mass on the centroid grid"):
             InferenceEngine(terms=(default_terms()[0], narrow, default_terms()[2]))
 
@@ -434,8 +426,8 @@ class TestEvaluate:
             engine.centroid("x")
 
     @pytest.mark.parametrize("terms", [
-        tuple(make_term(label, *t.upper) for label, t in zip(("small", "mid", "large"), default_terms())),
-        tuple(make_term(label, *t.upper) for label, t in zip(("low", "high", "medium"), default_terms())),
+        tuple(IntervalTerm(label, t.upper) for label, t in zip(("small", "mid", "large"), default_terms())),
+        tuple(IntervalTerm(label, t.upper) for label, t in zip(("low", "high", "medium"), default_terms())),
         default_terms()[::-1],
     ], ids=["relabelled", "labels-swapped", "reversed"])
     def test_terms_must_be_low_medium_high_in_order(self, terms):
@@ -475,8 +467,8 @@ class TestEvaluateMany:
 
     def test_degenerate_point_term(self):
         # A term whose four corners coincide: both edge ratios are 0/0 on the point.
-        terms = (make_term("low", 0.0, 0.0, 0.3, 0.5), make_term("medium", 0.5, 0.5, 0.5, 0.5),
-                 make_term("high", 0.5, 0.8, 1.0, 1.0))
+        terms = (IntervalTerm("low", (0.0, 0.0, 0.3, 0.5)), IntervalTerm("medium", (0.5, 0.5, 0.5, 0.5)),
+                 IntervalTerm("high", (0.5, 0.8, 1.0, 1.0)))
         engine = InferenceEngine(terms=terms)
         triples = corner_triples(engine, 500, seed=7) + [(0.5, 0.5, 0.5), (-0.0, 0.5, 1.0)]
         got = engine.evaluate_many(*np.array(triples).T)
@@ -517,8 +509,9 @@ class TestZeroSigns:
     files write the two zeros differently."""
 
     # Every upper shape rises from 0, so a -0.0 input grades as a zero on every term.
-    SLOPED_FROM_ZERO = (make_term("low", 0.0, 0.1, 0.2, 0.3), make_term("medium", 0.0, 0.45, 0.55, 0.7),
-                        make_term("high", 0.0, 0.8, 1.0, 1.0))
+    SLOPED_FROM_ZERO = (IntervalTerm("low", (0.0, 0.1, 0.2, 0.3)),
+                        IntervalTerm("medium", (0.0, 0.45, 0.55, 0.7)),
+                        IntervalTerm("high", (0.0, 0.8, 1.0, 1.0)))
 
     @pytest.mark.parametrize("lanes", [1, 2, 3, 9, 17])
     def test_no_firing_mass_gives_positive_zero(self, lanes):
@@ -555,7 +548,7 @@ class TestEngineFromConfig:
         engine = engine_from_config(spec)
         assert engine.terms[2].upper == (0.5, 0.7, 1.0, 1.0)
         assert engine.terms[2].height == 0.8
-        assert engine.terms[2].lower == make_term("high", 0.5, 0.7, 1.0, 1.0, shrink=0.05).lower
+        assert engine.terms[2].lower == IntervalTerm("high", (0.5, 0.7, 1.0, 1.0), shrink=0.05).lower
         assert engine.rules.consequent(("medium", "low", "low")) == "medium"
         # untouched terms stay at the defaults
         assert engine.terms[0].upper == default_terms()[0].upper
@@ -584,7 +577,7 @@ class TestEngineFromConfig:
             engine_from_config({"grid_points": 101})
 
     def test_lower_rejected_as_unknown_key(self):
-        # A spec's lower shape always comes from make_term; an explicit one,
+        # A spec's lower shape is always derived from its upper one; an explicit one,
         # even a valid one, is not a setting.
         spec = {"terms": {"high": {"upper": [0.5, 0.7, 1.0, 1.0], "lower": [0.6, 0.7, 1.0, 1.0]}}}
         with pytest.raises(ConfigurationError, match=r"unknown keys in term 'high': \['lower'\]"):
