@@ -102,6 +102,12 @@ REAL_CASES = [
     pytest.param(lambda: run_cell(REPLAY, np.ones((40, 4), complex)),
                  re.escape("replay data must be a real number, got array([[1.+0....0.j, 1.+0.j]])"),
                  id="replay-complex-array"),
+    pytest.param(lambda: run_cell(REPLAY, np.ones((40, 4), bool)),
+                 re.escape("replay data must be a real number, got array([[ True...True,  True]])"),
+                 id="replay-bool-array"),
+    pytest.param(lambda: run_cell(REPLAY, np.array([[1.0, "1"]] * 40, dtype=object)),
+                 re.escape("replay data must be a real number, got array([[1.0, ... dtype=object)"),
+                 id="replay-object-array-text"),
     pytest.param(lambda: run_cell(REPLAY, [[1.0, 2.0, 3.0, 4.0]] * 40),
                  re.escape("replay data must be a (rows, dims) array, got [[1.0, 2.0, 3.0, 4.0], [1.0,"),
                  id="replay-nested-list"),

@@ -128,6 +128,13 @@ class TestForecast:
         with pytest.raises(ConfigurationError):
             holt_forecast(state, 0)
 
+    def test_horizon_is_the_number_of_values(self):
+        state = chain([1.0, 2.0, 4.0])
+        for horizon in (1, 2, 7, np.int64(3)):
+            forecast = holt_forecast(state, horizon)
+            assert type(forecast) is tuple and len(forecast) == horizon
+            assert all(type(v) is float for v in forecast)
+
     def test_successive_values_differ_by_trend_before_clamping(self):
         state = chain([3.0, 5.0, 6.0, 9.0], 0.4, 0.6)
         forecast = holt_forecast(state, 6)

@@ -464,10 +464,20 @@ class TestKernelMatchesScalarPath:
                     assert events == expected
                     assert list(map(repr, events)) == list(map(repr, expected))
 
+    def test_replay_array_layout_does_not_matter(self):
+        # A strided view and its Fortran-ordered copy replay as the C-ordered rows do.
+        config = ExperimentConfig(policy="PM", T=10, theta=0.6, E=5, N=2, source="replay")
+        view = generate_synthetic_stream(4, 70, dims=8, profile="random-walk")[:, ::2]
+        assert not view.flags.c_contiguous
+        expected = run_cell(config, dataset=np.ascontiguousarray(view))
+        assert run_cell(config, dataset=view) == expected
+        assert run_cell(config, dataset=np.asfortranarray(view)) == expected
+
     @pytest.mark.parametrize("dataset, message", [
         (np.zeros((5, 0)), r"must form a \(rows, dims\) array, got shape \(5, 0\)"),
         (np.zeros(10), r"must form a \(rows, dims\) array, got shape \(10,\)"),
-    ], ids=["no-dims", "one-dimensional"])
+        (np.zeros((5, 2, 2)), r"must form a \(rows, dims\) array, got shape \(5, 2, 2\)"),
+    ], ids=["no-dims", "one-dimensional", "three-dimensional"])
     @pytest.mark.parametrize("entry", REPLAY_ENTRY_POINTS)
     def test_malformed_dataset_rejected(self, entry, dataset, message, caplog):
         # E = 3 demands 15 rows, more than either dataset holds; a refused one logs no wrap.
